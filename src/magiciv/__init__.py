@@ -38,26 +38,15 @@ from .interactions import (
     basis_matrix,
     build_plan,
     demeaned_matrix,
-    eval_basis,
-    eval_demeaned,
 )
 from .moments import (
     MomentComponents,
-    MomentSnapshot,
     build_components,
     components_from_arrays,
     gbar,
     omega,
-    snapshot,
 )
-from .nuisance import (
-    NuisanceEstimate,
-    ResidualPair,
-    estimate_means,
-    fit_nuisance,
-    project,
-    residuals,
-)
+from .nuisance import NuisanceEstimate, estimate_means, fit_nuisance
 from .oracle import (
     OrthogonalityReport,
     PopulationDgp,
@@ -93,12 +82,10 @@ __all__ = [
     "MethodSummary",
     "MinimizeResult",
     "MomentComponents",
-    "MomentSnapshot",
     "NuisanceEstimate",
     "NumericalError",
     "OrthogonalityReport",
     "PopulationDgp",
-    "ResidualPair",
     "ScenarioConfig",
     "TruthRecord",
     "basis_matrix",
@@ -111,8 +98,6 @@ __all__ = [
     "efficient_fixed_r",
     "estimate_cue",
     "estimate_means",
-    "eval_basis",
-    "eval_demeaned",
     "f_stat",
     "fit_nuisance",
     "gbar",
@@ -127,11 +112,8 @@ __all__ = [
     "population_beta",
     "population_moment",
     "population_relevance",
-    "project",
     "ratio_pair",
-    "residuals",
     "run_monte_carlo",
-    "snapshot",
     "tsls",
     "validate",
     "variance",

@@ -8,6 +8,10 @@ instruments are orthogonal to any linear instrument effect. Two published
 comparator methods built on instrument-selection rules (two-stage hard
 thresholding, adaptive Lasso) are deliberately out of scope: they carry
 their own tuning stacks and are available in their authors' packages.
+
+TSLS and the efficient-GMM direct-effect regression share one linear first
+stage, the residuals of y and d on (1, z); it is the same projection as the
+order-2 nuisance step of the main estimator.
 """
 
 from __future__ import annotations
@@ -17,16 +21,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import cho_solve
 
+from .cue import _ridge_factor
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan, demeaned_matrix
-from .nuisance import estimate_means
+from .nuisance import _first_stage, estimate_means
 
 __all__ = ["BaselineResult", "tsls", "ratio_pair", "efficient_fixed_r"]
-
-_RIDGE_MULTIPLIERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -41,20 +44,13 @@ def tsls(ds: Dataset) -> BaselineResult:
     """Two-stage least squares of y on d instrumented by all of z, with
     intercept and heteroskedasticity-robust (HC0) standard error."""
     n = ds.n
-    z_full = np.column_stack([np.ones(n), ds.z])
-    x = np.column_stack([np.ones(n), ds.d])
-    first, _, rank, _ = linalg.lstsq(
-        z_full,
-        x,
-        cond=np.finfo(float).eps * max(z_full.shape),
-        lapack_driver="gelsy",
-        check_finite=False,
-    )
-    if rank < z_full.shape[1]:
+    _, r_d, rank = _first_stage(ds)
+    if rank < ds.p + 1:
         raise NumericalError(
-            f"first-stage design rank {rank} < {z_full.shape[1]}; instruments collinear"
+            f"first-stage design rank {rank} < {ds.p + 1}; instruments collinear"
         )
-    x_hat = z_full @ first
+    x = np.column_stack([np.ones(n), ds.d])
+    x_hat = np.column_stack([np.ones(n), ds.d - r_d])
     xtx = x_hat.T @ x_hat
     try:
         coef = np.linalg.solve(xtx, x_hat.T @ ds.y)
@@ -102,29 +98,17 @@ def ratio_pair(ds: Dataset, j: int, k: int) -> BaselineResult:
     )
 
 
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """SPD solve with the same trace-scaled ridge ladder the CUE uses."""
-    scale = max(float(np.trace(mat)) / mat.shape[0], np.finfo(float).tiny)
-    for mult in _RIDGE_MULTIPLIERS:
-        try:
-            factor = linalg.cho_factor(
-                mat + mult * scale * np.eye(mat.shape[0]) if mult else mat, lower=True
-            )
-        except linalg.LinAlgError:
-            continue
-        return linalg.cho_solve(factor, rhs)
-    raise NumericalError("moment covariance factorization failed even after ridge escalation")
-
-
 def efficient_fixed_r(
     ds: Dataset, plan: InteractionPlan, beta_init: Optional[float] = None
 ) -> BaselineResult:
     """Two-step GMM on the interaction moments with optimally weighted score.
 
     A first-step beta (TSLS by default) is used only to form the weighting:
-    pi_hat is the least-squares fit of y - d*beta_init on (intercept + z),
-    the moment covariance is taken at beta_init, and the estimate solves the
-    scalar moment weighted by Omega^{-1} M. The first step affects weighting
+    the direct effects are the least-squares fit of y - d*beta_init on
+    (intercept + z), whose residual is r_y - beta_init*r_d by linearity of
+    the shared first stage; the moment covariance is taken at beta_init,
+    weighted by the CUE's ridge ladder, and the estimate solves the scalar
+    moment weighted by Omega^{-1} M. The first step affects weighting
     efficiency only, not consistency, because the interaction moments hold
     for any instrument direct effects. ``extra`` carries the fixed-dimension
     variance bound estimate (M' Omega^{-1} M)^{-1} / n.
@@ -132,19 +116,11 @@ def efficient_fixed_r(
     if beta_init is None:
         beta_init = tsls(ds).beta_hat
     n = ds.n
-    z_full = np.column_stack([np.ones(n), ds.z])
-    pi_coef, _, rank, _ = linalg.lstsq(
-        z_full,
-        ds.y - ds.d * beta_init,
-        cond=np.finfo(float).eps * max(z_full.shape),
-        lapack_driver="gelsy",
-        check_finite=False,
-    )
-    if rank < z_full.shape[1]:
-        raise NumericalError("direct-effect regression design is rank deficient")
-    fitted_lin = z_full @ pi_coef
+    r_y, r_d, rank = _first_stage(ds)
+    if rank < ds.p + 1:
+        raise NumericalError(f"direct-effect regression design rank {rank} < {ds.p + 1}")
     w = demeaned_matrix(ds.z, estimate_means(ds), plan)
-    resid0 = ds.y - ds.d * beta_init - fitted_lin
+    resid0 = r_y - beta_init * r_d
     m0 = w * resid0[:, None]
     om = m0.T @ m0 / n
     om = 0.5 * (om + om.T)
@@ -157,10 +133,10 @@ def efficient_fixed_r(
         theta_opt = m_vec.copy()
         bound_override = 0.0
     else:
-        theta_opt = _solve_spd(om, m_vec)
+        theta_opt = cho_solve(_ridge_factor(om)[0], m_vec, check_finite=False)
         bound_override = None
-    # moment is affine in beta: E_n[w (y - fitted_lin)] - beta E_n[w d]
-    a_vec = w.T @ (ds.y - fitted_lin) / n
+    # moment is affine in beta: E_n[w (resid0 + beta_init d)] - beta E_n[w d]
+    a_vec = w.T @ (resid0 + beta_init * ds.d) / n
     b_vec = w.T @ ds.d / n
     denom = float(theta_opt @ b_vec)
     if denom == 0.0:

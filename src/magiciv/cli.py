@@ -236,10 +236,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     except (MagicivError, np.linalg.LinAlgError) as exc:
         f_error = f"{type(exc).__name__}: {exc}"
 
+    # the TSLS estimate is efficient GMM's first step; when TSLS failed,
+    # efficient_fixed_r reruns it and records the same error
     baselines: dict = {}
     for name, runner in (
         ("tsls", lambda: tsls(ds)),
-        ("efficient_fixed_r", lambda: efficient_fixed_r(ds, plan)),
+        (
+            "efficient_fixed_r",
+            lambda: efficient_fixed_r(ds, plan, baselines["tsls"].get("beta_hat")),
+        ),
     ):
         try:
             base = runner()

@@ -59,16 +59,18 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GAMMA_MAX_ITER = 500
 
 
-def _gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x).
+def _gammainc(a: float, x: float) -> tuple[float, float]:
+    """Regularized lower and upper incomplete gamma (P(a, x), Q(a, x)).
 
-    Series expansion for x < a + 1, Lentz continued fraction for the upper
-    tail otherwise; both converge to near machine precision.
+    Series expansion of P for x < a + 1, Lentz continued fraction of Q
+    otherwise; both converge to near machine precision. Each branch returns
+    its own tail directly and the other as the complement, so a far-tail Q
+    keeps its relative accuracy instead of cancelling in 1 - P.
     """
     if x < 0.0 or a <= 0.0:
         raise ConfigError("incomplete gamma needs x >= 0 and a > 0")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     log_prefactor = -x + a * math.log(x) - math.lgamma(a)
     if x < a + 1.0:
         ap = a
@@ -79,7 +81,8 @@ def _gammainc_lower(a: float, x: float) -> float:
             term *= x / ap
             total += term
             if abs(term) < abs(total) * 1e-17:
-                return total * math.exp(log_prefactor)
+                lower = total * math.exp(log_prefactor)
+                return lower, 1.0 - lower
         raise NumericalError("incomplete gamma series did not converge")
     tiny = 1e-300
     b = x + 1.0 - a
@@ -99,7 +102,8 @@ def _gammainc_lower(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-17:
-            return 1.0 - math.exp(log_prefactor) * h
+            upper = math.exp(log_prefactor) * h
+            return 1.0 - upper, upper
     raise NumericalError("incomplete gamma continued fraction did not converge")
 
 
@@ -109,7 +113,7 @@ def chisq_cdf(x: float, df: int) -> float:
         raise ConfigError(f"degrees of freedom must be >= 1 (got {df})")
     if x < 0.0:
         raise ConfigError(f"chi-square CDF needs x >= 0 (got {x})")
-    return _gammainc_lower(0.5 * df, 0.5 * x)
+    return _gammainc(0.5 * df, 0.5 * x)[0]
 
 
 def _chisq_pdf(x: float, df: int) -> float:
@@ -192,27 +196,32 @@ def objective(mc: MomentComponents, beta: float, ridge: float = 0.0) -> float:
     return 0.5 * float(g @ cho_solve(factor, g, check_finite=False))
 
 
-def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
-    """Objective via the ridge ladder. Returns (value, solve u, factor, ridge).
+def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
+    """Cholesky factor of om + ridge I on the ridge ladder. Returns (factor, ridge).
 
     ``base_ridge`` is the user's ridge policy: it is always applied, and the
-    ladder escalates on top of it only when factorization still fails.
+    ladder escalates on top of it, in steps of trace(om)/r, only when
+    factorization still fails.
     """
-    g = gbar(mc, beta)
-    om = omega(mc, beta)
-    scale = max(float(np.trace(om)) / max(mc.r, 1), np.finfo(float).tiny)
+    scale = max(float(np.trace(om)) / max(om.shape[0], 1), np.finfo(float).tiny)
     for mult in _RIDGE_MULTIPLIERS:
         ridge = base_ridge + mult * scale
         try:
-            factor = _factor(om, ridge)
+            return _factor(om, ridge), ridge
         except LinAlgError:
             continue
-        u = cho_solve(factor, g, check_finite=False)
-        return 0.5 * float(g @ u), u, factor, ridge
     raise NumericalError(
-        f"weighting matrix factorization failed at beta={beta:.6g} even after "
-        f"ridge escalation (condition estimate {np.linalg.cond(om):.3e})"
+        "weighting matrix factorization failed even after ridge escalation "
+        f"(condition estimate {np.linalg.cond(om):.3e})"
     )
+
+
+def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
+    """Objective via the ridge ladder. Returns (value, solve u, factor, ridge)."""
+    g = gbar(mc, beta)
+    factor, ridge = _ridge_factor(omega(mc, beta), base_ridge)
+    u = cho_solve(factor, g, check_finite=False)
+    return 0.5 * float(g @ u), u, factor, ridge
 
 
 def objective_derivatives(
@@ -401,7 +410,8 @@ def overid_test(
         )
     j_stat = 2.0 * mc.n * q_min
     df = mc.r - 1
-    return j_stat, df, 1.0 - chisq_cdf(j_stat, df)
+    # the upper tail directly: 1 - CDF rounds to 0 far in the tail
+    return j_stat, df, _gammainc(0.5 * df, 0.5 * j_stat)[1]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ instrument effects are removed? The statistic regresses the partialled-out
 exposure on the demeaned interactions and reports the HC0-robust joint Wald
 statistic for the interaction coefficients divided by their count. It is a
 descriptive measure of identification strength, not a formal pre-test, so
-no small-sample or degrees-of-freedom correction is applied.
+no small-sample or degrees-of-freedom correction is applied. The partialling
+step is the linear first stage that TSLS and the order-2 nuisance step share.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .data import Dataset
 from .errors import NumericalError
 from .interactions import InteractionPlan, demeaned_matrix
-from .nuisance import estimate_means
+from .nuisance import _first_stage, _lstsq, estimate_means
 
 __all__ = ["FStatReport", "f_stat"]
 
@@ -40,19 +40,9 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     n, r = ds.n, plan.r
     if n <= r + 1:
         raise NumericalError(f"need n > r + 1 observations (n={n}, r={r})")
-    z_full = np.column_stack([np.ones(n), ds.z])
-    lin_coef, _, rank, _ = linalg.lstsq(
-        z_full,
-        ds.d,
-        cond=np.finfo(float).eps * max(z_full.shape),
-        lapack_driver="gelsy",
-        check_finite=False,
-    )
-    if rank < z_full.shape[1]:
-        raise NumericalError(
-            f"exposure partialling design rank {rank} < {z_full.shape[1]}"
-        )
-    d_bar = ds.d - z_full @ lin_coef
+    _, d_bar, rank = _first_stage(ds)
+    if rank < ds.p + 1:
+        raise NumericalError(f"exposure partialling design rank {rank} < {ds.p + 1}")
     scale = max(float(np.max(np.abs(ds.d))), 1.0)
     if float(np.max(np.abs(d_bar))) <= 1e-12 * scale:
         # exposure exactly linear in z: nothing left for the interactions
@@ -61,13 +51,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     design = np.column_stack(
         [np.ones(n), demeaned_matrix(ds.z, estimate_means(ds), plan)]
     )
-    coef, _, rank, _ = linalg.lstsq(
-        design,
-        d_bar,
-        cond=np.finfo(float).eps * max(design.shape),
-        lapack_driver="gelsy",
-        check_finite=False,
-    )
+    coef, rank = _lstsq(design, d_bar)
     if rank < design.shape[1]:
         raise NumericalError(
             f"interaction regression design rank {rank} < {design.shape[1]}"

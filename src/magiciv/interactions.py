@@ -19,13 +19,10 @@ from .errors import ConfigError
 __all__ = [
     "InteractionPlan",
     "build_plan",
-    "eval_demeaned",
-    "eval_basis",
     "demeaned_matrix",
     "basis_matrix",
     "basis_dim",
     "plan_to_jsonable",
-    "plan_from_jsonable",
 ]
 
 # Hard cap on the total number of enumerated subsets (orders 1..q).
@@ -120,11 +117,6 @@ def demeaned_matrix(
     return out
 
 
-def eval_demeaned(z_row: np.ndarray, mu: np.ndarray, plan: InteractionPlan) -> np.ndarray:
-    """Demeaned interaction vector (length r) for a single observation."""
-    return demeaned_matrix(np.asarray(z_row, dtype=float)[None, :], mu, plan)[0]
-
-
 def basis_dim(p: int, k: int) -> int:
     """Width of the non-demeaned basis: 1 + sum_{j<k} C(p, j)."""
     return 1 + sum(comb(p, j) for j in range(1, k))
@@ -147,11 +139,6 @@ def basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
     return out
 
 
-def eval_basis(z_row: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
-    """Non-demeaned basis vector (1, mains, ..., order k-1 products) for one row."""
-    return basis_matrix(np.asarray(z_row, dtype=float)[None, :], plan, k)[0]
-
-
 def plan_to_jsonable(plan: InteractionPlan) -> dict:
     """JSON-ready plan: per-order lists of index tuples."""
     return {
@@ -163,18 +150,3 @@ def plan_to_jsonable(plan: InteractionPlan) -> dict:
             for k in range(1, plan.q + 1)
         },
     }
-
-
-def plan_from_jsonable(payload: Mapping) -> InteractionPlan:
-    """Rebuild a plan from its serialized form, preserving component positions."""
-    subsets = {
-        int(k): tuple(tuple(int(i) for i in s) for s in lst)
-        for k, lst in payload["orders"].items()
-    }
-    plan = InteractionPlan(
-        p=int(payload["p"]),
-        q=int(payload["q"]),
-        subsets_by_order=subsets,
-        r=int(payload["r"]),
-    )
-    return plan

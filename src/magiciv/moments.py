@@ -24,18 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan, demeaned_matrix
-from .nuisance import NuisanceEstimate, residuals
+from .nuisance import NuisanceEstimate
 
 __all__ = [
     "MomentComponents",
-    "MomentSnapshot",
     "build_components",
     "components_from_arrays",
     "gbar",
     "omega",
-    "snapshot",
 ]
 
 
@@ -53,15 +51,6 @@ class MomentComponents:
     s1: np.ndarray
     s2: np.ndarray
     c_ab: np.ndarray  # E_n[a b'], kept for the variance estimator
-
-
-@dataclass(frozen=True, eq=False)
-class MomentSnapshot:
-    """Empirical moment and weighting matrix at a fixed beta."""
-
-    gbar: np.ndarray
-    omega: np.ndarray
-    beta: float
 
 
 def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
@@ -102,10 +91,11 @@ def build_components(
     b = np.empty((n, plan.r))
     slices = plan.order_slices()
     for k in range(2, plan.q + 1):
-        pair = residuals(ds, nuis, plan, k)
+        if k - 1 not in nuis.r_y or k - 1 not in nuis.r_d:
+            raise NumericalError(f"nuisance estimate has no residuals for order k={k}")
         w = demeaned_matrix(ds.z, nuis.mu_hat, plan, orders=(k,))
-        np.multiply(w, pair.r_y[:, None], out=a[:, slices[k]])
-        np.multiply(w, pair.r_d[:, None], out=b[:, slices[k]])
+        np.multiply(w, nuis.r_y[k - 1][:, None], out=a[:, slices[k]])
+        np.multiply(w, nuis.r_d[k - 1][:, None], out=b[:, slices[k]])
     return components_from_arrays(a, b)
 
 
@@ -117,7 +107,3 @@ def gbar(mc: MomentComponents, beta: float) -> np.ndarray:
 def omega(mc: MomentComponents, beta: float) -> np.ndarray:
     """Uncentered second-moment matrix E_n[g_i(beta) g_i(beta)']."""
     return mc.s0 - beta * mc.s1 + beta * beta * mc.s2
-
-
-def snapshot(mc: MomentComponents, beta: float) -> MomentSnapshot:
-    return MomentSnapshot(gbar=gbar(mc, beta), omega=omega(mc, beta), beta=float(beta))

@@ -5,6 +5,11 @@ non-demeaned lower-order basis W_{k-1} = (1, mains, ..., order k-1 products)
 by ordinary least squares, and the per-order residuals feed the moment
 construction. Each order is projected independently; the q-1 regressions are
 not incrementally updated, which keeps them individually auditable.
+
+The order-2 basis is (1, z), so its projection is also the linear first
+stage that TSLS, the interaction-strength diagnostic and the efficient-GMM
+baseline partial out; all of them call :func:`_first_stage`, and every
+least-squares solve in the package goes through :func:`_lstsq`.
 """
 
 from __future__ import annotations
@@ -21,32 +26,25 @@ from .interactions import InteractionPlan, basis_matrix
 
 __all__ = [
     "NuisanceEstimate",
-    "ResidualPair",
     "estimate_means",
-    "project",
-    "residuals",
     "fit_nuisance",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class NuisanceEstimate:
-    """Sample means plus per-order projection coefficients.
+    """Sample means plus per-order projection coefficients and residuals.
 
     ``theta[k-1]`` and ``xi[k-1]`` hold the outcome and exposure coefficients
-    on the order-(k-1) basis, for k = 2..q.
+    on the order-(k-1) basis W, for k = 2..q; ``r_y[k-1] = y - W theta[k-1]``
+    and ``r_d[k-1] = d - W xi[k-1]`` are the matching residuals.
     """
 
     mu_hat: np.ndarray
     theta: Mapping[int, np.ndarray]
     xi: Mapping[int, np.ndarray]
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualPair:
-    r_y: np.ndarray
-    r_d: np.ndarray
-    order: int
+    r_y: Mapping[int, np.ndarray]
+    r_d: Mapping[int, np.ndarray]
 
 
 def estimate_means(ds: Dataset) -> np.ndarray:
@@ -54,11 +52,13 @@ def estimate_means(ds: Dataset) -> np.ndarray:
     return ds.z.mean(axis=0)
 
 
-def _solve_min_norm(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least squares via complete orthogonal factorization.
 
     LAPACK gelsy pivots columns and returns the minimum-norm solution on
-    rank deficiency; the rank cutoff is machine-epsilon scaled.
+    rank deficiency; the rank cutoff is machine-epsilon scaled. Returns the
+    coefficients and the numerical rank; callers that need full rank check
+    it themselves.
     """
     n, m = design.shape
     if m > n:
@@ -74,35 +74,33 @@ def _solve_min_norm(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
     if rank == 0:
         raise NumericalError("numerically rank-zero design")
-    return coef
+    return coef, int(rank)
 
 
-def project(ds: Dataset, plan: InteractionPlan, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients of y and d on the order-(k-1) basis."""
-    design = basis_matrix(ds.z, plan, k)
-    coef = _solve_min_norm(design, np.column_stack([ds.y, ds.d]))
-    return coef[:, 0], coef[:, 1]
+def _project(ds: Dataset, design: np.ndarray):
+    """Coefficients and residuals of y and d on ``design``, plus its rank.
+
+    Each residual is formed one column at a time, ``y - W @ theta``: one
+    n x 2 product would round differently and move the CUE inputs.
+    """
+    coef, rank = _lstsq(design, np.column_stack([ds.y, ds.d]))
+    theta, xi = coef[:, 0], coef[:, 1]
+    return theta, xi, ds.y - design @ theta, ds.d - design @ xi, rank
 
 
-def residuals(
-    ds: Dataset, nuis: NuisanceEstimate, plan: InteractionPlan, k: int
-) -> ResidualPair:
-    """Per-order residuals r_y = y - W_{k-1} theta, r_d = d - W_{k-1} xi."""
-    key = k - 1
-    if key not in nuis.theta or key not in nuis.xi:
-        raise NumericalError(f"nuisance estimate has no coefficients for order k={k}")
-    design = basis_matrix(ds.z, plan, k)
-    return ResidualPair(
-        r_y=ds.y - design @ nuis.theta[key],
-        r_d=ds.d - design @ nuis.xi[key],
-        order=k,
-    )
+def _first_stage(ds: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
+    """Residuals of y and d on (1, z) and the rank of that design."""
+    _, _, r_y, r_d, rank = _project(ds, np.column_stack([np.ones(ds.n), ds.z]))
+    return r_y, r_d, rank
 
 
 def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     """Estimate means and all per-order projections for orders 2..q."""
     theta: dict[int, np.ndarray] = {}
     xi: dict[int, np.ndarray] = {}
+    r_y: dict[int, np.ndarray] = {}
+    r_d: dict[int, np.ndarray] = {}
     for k in range(2, plan.q + 1):
-        theta[k - 1], xi[k - 1] = project(ds, plan, k)
-    return NuisanceEstimate(mu_hat=estimate_means(ds), theta=theta, xi=xi)
+        design = basis_matrix(ds.z, plan, k)
+        theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
+    return NuisanceEstimate(mu_hat=estimate_means(ds), theta=theta, xi=xi, r_y=r_y, r_d=r_d)

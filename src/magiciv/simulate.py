@@ -280,6 +280,7 @@ def _replicate(args: tuple[ScenarioConfig, int, tuple[str, ...]]):
         plan = build_plan(cfg.p, cfg.q)
         record: dict = {"f_stat": f_stat(ds, plan).f_value, "methods": {}}
         z95 = math.sqrt(chisq_quantile(0.05, 1))
+        tsls_beta: Optional[float] = None  # efficient GMM's first step, once TSLS ran
         for name in methods:
             if name == "magic":
                 res = estimate_cue(ds, q=cfg.q)
@@ -290,7 +291,11 @@ def _replicate(args: tuple[ScenarioConfig, int, tuple[str, ...]]):
                     "reject": None if res.j_pvalue is None else bool(res.j_pvalue < 0.05),
                 }
             else:
-                base = tsls(ds) if name == "tsls" else efficient_fixed_r(ds, plan)
+                if name == "tsls":
+                    base = tsls(ds)
+                    tsls_beta = base.beta_hat
+                else:
+                    base = efficient_fixed_r(ds, plan, tsls_beta)
                 record["methods"][name] = {
                     "beta_hat": base.beta_hat,
                     "se": base.se,

@@ -2,25 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+from scipy.linalg import cho_solve
 
 from magiciv import (
     ConfigError,
     Dataset,
     NumericalError,
+    ScenarioConfig,
     build_components,
     build_plan,
     chisq_cdf,
     chisq_quantile,
     estimate_cue,
     fit_nuisance,
+    gen_dataset,
     minimize,
     objective,
     objective_derivatives,
     overid_test,
     variance,
 )
-from magiciv.cue import _eval_objective
+from magiciv.cue import _eval_objective, _ridge_factor
 from magiciv.moments import components_from_arrays
 
 from conftest import make_sim_dataset
@@ -112,6 +117,29 @@ def test_objective_reports_failure_with_condition_estimate():
     # the ladder version still evaluates
     value, _, _, ridge = _eval_objective(mc, 0.0)
     assert math.isfinite(value) and ridge > 0.0
+
+
+def test_ridge_ladder_leaves_positive_definite_matrix_alone():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((40, 5))
+    om = x.T @ x / 40
+    factor, ridge = _ridge_factor(om)
+    assert ridge == 0.0
+    rhs = rng.standard_normal(5)
+    assert np.allclose(cho_solve(factor, rhs), np.linalg.solve(om, rhs), atol=1e-12)
+
+
+def test_ridge_ladder_factors_singular_psd_matrix():
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((40, 4))
+    x = np.column_stack([x, x[:, 0]])  # duplicated column: exactly singular
+    om = x.T @ x / 40
+    factor, ridge = _ridge_factor(om)
+    assert ridge > 0.0
+    rhs = rng.standard_normal(5)
+    sol = cho_solve(factor, rhs)
+    assert np.all(np.isfinite(sol))
+    assert np.allclose((om + ridge * np.eye(5)) @ sol, rhs, rtol=1e-6, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +264,19 @@ def test_overid_zero_statistic_gives_pvalue_one():
     assert j == 0.0 and df == 2 and p == 1.0
 
 
+def test_overid_pvalue_accurate_in_far_tail():
+    # the upper tail is computed directly, not as 1 - CDF, so it neither
+    # rounds to 0 nor loses relative accuracy far out
+    n = 1000
+    for j_stat, df in ((264.0, 44), (132.0, 44), (54.0, 9), (400.0, 44), (1000.0, 285)):
+        mc = components_from_arrays(np.zeros((n, df + 1)), np.zeros((n, df + 1)))
+        _, got_df, p = overid_test(mc, 0.0, j_stat / (2.0 * n))
+        ref = special.chdtrc(df, j_stat)
+        assert got_df == df
+        assert p > 0.0
+        assert abs(p - ref) <= 1e-12 * ref
+
+
 def test_overid_requires_overidentification():
     ds = make_sim_dataset(p=2, n=200, seed=32)
     mc = _pipeline_components(ds)
@@ -304,3 +345,20 @@ def test_explicit_base_ridge_is_recorded_and_benign():
     assert abs(ridged.beta_hat - base.beta_hat) <= 1e-4
     with pytest.raises(ConfigError, match="ridge"):
         minimize(_pipeline_components(ds), ridge=-1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.integers(3, 6),
+    q=st.integers(2, 3),
+    n=st.integers(150, 600),
+    c=st.floats(0.0, 12.0),
+    scenario=st.sampled_from(["I", "III", "IV", "custom"]),
+    seed=st.integers(0, 2**16),
+)
+def test_cue_objective_is_bounded(p, q, n, c, scenario, seed):
+    # with the uncentered weighting 2Q(beta) is the uncentered R^2 of
+    # regressing 1 on g_i(beta), so 0 <= 2 q_min <= 1 and 0 <= J <= n
+    ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, c=c, scenario=scenario, seed=seed), 0)
+    fit = minimize(_pipeline_components(ds, q))
+    assert 0.0 <= 2.0 * fit.q_min <= 1.0

@@ -1,6 +1,6 @@
 import numpy as np
 
-from magiciv import build_components, build_plan, fit_nuisance, gbar, omega, snapshot
+from magiciv import build_components, build_plan, fit_nuisance, gbar, omega
 from magiciv.moments import components_from_arrays
 from magiciv.simulate import _normals, _rep_rng
 
@@ -103,14 +103,6 @@ def test_omega_positive_semidefinite():
     for beta in (-3.0, 0.0, 2.2):
         eigs = np.linalg.eigvalsh(omega(mc, beta))
         assert eigs.min() >= -1e-10
-
-
-def test_snapshot_bundles_consistently():
-    mc = _pipeline_components(make_sim_dataset(seed=19))
-    snap = snapshot(mc, 0.6)
-    assert np.array_equal(snap.gbar, gbar(mc, 0.6))
-    assert np.array_equal(snap.omega, omega(mc, 0.6))
-    assert snap.beta == 0.6
 
 
 def test_moment_mean_concentrates_at_true_beta():

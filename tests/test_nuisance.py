@@ -4,16 +4,15 @@ import pytest
 from magiciv import (
     Dataset,
     NumericalError,
+    build_components,
     build_plan,
     estimate_means,
     fit_nuisance,
-    project,
-    residuals,
 )
 from magiciv.interactions import basis_matrix
-from magiciv.nuisance import NuisanceEstimate
+from magiciv.nuisance import NuisanceEstimate, _first_stage
 
-from conftest import make_binary_dataset
+from conftest import make_binary_dataset, make_sim_dataset
 
 
 def test_estimate_means_half_ones():
@@ -26,19 +25,16 @@ def test_project_exact_linear_fit():
     ds = make_binary_dataset(n=20, p=2, seed=3)
     y = 2.0 + 3.0 * ds.z[:, 0]
     ds = Dataset(y=y, d=ds.d, z=ds.z)
-    plan = build_plan(2, 2)
-    theta, _ = project(ds, plan, 2)
-    assert np.allclose(theta, [2.0, 3.0, 0.0], atol=1e-12)
-    nuis = fit_nuisance(ds, plan)
-    pair = residuals(ds, nuis, plan, 2)
-    assert np.allclose(pair.r_y, 0.0, atol=1e-12)
+    nuis = fit_nuisance(ds, build_plan(2, 2))
+    assert np.allclose(nuis.theta[1], [2.0, 3.0, 0.0], atol=1e-12)
+    assert np.allclose(nuis.r_y[1], 0.0, atol=1e-12)
 
 
 def test_project_constant_outcome():
     ds = make_binary_dataset(n=16, p=2, seed=4)
     ds = Dataset(y=np.full(16, 7.25), d=ds.d, z=ds.z)
-    theta, _ = project(ds, build_plan(2, 2), 2)
-    assert np.allclose(theta, [7.25, 0.0, 0.0], atol=1e-12)
+    nuis = fit_nuisance(ds, build_plan(2, 2))
+    assert np.allclose(nuis.theta[1], [7.25, 0.0, 0.0], atol=1e-12)
 
 
 def test_project_matches_normal_equations_oracle():
@@ -54,31 +50,48 @@ def test_project_matches_normal_equations_oracle():
     oracle_coef = np.linalg.solve(design.T @ design, design.T @ y)
     oracle_resid = y - design @ oracle_coef
 
-    theta, _ = project(ds, plan, 2)
     nuis = fit_nuisance(ds, plan)
-    pair = residuals(ds, nuis, plan, 2)
-    assert np.linalg.norm(pair.r_y) > 0.1
-    assert np.allclose(theta, oracle_coef, atol=1e-10)
-    assert np.allclose(pair.r_y, oracle_resid, atol=1e-10)
+    assert np.linalg.norm(nuis.r_y[1]) > 0.1
+    assert np.allclose(nuis.theta[1], oracle_coef, atol=1e-10)
+    assert np.allclose(nuis.r_y[1], oracle_resid, atol=1e-10)
+
+
+def test_first_stage_is_order_two_nuisance_and_matches_oracle():
+    ds = make_sim_dataset(p=5, n=300, seed=11)
+    r_y, r_d, rank = _first_stage(ds)
+    assert rank == ds.p + 1
+    nuis = fit_nuisance(ds, build_plan(ds.p, 3))
+    assert np.array_equal(r_y, nuis.r_y[1])
+    assert np.array_equal(r_d, nuis.r_d[1])
+
+    design = np.column_stack([np.ones(ds.n), ds.z])
+    for target, resid in ((ds.y, r_y), (ds.d, r_d)):
+        oracle = target - design @ np.linalg.solve(design.T @ design, design.T @ target)
+        assert np.allclose(resid, oracle, atol=1e-10)
 
 
 def test_residuals_zero_coefficients_return_y():
+    # outcome and exposure orthogonal to the order-1 basis: the projection
+    # coefficients vanish and the residuals are the variables themselves
     ds = make_binary_dataset(n=18, p=2, seed=5)
     plan = build_plan(2, 2)
-    nuis = NuisanceEstimate(
-        mu_hat=estimate_means(ds), theta={1: np.zeros(3)}, xi={1: np.zeros(3)}
-    )
-    pair = residuals(ds, nuis, plan, 2)
-    assert np.array_equal(pair.r_y, ds.y)
-    assert np.array_equal(pair.r_d, ds.d)
+    design = basis_matrix(ds.z, plan, 2)
+    hat = design @ np.linalg.solve(design.T @ design, design.T)
+    rng = np.random.default_rng(5)
+    y, d = (v - hat @ v for v in rng.standard_normal((2, ds.n)))
+    nuis = fit_nuisance(Dataset(y=y, d=d, z=ds.z), plan)
+    assert np.allclose(nuis.theta[1], 0.0, atol=1e-12)
+    assert np.allclose(nuis.xi[1], 0.0, atol=1e-12)
+    assert np.allclose(nuis.r_y[1], y, atol=1e-12)
+    assert np.allclose(nuis.r_d[1], d, atol=1e-12)
 
 
 def test_residuals_missing_order_errors():
     ds = make_binary_dataset(n=18, p=3, seed=6)
     plan = build_plan(3, 3)
-    nuis = NuisanceEstimate(mu_hat=estimate_means(ds), theta={}, xi={})
-    with pytest.raises(NumericalError, match="no coefficients"):
-        residuals(ds, nuis, plan, 2)
+    nuis = NuisanceEstimate(mu_hat=estimate_means(ds), theta={}, xi={}, r_y={}, r_d={})
+    with pytest.raises(NumericalError, match="no residuals"):
+        build_components(ds, nuis, plan)
 
 
 def test_in_sample_orthogonality_bound():
@@ -87,30 +100,26 @@ def test_in_sample_orthogonality_bound():
     nuis = fit_nuisance(ds, plan)
     for k in (2, 3):
         design = basis_matrix(ds.z, plan, k)
-        pair = residuals(ds, nuis, plan, k)
         bound = 1e-8 * ds.n * np.max(np.abs(ds.y)) * np.max(np.abs(design))
-        assert np.max(np.abs(design.T @ pair.r_y)) <= bound
+        assert np.max(np.abs(design.T @ nuis.r_y[k - 1])) <= bound
         bound_d = 1e-8 * ds.n * np.max(np.abs(ds.d)) * np.max(np.abs(design))
-        assert np.max(np.abs(design.T @ pair.r_d)) <= bound_d
+        assert np.max(np.abs(design.T @ nuis.r_d[k - 1])) <= bound_d
 
 
 def test_outcome_shift_moves_only_intercept():
     ds = make_binary_dataset(n=60, p=3, seed=9)
     plan = build_plan(3, 2)
-    theta_base, _ = project(ds, plan, 2)
-    shifted = Dataset(y=ds.y + 5.0, d=ds.d, z=ds.z)
-    theta_shift, _ = project(shifted, plan, 2)
-    assert abs(theta_shift[0] - theta_base[0] - 5.0) < 1e-10
-    assert np.allclose(theta_shift[1:], theta_base[1:], atol=1e-10)
+    base = fit_nuisance(ds, plan)
+    shifted = fit_nuisance(Dataset(y=ds.y + 5.0, d=ds.d, z=ds.z), plan)
+    assert abs(shifted.theta[1][0] - base.theta[1][0] - 5.0) < 1e-10
+    assert np.allclose(shifted.theta[1][1:], base.theta[1][1:], atol=1e-10)
 
-    base_resid = residuals(ds, fit_nuisance(ds, plan), plan, 2).r_y
-    shift_resid = residuals(shifted, fit_nuisance(shifted, plan), plan, 2).r_y
-    scale = max(1.0, float(np.max(np.abs(base_resid))))
-    assert np.max(np.abs(shift_resid - base_resid)) <= 1e-12 * scale * 10
+    scale = max(1.0, float(np.max(np.abs(base.r_y[1]))))
+    assert np.max(np.abs(shifted.r_y[1] - base.r_y[1])) <= 1e-12 * scale * 10
 
 
 def test_design_wider_than_n_reports_requirement():
     ds = make_binary_dataset(n=6, p=4, seed=10)
     plan = build_plan(4, 3)  # order-3 basis has 1 + 4 + 6 = 11 columns
     with pytest.raises(NumericalError, match="need n >= 11"):
-        project(ds, plan, 3)
+        fit_nuisance(ds, plan)
