@@ -26,8 +26,8 @@ from scipy.linalg import cho_solve
 from .cue import _ridge_factor
 from .data import Dataset
 from .errors import ConfigError, NumericalError
-from .interactions import InteractionPlan, demeaned_matrix
-from .nuisance import _first_stage, estimate_means
+from .interactions import InteractionPlan
+from .nuisance import _first_stage, _interactions, estimate_means
 
 __all__ = ["BaselineResult", "tsls", "ratio_pair", "efficient_fixed_r"]
 
@@ -119,7 +119,7 @@ def efficient_fixed_r(
     r_y, r_d, rank = _first_stage(ds)
     if rank < ds.p + 1:
         raise NumericalError(f"direct-effect regression design rank {rank} < {ds.p + 1}")
-    w = demeaned_matrix(ds.z, estimate_means(ds), plan)
+    w = _interactions(ds, plan, estimate_means(ds))
     resid0 = r_y - beta_init * r_d
     m0 = w * resid0[:, None]
     om = m0.T @ m0 / n

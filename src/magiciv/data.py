@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,12 +29,15 @@ class Dataset:
     enforced at construction. Value-level invariants (finiteness, n >= 2,
     non-constant instruments) are reported by :func:`validate` so that
     questionable data can still be inspected rather than refused outright.
+    The estimators memoize derived read-only matrices on the instance
+    (see ``nuisance._interactions``); the data arrays never change.
     """
 
     y: np.ndarray
     d: np.ndarray
     z: np.ndarray
     instrument_names: Optional[tuple[str, ...]] = None
+    _interactions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = np.ascontiguousarray(self.y, dtype=float)

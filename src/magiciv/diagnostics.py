@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError
-from .interactions import InteractionPlan, demeaned_matrix
-from .nuisance import _first_stage, _lstsq, estimate_means
+from .interactions import InteractionPlan
+from .nuisance import _first_stage, _interactions, _lstsq, estimate_means
 
 __all__ = ["FStatReport", "f_stat"]
 
@@ -49,7 +49,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
         return FStatReport(f_value=0.0, num_restrictions=r, n_effective=n)
 
     design = np.column_stack(
-        [np.ones(n), demeaned_matrix(ds.z, estimate_means(ds), plan)]
+        [np.ones(n), _interactions(ds, plan, estimate_means(ds))]
     )
     coef, rank = _lstsq(design, d_bar)
     if rank < design.shape[1]:

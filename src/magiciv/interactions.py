@@ -3,6 +3,17 @@
 Component ordering is fixed once and for all: ascending interaction order
 k, lexicographic subsets within each order. Every serialized result indexes
 interaction components by this ordering.
+
+Products are built from prefixes. In lexicographic order the order-k
+subsets that share their first k-1 indices (the head) are contiguous, and
+the heads run through the order-(k-1) subsets in order, so the order-k block
+is each order-(k-1) column times the columns after the head's last index.
+Column (i_1, ..., i_k) is therefore ((x_{i_1} x_{i_2}) ...) x_{i_k}, the
+same left-to-right product ``np.prod`` forms over the gathered factors, and
+bit-identical to it, without the (n, m, k) gather. All orders are written
+into one preallocated C-ordered array: a result with equal values in
+another memory layout sends later BLAS calls down other kernels and moves
+downstream estimates in the last bits.
 """
 
 from __future__ import annotations
@@ -85,6 +96,29 @@ def _check_width(z: np.ndarray, plan: InteractionPlan) -> np.ndarray:
     return z
 
 
+def _products(x: np.ndarray, plan: InteractionPlan, top: int, lead: int = 0) -> np.ndarray:
+    """C-ordered (n, lead + r_top) array of column products of ``x``.
+
+    Columns after the first ``lead`` (left unset for the caller) hold the
+    products over the plan's subsets of orders 2..top in plan order; r_top
+    counts those subsets. Each order-k column is its order-(k-1) prefix
+    column times the subset's last factor.
+    """
+    n, p = x.shape
+    width = sum(len(plan.subsets_by_order[k]) for k in range(2, top + 1))
+    out = np.empty((n, lead + width))
+    prev, col = x, lead
+    for k in range(2, top + 1):
+        start = col
+        for h, head in enumerate(plan.subsets_by_order[k - 1]):
+            tail = p - 1 - head[-1]  # order-k subsets extending this head
+            if tail:
+                np.multiply(prev[:, h:h + 1], x[:, p - tail:], out=out[:, col:col + tail])
+                col += tail
+        prev = out[:, start:col]
+    return out
+
+
 def demeaned_matrix(
     z: np.ndarray,
     mu: np.ndarray,
@@ -93,26 +127,27 @@ def demeaned_matrix(
 ) -> np.ndarray:
     """n x r matrix of demeaned interaction products, orders 2..q in plan order.
 
-    Column for subset x holds prod_{j in x} (z_j - mu_j). Restrict to a block
-    with ``orders``.
+    Column for subset x holds prod_{j in x} (z_j - mu_j). Restrict to blocks
+    with ``orders``; they are stacked in the order given.
     """
     z = _check_width(z, plan)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (plan.p,):
         raise ConfigError(f"mu must have length p={plan.p}")
-    zc = z - mu
     which = tuple(orders) if orders is not None else tuple(range(2, plan.q + 1))
     for k in which:
         if not 2 <= k <= plan.q:
             raise ConfigError(f"order {k} outside plan range 2..{plan.q}")
-    n = z.shape[0]
-    width = sum(len(plan.subsets_by_order[k]) for k in which)
-    out = np.empty((n, width))
+    top = max(which, default=1)
+    full = _products(z - mu, plan, top)
+    if which == tuple(range(2, top + 1)):
+        return full
+    slices = plan.order_slices()
+    out = np.empty((z.shape[0], sum(len(plan.subsets_by_order[k]) for k in which)))
     start = 0
     for k in which:
-        idx = np.array(plan.subsets_by_order[k], dtype=np.intp)  # (m_k, k)
-        stop = start + idx.shape[0]
-        np.prod(zc[:, idx], axis=2, out=out[:, start:stop])
+        stop = start + len(plan.subsets_by_order[k])
+        out[:, start:stop] = full[:, slices[k]]
         start = stop
     return out
 
@@ -127,15 +162,9 @@ def basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
     if not 2 <= k <= plan.q:
         raise ConfigError(f"basis order k={k} outside valid range 2..{plan.q}")
     z = _check_width(z, plan)
-    n = z.shape[0]
-    out = np.empty((n, basis_dim(plan.p, k)))
+    out = _products(z, plan, k - 1, lead=1 + plan.p)
     out[:, 0] = 1.0
-    start = 1
-    for j in range(1, k):
-        idx = np.array(plan.subsets_by_order[j], dtype=np.intp)
-        stop = start + idx.shape[0]
-        np.prod(z[:, idx], axis=2, out=out[:, start:stop])
-        start = stop
+    out[:, 1:1 + plan.p] = z
     return out
 
 

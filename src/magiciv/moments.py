@@ -25,8 +25,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, NumericalError
-from .interactions import InteractionPlan, demeaned_matrix
-from .nuisance import NuisanceEstimate
+from .interactions import InteractionPlan
+from .nuisance import NuisanceEstimate, _interactions
 
 __all__ = [
     "MomentComponents",
@@ -86,16 +86,14 @@ def build_components(
     """Assemble the n x r component matrices and their second-moment caches."""
     if nuis.mu_hat.shape != (plan.p,):
         raise ConfigError("nuisance means do not match the plan's p")
-    n = ds.n
-    a = np.empty((n, plan.r))
-    b = np.empty((n, plan.r))
-    slices = plan.order_slices()
-    for k in range(2, plan.q + 1):
+    w = _interactions(ds, plan, nuis.mu_hat)
+    a = np.empty((ds.n, plan.r))
+    b = np.empty((ds.n, plan.r))
+    for k, cols in plan.order_slices().items():
         if k - 1 not in nuis.r_y or k - 1 not in nuis.r_d:
             raise NumericalError(f"nuisance estimate has no residuals for order k={k}")
-        w = demeaned_matrix(ds.z, nuis.mu_hat, plan, orders=(k,))
-        np.multiply(w, nuis.r_y[k - 1][:, None], out=a[:, slices[k]])
-        np.multiply(w, nuis.r_d[k - 1][:, None], out=b[:, slices[k]])
+        np.multiply(w[:, cols], nuis.r_y[k - 1][:, None], out=a[:, cols])
+        np.multiply(w[:, cols], nuis.r_d[k - 1][:, None], out=b[:, cols])
     return components_from_arrays(a, b)
 
 

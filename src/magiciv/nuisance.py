@@ -9,7 +9,9 @@ not incrementally updated, which keeps them individually auditable.
 The order-2 basis is (1, z), so its projection is also the linear first
 stage that TSLS, the interaction-strength diagnostic and the efficient-GMM
 baseline partial out; all of them call :func:`_first_stage`, and every
-least-squares solve in the package goes through :func:`_lstsq`.
+least-squares solve in the package goes through :func:`_lstsq`. The moment
+components, the diagnostic and efficient GMM read one demeaned interaction
+matrix per dataset and means, built by :func:`_interactions`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from scipy import linalg
 
 from .data import Dataset
 from .errors import NumericalError
-from .interactions import InteractionPlan, basis_matrix
+from .interactions import InteractionPlan, basis_matrix, demeaned_matrix
 
 __all__ = [
     "NuisanceEstimate",
@@ -50,6 +52,23 @@ class NuisanceEstimate:
 def estimate_means(ds: Dataset) -> np.ndarray:
     """Columnwise sample means of the instrument matrix."""
     return ds.z.mean(axis=0)
+
+
+def _interactions(ds: Dataset, plan: InteractionPlan, mu: np.ndarray) -> np.ndarray:
+    """Read-only n x r demeaned interaction matrix of ``ds`` at means ``mu``.
+
+    Memoized on the dataset per (p, q, mu), so the moment components, the
+    interaction-strength diagnostic and efficient GMM share one build; other
+    means get their own entry.
+    """
+    mu = np.asarray(mu, dtype=float)
+    key = (plan.p, plan.q, mu.tobytes())
+    w = ds._interactions.get(key)
+    if w is None:
+        w = demeaned_matrix(ds.z, mu, plan)
+        w.setflags(write=False)
+        ds._interactions[key] = w
+    return w
 
 
 def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:

@@ -362,3 +362,24 @@ def test_cue_objective_is_bounded(p, q, n, c, scenario, seed):
     ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, c=c, scenario=scenario, seed=seed), 0)
     fit = minimize(_pipeline_components(ds, q))
     assert 0.0 <= 2.0 * fit.q_min <= 1.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    p=st.integers(3, 6),
+    q=st.integers(2, 3),
+    n=st.integers(300, 1500),
+    scenario=st.sampled_from(["I", "III", "IV", "custom"]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_estimate_is_invariant_to_instrument_order(p, q, n, scenario, seed, data):
+    # a permutation of z's columns permutes the moment components, which
+    # leaves Q(beta), its minimizer, the variance and J unchanged
+    ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, scenario=scenario, seed=seed), 0)
+    perm = data.draw(st.permutations(range(p)), label="perm")
+    base = estimate_cue(ds, q=q)
+    moved = estimate_cue(Dataset(y=ds.y, d=ds.d, z=ds.z[:, perm]), q=q)
+    for name in ("beta_hat", "se", "j_stat"):
+        want, got = getattr(base, name), getattr(moved, name)
+        assert abs(got - want) <= 1e-10 * abs(want), name

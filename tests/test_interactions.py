@@ -3,6 +3,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from magiciv import ConfigError, build_plan
 from magiciv.interactions import (
@@ -114,3 +117,43 @@ def test_order_slices_cover_r():
     slices = plan.order_slices()
     assert slices[2] == slice(0, 10)
     assert slices[3] == slice(10, 20)
+
+
+def _loop_block(x, plan, k):
+    """Order-k products, one subset at a time, factors multiplied left to right."""
+    block = np.empty((x.shape[0], len(plan.subsets_by_order[k])))
+    for col, subset in enumerate(plan.subsets_by_order[k]):
+        prod = x[:, subset[0]].copy()
+        for j in subset[1:]:
+            prod = prod * x[:, j]
+        block[:, col] = prod
+    return block
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_products_equal_left_to_right_loop(data):
+    p = data.draw(st.integers(2, 8), label="p")
+    q = data.draw(st.integers(2, min(p, 4)), label="q")
+    n = data.draw(st.integers(1, 9), label="n")
+    reals = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
+    z = data.draw(hnp.arrays(float, (n, p), elements=reals), label="z")
+    mu = data.draw(hnp.arrays(float, p, elements=reals), label="mu")
+    orders = data.draw(st.lists(st.integers(2, q), max_size=4), label="orders")
+    plan = build_plan(p, q)
+    zc = z - mu
+
+    def check(got, blocks):
+        want = np.column_stack([np.empty((n, 0))] + blocks)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    check(demeaned_matrix(z, mu, plan), [_loop_block(zc, plan, k) for k in range(2, q + 1)])
+    for k in range(2, q + 1):
+        check(demeaned_matrix(z, mu, plan, orders=(k,)), [_loop_block(zc, plan, k)])
+        check(
+            basis_matrix(z, plan, k),
+            [np.ones((n, 1))] + [_loop_block(z, plan, j) for j in range(1, k)],
+        )
+    # unsorted, repeated and empty selections stack blocks in the order given
+    check(demeaned_matrix(z, mu, plan, orders=orders), [_loop_block(zc, plan, k) for k in orders])

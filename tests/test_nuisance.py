@@ -4,13 +4,21 @@ import pytest
 from magiciv import (
     Dataset,
     NumericalError,
+    ScenarioConfig,
     build_components,
     build_plan,
+    efficient_fixed_r,
+    estimate_cue,
     estimate_means,
+    f_stat,
     fit_nuisance,
+    run_monte_carlo,
 )
-from magiciv.interactions import basis_matrix
-from magiciv.nuisance import NuisanceEstimate, _first_stage
+from magiciv import interactions
+from magiciv.cli import main
+from magiciv.data import write_csv
+from magiciv.interactions import basis_matrix, demeaned_matrix
+from magiciv.nuisance import NuisanceEstimate, _first_stage, _interactions
 
 from conftest import make_binary_dataset, make_sim_dataset
 
@@ -123,3 +131,78 @@ def test_design_wider_than_n_reports_requirement():
     plan = build_plan(4, 3)  # order-3 basis has 1 + 4 + 6 = 11 columns
     with pytest.raises(NumericalError, match="need n >= 11"):
         fit_nuisance(ds, plan)
+
+
+def _count_builds(monkeypatch):
+    """Record (lead, top) of every product build; lead 0 is a demeaned matrix."""
+    calls = []
+    build = interactions._products
+
+    def counting(x, plan, top, lead=0):
+        calls.append((lead, top))
+        return build(x, plan, top, lead)
+
+    monkeypatch.setattr(interactions, "_products", counting)
+    return calls
+
+
+def test_estimate_builds_demeaned_matrix_once(tmp_path, monkeypatch):
+    ds = make_sim_dataset(p=5, n=300, seed=21)
+    path = tmp_path / "sim.csv"
+    write_csv(ds, path)
+    calls = _count_builds(monkeypatch)
+    code = main([
+        "estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
+        "--q", "3", "--output", str(tmp_path / "est.json"),
+    ])
+    assert code == 0
+    # one n x r demeaned build serves the Grams, F_q and efficient GMM;
+    # the other two builds are the order-1 and order-2 nuisance bases
+    assert sorted(calls) == [(0, 3), (6, 1), (6, 2)]
+
+
+def test_replication_builds_demeaned_matrix_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    summary = run_monte_carlo(
+        ScenarioConfig(p=4, n=300, seed=3), reps=2,
+        methods=("magic", "tsls", "efficient_fixed_r"), workers=1,
+    )
+    assert summary.n_excluded == 0
+    assert [c for c in calls if c[0] == 0] == [(0, 2)] * 2
+
+
+def test_shared_matrix_is_read_only_and_reused():
+    ds = make_sim_dataset(seed=22)
+    plan = build_plan(ds.p, 2)
+    w = _interactions(ds, plan, estimate_means(ds))
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    assert _interactions(ds, plan, estimate_means(ds)) is w
+    assert np.array_equal(w, demeaned_matrix(ds.z, estimate_means(ds), plan))
+
+
+def _results(ds, plan, nuis):
+    mc = build_components(ds, nuis, plan)
+    fit = estimate_cue(ds, q=plan.q)
+    eff = efficient_fixed_r(ds, plan)
+    return (mc.a, mc.b, mc.s0, f_stat(ds, plan).f_value, eff.beta_hat, eff.se,
+            fit.beta_hat, fit.se, fit.j_stat)
+
+
+def test_reused_dataset_matches_fresh_ones():
+    ds = make_sim_dataset(p=4, n=400, seed=23)
+    for q in (2, 3):
+        plan = build_plan(ds.p, q)
+        nuis = fit_nuisance(ds, plan)
+        other = NuisanceEstimate(
+            mu_hat=nuis.mu_hat + 0.25, theta=nuis.theta, xi=nuis.xi, r_y=nuis.r_y, r_d=nuis.r_d
+        )
+        for means in (nuis, other, nuis):
+            got = _results(ds, plan, means)
+            want = _results(Dataset(y=ds.y, d=ds.d, z=ds.z), plan, means)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert not np.array_equal(
+            build_components(ds, other, plan).a, build_components(ds, nuis, plan).a
+        )
+    assert len(ds._interactions) == 4  # (q, means) in {2, 3} x {sample, shifted}
