@@ -11,7 +11,9 @@ their own tuning stacks and are available in their authors' packages.
 
 TSLS and the efficient-GMM direct-effect regression share one linear first
 stage, the residuals of y and d on (1, z); it is the same projection as the
-order-2 nuisance step of the main estimator.
+order-2 nuisance step of the main estimator. Efficient GMM's weighting
+matrix is a Gram of the cached interaction matrix with residual row
+weights, accumulated in row chunks like the main estimator's moments.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .cue import _ridge_factor
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
-from .nuisance import _first_stage, _interactions, estimate_means
+from .nuisance import _cho_solve, _first_stage, _gram, _interactions, estimate_means
 
 __all__ = ["BaselineResult", "tsls", "ratio_pair", "efficient_fixed_r"]
 
@@ -121,10 +122,9 @@ def efficient_fixed_r(
         raise NumericalError(f"direct-effect regression design rank {rank} < {ds.p + 1}")
     w = _interactions(ds, plan, estimate_means(ds))
     resid0 = r_y - beta_init * r_d
-    m0 = w * resid0[:, None]
-    om = m0.T @ m0 / n
-    om = 0.5 * (om + om.T)
-    m_vec = -(w.T @ ds.d) / n
+    om = _gram(n, [(w, resid0)]) / n
+    b_vec = w.T @ ds.d / n
+    m_vec = -b_vec
     if float(np.max(np.abs(m_vec))) == 0.0:
         raise NumericalError("relevance vector is identically zero")
     if not om.any():
@@ -133,11 +133,10 @@ def efficient_fixed_r(
         theta_opt = m_vec.copy()
         bound_override = 0.0
     else:
-        theta_opt = cho_solve(_ridge_factor(om)[0], m_vec, check_finite=False)
+        theta_opt = _cho_solve(_ridge_factor(om)[0], m_vec)
         bound_override = None
     # moment is affine in beta: E_n[w (resid0 + beta_init d)] - beta E_n[w d]
     a_vec = w.T @ (resid0 + beta_init * ds.d) / n
-    b_vec = w.T @ ds.d / n
     denom = float(theta_opt @ b_vec)
     if denom == 0.0:
         raise NumericalError("weighted moment has zero slope in beta")

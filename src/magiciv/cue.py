@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import build_plan
 from .moments import MomentComponents, build_components, gbar, omega
-from .nuisance import fit_nuisance
+from .nuisance import _cho_solve, _cholesky, fit_nuisance
 
 __all__ = [
     "CueResult",
@@ -46,8 +46,9 @@ DEFAULT_BOUNDS = (-10.0, 10.0)
 DEFAULT_GRID_POINTS = 512
 DEFAULT_TOL = 1e-9
 
-# Ridge multipliers applied to trace(Omega)/r, escalating by 10x.
-_RIDGE_MULTIPLIERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# Ridge multipliers applied to trace(Omega)/r, escalating by 10x, once the
+# weighting matrix with the base ridge alone fails to factor.
+_RIDGE_MULTIPLIERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,10 +171,16 @@ def chisq_quantile(alpha: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _factor(om: np.ndarray, ridge: float):
+def _factor(om: np.ndarray, ridge: float) -> np.ndarray:
+    """Lower Cholesky factor of om + ridge I; LinAlgError if not positive definite.
+
+    LAPACK is called directly: an objective evaluation at small r costs
+    little more than the factorization, and ``cho_factor``'s checks and
+    batching layers would double it. The factor is the same to the bit.
+    """
     if ridge > 0.0:
         om = om + ridge * np.eye(om.shape[0])
-    return cho_factor(om, lower=True, check_finite=False)
+    return _cholesky(om)
 
 
 def objective(mc: MomentComponents, beta: float, ridge: float = 0.0) -> float:
@@ -193,7 +200,7 @@ def objective(mc: MomentComponents, beta: float, ridge: float = 0.0) -> float:
             f"weighting matrix factorization failed at beta={beta:.6g}, "
             f"ridge={ridge:.3g} (condition estimate {np.linalg.cond(om):.3e})"
         ) from None
-    return 0.5 * float(g @ cho_solve(factor, g, check_finite=False))
+    return 0.5 * float(g @ _cho_solve(factor, g))
 
 
 def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
@@ -201,8 +208,13 @@ def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
 
     ``base_ridge`` is the user's ridge policy: it is always applied, and the
     ladder escalates on top of it, in steps of trace(om)/r, only when
-    factorization still fails.
+    factorization still fails. The first rung adds nothing to base_ridge,
+    so the trace is computed only once it has failed.
     """
+    try:
+        return _factor(om, base_ridge), base_ridge
+    except LinAlgError:
+        pass
     scale = max(float(np.trace(om)) / max(om.shape[0], 1), np.finfo(float).tiny)
     for mult in _RIDGE_MULTIPLIERS:
         ridge = base_ridge + mult * scale
@@ -220,7 +232,7 @@ def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
     """Objective via the ridge ladder. Returns (value, solve u, factor, ridge)."""
     g = gbar(mc, beta)
     factor, ridge = _ridge_factor(omega(mc, beta), base_ridge)
-    u = cho_solve(factor, g, check_finite=False)
+    u = _cho_solve(factor, g)
     return 0.5 * float(g @ u), u, factor, ridge
 
 
@@ -242,7 +254,7 @@ def objective_derivatives(
     dom_u = dom @ u
     dq = float(-mc.bbar @ u) - 0.5 * float(u @ dom_u)
     w = -mc.bbar - dom_u
-    d2q = float(w @ cho_solve(factor, w, check_finite=False)) - float(u @ (mc.s2 @ u))
+    d2q = float(w @ _cho_solve(factor, w)) - float(u @ (mc.s2 @ u))
     return q, dq, d2q, ridge
 
 
@@ -396,7 +408,7 @@ def variance(
     c_ba = mc.c_ab.T
     # E_n[G g'] = -(c_ba - beta*s2); D = -bbar - E_n[G g'] u
     d_vec = -mc.bbar + (c_ba - beta_hat * mc.s2) @ u
-    v_hat = float(d_vec @ cho_solve(factor, d_vec, check_finite=False)) / (h * h)
+    v_hat = float(d_vec @ _cho_solve(factor, d_vec)) / (h * h)
     return v_hat, math.sqrt(v_hat / mc.n)
 
 

@@ -7,6 +7,10 @@ statistic for the interaction coefficients divided by their count. It is a
 descriptive measure of identification strength, not a formal pre-test, so
 no small-sample or degrees-of-freedom correction is applied. The partialling
 step is the linear first stage that TSLS and the order-2 nuisance step share.
+
+The regression is solved from its normal equations, whose Grams the
+row-chunked kernel accumulates from the cached interaction matrix, so no
+n x (r + 1) design is formed; see :func:`f_stat`.
 """
 
 from __future__ import annotations
@@ -14,13 +18,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .data import Dataset
 from .errors import NumericalError
 from .interactions import InteractionPlan
-from .nuisance import _first_stage, _interactions, _lstsq, estimate_means
+from .nuisance import (
+    _cho_solve,
+    _cholesky,
+    _first_stage,
+    _gram,
+    _interactions,
+    estimate_means,
+)
 
 __all__ = ["FStatReport", "f_stat"]
+
+(_POCON,) = get_lapack_funcs(("pocon",), (np.empty(0),))
+
+# Smallest accepted reciprocal condition estimate (LAPACK pocon, 1-norm) of
+# the column-scaled X'X of [1, W]. Solving the normal equations loses about
+# log10(1 / rcond) digits, so below 1e-10 fewer than six of the coefficients'
+# sixteen would be left; the regression is refused instead.
+_MIN_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,8 +54,16 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     """Robust Wald / r for the interaction coefficients explaining exposure.
 
     Steps: (1) residualize d on (intercept + z); (2) regress that residual
-    on (intercept, demeaned interactions at sample means); (3) HC0 sandwich
-    Wald statistic for the r interaction coefficients, divided by r.
+    on X = (intercept, demeaned interactions W at sample means); (3) HC0
+    sandwich Wald statistic for the r interaction coefficients, divided by r.
+
+    Step (2) solves the normal equations: the kernel
+    :func:`magiciv.nuisance._gram` accumulates X'X and X'd from W in row
+    chunks, and one Cholesky factor of X'X, with its columns scaled to unit
+    diagonal, gives the coefficients and the sandwich's bread. A second
+    pass accumulates the meat X' diag(e^2) X. The statistic does not depend
+    on the column scaling. A rank-deficient or badly conditioned X'X raises
+    :class:`NumericalError`.
     """
     n, r = ds.n, plan.r
     if n <= r + 1:
@@ -48,21 +76,36 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
         # exposure exactly linear in z: nothing left for the interactions
         return FStatReport(f_value=0.0, num_restrictions=r, n_effective=n)
 
-    design = np.column_stack(
-        [np.ones(n), _interactions(ds, plan, estimate_means(ds))]
-    )
-    coef, rank = _lstsq(design, d_bar)
-    if rank < design.shape[1]:
+    w = _interactions(ds, plan, estimate_means(ds))
+    m = r + 1
+    gram = _gram(n, [(None, None), (w, None), (d_bar[:, None], None)])
+    diag = np.diag(gram)[:m]
+    if not np.all(diag > 0.0):
         raise NumericalError(
-            f"interaction regression design rank {rank} < {design.shape[1]}"
+            f"interaction regression design rank < {m}: an interaction column is zero"
         )
-    resid = d_bar - design @ coef
-    xtx_inv = np.linalg.solve(design.T @ design, np.eye(design.shape[1]))
-    meat = design.T @ (design * (resid * resid)[:, None])
-    vcov = xtx_inv @ meat @ xtx_inv
+    s = 1.0 / np.sqrt(diag)
+    xtx = gram[:m, :m] * s[:, None] * s
+    try:
+        factor = _cholesky(xtx)
+    except LinAlgError as exc:
+        raise NumericalError(
+            f"interaction regression design rank < {m}: X'X factorization failed ({exc})"
+        ) from None
+    rcond, _ = _POCON(factor, float(np.max(np.sum(np.abs(xtx), axis=0))), uplo="L")
+    if not rcond >= _MIN_RCOND:
+        raise NumericalError(
+            f"interaction regression design is ill-conditioned: reciprocal condition "
+            f"estimate of X'X {rcond:.3e} < {_MIN_RCOND:.0e}"
+        )
+    coef = _cho_solve(factor, gram[:m, m] * s)  # coefficients on the scaled columns
+    resid = d_bar - s[0] * coef[0] - w @ (s[1:] * coef[1:])
+    meat = _gram(n, [(None, resid), (w, resid)]) * s[:, None] * s
+    bread = _cho_solve(factor, np.eye(m))
+    vcov = bread @ meat @ bread
     gamma = coef[1:]
     try:
-        wald = float(gamma @ np.linalg.solve(vcov[1:, 1:], gamma))
-    except np.linalg.LinAlgError:
+        wald = float(gamma @ _cho_solve(_cholesky(vcov[1:, 1:]), gamma))
+    except LinAlgError:
         raise NumericalError("robust covariance of interaction coefficients is singular") from None
     return FStatReport(f_value=wald / r, num_restrictions=r, n_effective=n)

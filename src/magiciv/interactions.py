@@ -32,7 +32,6 @@ __all__ = [
     "build_plan",
     "demeaned_matrix",
     "basis_matrix",
-    "basis_dim",
     "plan_to_jsonable",
 ]
 
@@ -150,11 +149,6 @@ def demeaned_matrix(
         out[:, start:stop] = full[:, slices[k]]
         start = stop
     return out
-
-
-def basis_dim(p: int, k: int) -> int:
-    """Width of the non-demeaned basis: 1 + sum_{j<k} C(p, j)."""
-    return 1 + sum(comb(p, j) for j in range(1, k))
 
 
 def basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:

@@ -15,6 +15,12 @@ of a and b and the three r x r second-moment matrices
 so each evaluation of the empirical mean or weighting matrix is O(r^2)
 instead of O(n r^2). The weighting matrix uses uncentered second moments,
 which is what the overidentification statistic is defined with.
+
+The rows a_i and b_i are never stored. All five aggregates are blocks of
+one Gram matrix, that of [1 | a | b], which the row-chunked kernel
+:func:`magiciv.nuisance._gram` accumulates from the cached demeaned
+interaction matrix and the per-order residuals: the ones column gives the
+means, and one syrk per chunk gives s0, E_n[a b'] and s2.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
-from .nuisance import NuisanceEstimate, _interactions
+from .nuisance import NuisanceEstimate, _gram, _interactions
 
 __all__ = [
     "MomentComponents",
@@ -39,10 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MomentComponents:
-    """Moment split g_i(beta) = a_i - beta * b_i plus cached aggregates."""
+    """Aggregates of the moment split g_i(beta) = a_i - beta * b_i."""
 
-    a: np.ndarray
-    b: np.ndarray
     n: int
     r: int
     abar: np.ndarray
@@ -53,48 +57,55 @@ class MomentComponents:
     c_ab: np.ndarray  # E_n[a b'], kept for the variance estimator
 
 
+def _from_gram(gram: np.ndarray, n: int, r: int) -> MomentComponents:
+    """Split the Gram of [1 | a | b] into means and second moments.
+
+    The Gram is exactly symmetric, so s0, s2 and omega(beta) are too.
+    """
+    g = gram / n
+    a, b = slice(1, r + 1), slice(r + 1, 2 * r + 1)
+    c_ab = g[a, b].copy()
+    return MomentComponents(
+        n=n,
+        r=r,
+        abar=g[0, a].copy(),
+        bbar=g[0, b].copy(),
+        s0=g[a, a].copy(),
+        s1=c_ab + c_ab.T,
+        s2=g[b, b].copy(),
+        c_ab=c_ab,
+    )
+
+
 def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
-    """Wrap raw component matrices, computing the cached aggregates."""
+    """Aggregates of raw (n, r) component matrices."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ConfigError("component matrices must share an (n, r) shape")
     n, r = a.shape
-    s0 = a.T @ a / n
-    s2 = b.T @ b / n
-    c_ab = a.T @ b / n
-    # exact symmetry so omega(beta) is symmetric to the last bit
-    s0 = 0.5 * (s0 + s0.T)
-    s2 = 0.5 * (s2 + s2.T)
-    return MomentComponents(
-        a=a,
-        b=b,
-        n=n,
-        r=r,
-        abar=a.mean(axis=0),
-        bbar=b.mean(axis=0),
-        s0=s0,
-        s1=c_ab + c_ab.T,
-        s2=s2,
-        c_ab=c_ab,
-    )
+    return _from_gram(_gram(n, [(None, None), (a, None), (b, None)]), n, r)
 
 
 def build_components(
     ds: Dataset, nuis: NuisanceEstimate, plan: InteractionPlan
 ) -> MomentComponents:
-    """Assemble the n x r component matrices and their second-moment caches."""
+    """Moment aggregates from the cached interaction matrix and residuals.
+
+    Column block k of a (of b) is the order-k block of the demeaned
+    interaction matrix times the order-k outcome (exposure) residual.
+    """
     if nuis.mu_hat.shape != (plan.p,):
         raise ConfigError("nuisance means do not match the plan's p")
-    w = _interactions(ds, plan, nuis.mu_hat)
-    a = np.empty((ds.n, plan.r))
-    b = np.empty((ds.n, plan.r))
-    for k, cols in plan.order_slices().items():
+    slices = plan.order_slices()
+    for k in slices:
         if k - 1 not in nuis.r_y or k - 1 not in nuis.r_d:
             raise NumericalError(f"nuisance estimate has no residuals for order k={k}")
-        np.multiply(w[:, cols], nuis.r_y[k - 1][:, None], out=a[:, cols])
-        np.multiply(w[:, cols], nuis.r_d[k - 1][:, None], out=b[:, cols])
-    return components_from_arrays(a, b)
+    w = _interactions(ds, plan, nuis.mu_hat)
+    blocks = [(None, None)]
+    blocks += [(w[:, cols], nuis.r_y[k - 1]) for k, cols in slices.items()]
+    blocks += [(w[:, cols], nuis.r_d[k - 1]) for k, cols in slices.items()]
+    return _from_gram(_gram(ds.n, blocks), ds.n, plan.r)
 
 
 def gbar(mc: MomentComponents, beta: float) -> np.ndarray:

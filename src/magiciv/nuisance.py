@@ -11,16 +11,20 @@ stage that TSLS, the interaction-strength diagnostic and the efficient-GMM
 baseline partial out; all of them call :func:`_first_stage`, and every
 least-squares solve in the package goes through :func:`_lstsq`. The moment
 components, the diagnostic and efficient GMM read one demeaned interaction
-matrix per dataset and means, built by :func:`_interactions`.
+matrix W per dataset and means, built by :func:`_interactions`, and form
+every n·r² product they need, a Gram of weighted W columns, with
+:func:`_gram`, which works through W in row chunks and so never makes an
+n x r array of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .data import Dataset
 from .errors import NumericalError
@@ -69,6 +73,66 @@ def _interactions(ds: Dataset, plan: InteractionPlan, mu: np.ndarray) -> np.ndar
         w.setflags(write=False)
         ds._interactions[key] = w
     return w
+
+
+# Rows per chunk of the Gram kernel: enough for BLAS to run at full speed,
+# few enough that the chunk buffer stays a small fraction of W at large n.
+_GRAM_ROWS = 2048
+
+(_SYRK,) = get_blas_funcs(("syrk",), (np.empty(0),))
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
+
+def _gram(
+    n: int, blocks: Sequence[tuple[Optional[np.ndarray], Optional[np.ndarray]]]
+) -> np.ndarray:
+    """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``.
+
+    Each block is (x, v): an (n, m) matrix, or None for one column of ones,
+    scaled row by row by the n-vector v (None leaves it unscaled). X is
+    written ``_GRAM_ROWS`` rows at a time into one reused buffer, and each
+    chunk is added into the upper triangle by a BLAS syrk, so no n-row array
+    is made. A ones block puts the column sums of the others in its row.
+    """
+    widths = [1 if x is None else x.shape[1] for x, _ in blocks]
+    m = sum(widths)
+    gram = np.zeros((m, m), order="F")
+    buf = np.empty((min(n, _GRAM_ROWS), m))
+    for start in range(0, n, _GRAM_ROWS):
+        rows = slice(start, min(start + _GRAM_ROWS, n))
+        chunk = buf[: rows.stop - start]
+        col = 0
+        for (x, v), width in zip(blocks, widths):
+            dst = chunk[:, col:col + width]
+            if x is None:
+                dst[:, 0] = 1.0 if v is None else v[rows]
+            elif v is None:
+                dst[...] = x[rows]
+            else:
+                np.multiply(x[rows], v[rows, None], out=dst)
+            col += width
+        # chunk.T is Fortran-ordered, so BLAS reads the buffer in place
+        gram = _SYRK(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)
+    upper = np.triu_indices(m, 1)
+    gram.T[upper] = gram[upper]
+    return gram
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, as ``cho_factor(a, lower=True)`` gives it.
+
+    Raises :class:`scipy.linalg.LinAlgError` when ``a`` is not positive
+    definite.
+    """
+    c, info = _POTRF(a, lower=1, clean=0)
+    if info > 0:
+        raise linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from the lower Cholesky factor ``c`` of a."""
+    return _POTRS(c, b, lower=1)[0]
 
 
 def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:

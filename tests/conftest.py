@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magiciv import Dataset, ScenarioConfig, gen_dataset
+from magiciv.nuisance import _interactions
 
 try:  # small-matrix workloads: one BLAS thread is fastest and keeps CI quiet
     from threadpoolctl import threadpool_limits
@@ -32,6 +33,22 @@ def make_binary_dataset(n=24, p=3, seed=1, y=None, d=None) -> Dataset:
     if y is None:
         y = 0.5 * d + 0.3 * z[:, 0] + 0.1 * rng.standard_normal(n)
     return Dataset(y=np.asarray(y, dtype=float), d=np.asarray(d, dtype=float), z=z)
+
+
+def component_rows(ds, plan, nuis):
+    """Rows a_i and b_i of the moment split g_i(beta) = a_i - beta * b_i.
+
+    ``MomentComponents`` keeps only their aggregates; checks that need the
+    rows rebuild them from the cached interaction matrix: order block k of
+    a (of b) is its block times the order-k outcome (exposure) residual.
+    """
+    w = _interactions(ds, plan, nuis.mu_hat)
+    a = np.empty(w.shape)
+    b = np.empty(w.shape)
+    for k, cols in plan.order_slices().items():
+        np.multiply(w[:, cols], nuis.r_y[k - 1][:, None], out=a[:, cols])
+        np.multiply(w[:, cols], nuis.r_d[k - 1][:, None], out=b[:, cols])
+    return a, b
 
 
 @pytest.fixture

@@ -6,13 +6,17 @@ from magiciv import (
     Dataset,
     NumericalError,
     PopulationDgp,
+    build_components,
     build_plan,
     efficient_fixed_r,
     estimate_cue,
+    fit_nuisance,
+    omega,
     population_beta,
     ratio_pair,
     tsls,
 )
+from magiciv import baselines
 from magiciv.simulate import ScenarioConfig, _normals, _rep_rng, gen_dataset
 
 from conftest import make_binary_dataset, make_sim_dataset
@@ -153,3 +157,23 @@ def test_efficient_fixed_r_variance_respects_bound():
         bounds.append(eff.extra["bound"])
     mc_var = float(np.var(betas, ddof=1))
     assert mc_var >= 0.8 * float(np.mean(bounds))
+
+
+def test_efficient_weighting_is_cue_weighting_at_first_step(monkeypatch):
+    # at q = 2 the nuisance residuals are the linear first stage's, so the
+    # weighting E_n[w w' (r_y - beta_init r_d)^2] is omega(mc, beta_init)
+    ds = make_sim_dataset(p=6, n=3000, seed=31)
+    plan = build_plan(ds.p, 2)
+    seen = []
+    ridge_factor = baselines._ridge_factor
+
+    def spy(om, base_ridge=0.0):
+        seen.append(om.copy())
+        return ridge_factor(om, base_ridge)
+
+    monkeypatch.setattr(baselines, "_ridge_factor", spy)
+    beta_init = tsls(ds).beta_hat
+    efficient_fixed_r(ds, plan, beta_init)
+    want = omega(build_components(ds, fit_nuisance(ds, plan), plan), beta_init)
+    assert len(seen) == 1
+    assert np.max(np.abs(seen[0] - want)) <= 1e-12 * np.max(np.abs(want))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from magiciv import (
     ConfigError,
@@ -22,18 +22,27 @@ from magiciv import (
     minimize,
     objective,
     objective_derivatives,
+    omega,
     overid_test,
     variance,
 )
+from magiciv import cue
 from magiciv.cue import _eval_objective, _ridge_factor
 from magiciv.moments import components_from_arrays
 
-from conftest import make_sim_dataset
+from conftest import component_rows, make_sim_dataset
 
 
 def _pipeline_components(ds, q=2):
     plan = build_plan(ds.p, q)
     return build_components(ds, fit_nuisance(ds, plan), plan)
+
+
+def _pipeline_rows(ds, q=2):
+    """Components plus the rows a and b they aggregate."""
+    plan = build_plan(ds.p, q)
+    nuis = fit_nuisance(ds, plan)
+    return (build_components(ds, nuis, plan), *component_rows(ds, plan, nuis))
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +107,10 @@ def test_objective_zero_at_ratio_when_exactly_identified():
 
 def test_objective_matches_dense_direct_assembly():
     ds = make_sim_dataset(p=3, n=200, seed=23)
-    mc = _pipeline_components(ds)
+    mc, a, b = _pipeline_rows(ds)
     assert mc.r == 3
     beta = 0.7
-    rows = mc.a - beta * mc.b
+    rows = a - beta * b
     g = rows.mean(axis=0)
     om = rows.T @ rows / mc.n
     direct = 0.5 * float(g @ np.linalg.solve(om, g))
@@ -126,7 +135,7 @@ def test_ridge_ladder_leaves_positive_definite_matrix_alone():
     factor, ridge = _ridge_factor(om)
     assert ridge == 0.0
     rhs = rng.standard_normal(5)
-    assert np.allclose(cho_solve(factor, rhs), np.linalg.solve(om, rhs), atol=1e-12)
+    assert np.allclose(cho_solve((factor, True), rhs), np.linalg.solve(om, rhs), atol=1e-12)
 
 
 def test_ridge_ladder_factors_singular_psd_matrix():
@@ -137,9 +146,69 @@ def test_ridge_ladder_factors_singular_psd_matrix():
     factor, ridge = _ridge_factor(om)
     assert ridge > 0.0
     rhs = rng.standard_normal(5)
-    sol = cho_solve(factor, rhs)
+    sol = cho_solve((factor, True), rhs)
     assert np.all(np.isfinite(sol))
     assert np.allclose((om + ridge * np.eye(5)) @ sol, rhs, rtol=1e-6, atol=1e-6)
+
+
+def _scipy_ridge_factor(om, base_ridge=0.0):
+    # the ladder written on cho_factor, trace taken before the first rung
+    scale = max(float(np.trace(om)) / max(om.shape[0], 1), np.finfo(float).tiny)
+    for mult in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        ridge = base_ridge + mult * scale
+        a = om + ridge * np.eye(om.shape[0]) if ridge > 0.0 else om
+        try:
+            return cho_factor(a, lower=True, check_finite=False)[0], ridge
+        except LinAlgError:
+            continue
+    raise NumericalError("ladder exhausted")
+
+
+def _scipy_cho_solve(c, b):
+    return cho_solve((c, True), b, check_finite=False)
+
+
+def _duplicated_column_components():
+    rng = np.random.default_rng(27)
+    a = rng.standard_normal((60, 3))
+    b = rng.standard_normal((60, 3)) + 0.5 * a
+    # a repeated column makes omega(beta) singular at every beta
+    return components_from_arrays(np.column_stack([a, a[:, 0]]), np.column_stack([b, b[:, 0]]))
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
+    if singular:
+        mc = _duplicated_column_components()
+    else:
+        mc = _pipeline_components(make_sim_dataset(p=5, n=600, seed=27))
+    grid = np.linspace(-3.0, 3.0, 41)
+
+    def run():
+        evals = [_eval_objective(mc, float(beta)) for beta in grid]
+        fit = minimize(mc)
+        return evals, fit, variance(mc, fit.beta_hat)
+
+    evals, fit, var = run()
+    assert any(ridge > 0.0 for *_, ridge in evals) == singular
+    for beta, (value, u, _, ridge) in zip(grid, evals):
+        # the grid values, straight from omega(mc, beta)
+        want_c, want_ridge = _scipy_ridge_factor(omega(mc, float(beta)))
+        g = mc.abar - beta * mc.bbar
+        want_u = _scipy_cho_solve(want_c, g)
+        assert ridge == want_ridge
+        assert np.array_equal(u, want_u)
+        assert value == 0.5 * float(g @ want_u)
+        if not singular:
+            assert objective(mc, float(beta)) == value
+    monkeypatch.setattr(cue, "_ridge_factor", _scipy_ridge_factor)
+    monkeypatch.setattr(cue, "_cho_solve", _scipy_cho_solve)
+    want_evals, want_fit, want_var = run()
+    for (value, u, c, ridge), (w_value, w_u, w_c, w_ridge) in zip(evals, want_evals):
+        assert (value, ridge) == (w_value, w_ridge)
+        assert np.array_equal(u, w_u) and np.array_equal(c, w_c)
+    assert fit == want_fit
+    assert var == want_var
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +218,8 @@ def test_ridge_ladder_factors_singular_psd_matrix():
 
 def test_minimize_recovers_closed_form_ratio():
     ds = make_sim_dataset(p=2, n=300, c=9.0, seed=24)
-    mc = _pipeline_components(ds)
-    ratio = float(np.sum(mc.a) / np.sum(mc.b))
+    mc, a, b = _pipeline_rows(ds)
+    ratio = float(np.sum(a) / np.sum(b))
     fit = minimize(mc)
     assert abs(fit.beta_hat - ratio) <= 1e-6
     assert not fit.boundary_flag

@@ -62,3 +62,39 @@ def test_mean_f_tracks_interaction_strength():
         means[c] = float(np.mean(values))
     assert 0.85 <= means[0.0] <= 1.25
     assert 4.1 <= means[7.5] <= 5.2
+
+
+def test_nearly_collinear_interactions_raise_conditioning_error():
+    # z4 is z1 plus noise at 1e-6: the linear first stage is still well
+    # posed, but interaction columns with z1 and with z4 nearly coincide,
+    # and the normal equations would lose most of their digits
+    ds = make_sim_dataset(p=3, n=500, seed=10)
+    rng = np.random.default_rng(0)
+    plan = build_plan(4, 2)
+    for noise, message in ((1e-6, "ill-conditioned"), (1e-12, "rank|ill-conditioned")):
+        z = np.column_stack([ds.z, ds.z[:, 0] + noise * rng.standard_normal(ds.n)])
+        with pytest.raises(NumericalError, match=message):
+            f_stat(Dataset(y=ds.y, d=ds.d, z=z), plan)
+    # well separated, the same construction is accepted
+    z = np.column_stack([ds.z, ds.z[:, 0] + 1e-2 * rng.standard_normal(ds.n)])
+    assert f_stat(Dataset(y=ds.y, d=ds.d, z=z), plan).f_value > 0.0
+
+
+def test_invariant_to_instrument_units():
+    # each interaction column scales with its instruments' units, which the
+    # statistic ignores; unscaled, X'X here would span twelve decades
+    ds = make_sim_dataset(p=3, n=500, seed=11)
+    plan = build_plan(3, 2)
+    base = f_stat(ds, plan).f_value
+    z = ds.z * np.array([1e3, 1e3, 1.0]) + 5.0
+    moved = f_stat(Dataset(y=ds.y, d=ds.d, z=z), plan).f_value
+    assert abs(moved - base) <= 1e-8 * max(1.0, base)
+
+
+def test_zero_interaction_column_raises_rank_error():
+    # in every row one of the two demeaned instruments is exactly zero, so
+    # their product column vanishes although (1, z) has full rank
+    z = np.tile([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]], (5, 1))
+    d = np.random.default_rng(12).standard_normal(len(z))
+    with pytest.raises(NumericalError, match="rank < 2: an interaction column is zero"):
+        f_stat(Dataset(y=d, d=d, z=z), build_plan(2, 2))

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from magiciv import ConfigError, build_plan
 from magiciv.interactions import (
-    basis_dim,
     basis_matrix,
     demeaned_matrix,
     plan_to_jsonable,
@@ -68,7 +67,6 @@ def test_basis_matrix_row_examples():
     assert got.tolist() == [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
     assert basis_matrix(np.zeros(3), plan3, 3)[0].tolist() == [1.0] + [0.0] * 6
-    assert basis_dim(3, 3) == 7
 
 
 def test_basis_order_errors():

@@ -1,10 +1,27 @@
-import numpy as np
+import tracemalloc
 
-from magiciv import build_components, build_plan, fit_nuisance, gbar, omega
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magiciv import (
+    Dataset,
+    NuisanceEstimate,
+    build_components,
+    build_plan,
+    efficient_fixed_r,
+    estimate_means,
+    f_stat,
+    fit_nuisance,
+    gbar,
+    omega,
+    tsls,
+)
 from magiciv.moments import components_from_arrays
+from magiciv.nuisance import _GRAM_ROWS, _interactions
 from magiciv.simulate import _normals, _rep_rng
 
-from conftest import make_binary_dataset, make_sim_dataset
+from conftest import component_rows, make_binary_dataset, make_sim_dataset
 
 
 def _pipeline_components(ds, q=2):
@@ -13,25 +30,32 @@ def _pipeline_components(ds, q=2):
     return build_components(ds, nuis, plan)
 
 
+def _pipeline_rows(ds, q=2):
+    """Components plus the rows a and b they aggregate."""
+    plan = build_plan(ds.p, q)
+    nuis = fit_nuisance(ds, plan)
+    return (build_components(ds, nuis, plan), *component_rows(ds, plan, nuis))
+
+
 def test_gbar_at_zero_is_column_means_of_a():
-    mc = _pipeline_components(make_sim_dataset(seed=12))
-    assert np.allclose(gbar(mc, 0.0), mc.a.mean(axis=0), atol=0.0)
+    mc, a, _ = _pipeline_rows(make_sim_dataset(seed=12))
+    assert np.allclose(gbar(mc, 0.0), a.mean(axis=0), atol=0.0)
 
 
 def test_outcome_equals_exposure_makes_a_equal_b():
     ds = make_binary_dataset(n=40, p=3, seed=2)
     ds = type(ds)(y=ds.d.copy(), d=ds.d, z=ds.z)
-    mc = _pipeline_components(ds)
-    assert np.array_equal(mc.a, mc.b)
+    mc, a, b = _pipeline_rows(ds)
+    assert np.array_equal(a, b)
     assert np.allclose(gbar(mc, 1.0), 0.0, atol=1e-15)
 
 
 def test_gbar_matches_direct_row_average():
-    mc = _pipeline_components(make_sim_dataset(seed=13))
+    mc, a, b = _pipeline_rows(make_sim_dataset(seed=13))
     for beta in (-1.3, 0.0, 0.7):
         direct = np.zeros(mc.r)
         for i in range(mc.n):
-            direct += mc.a[i] - beta * mc.b[i]
+            direct += a[i] - beta * b[i]
         direct /= mc.n
         assert np.max(np.abs(gbar(mc, beta) - direct)) <= 1e-12
 
@@ -54,11 +78,11 @@ def test_omega_exactly_symmetric():
 
 def test_omega_matches_direct_accumulation():
     ds = make_sim_dataset(p=4, n=500, seed=15)
-    mc = _pipeline_components(ds)
+    mc, a, b = _pipeline_rows(ds)
     beta = 0.8
     direct = np.zeros((mc.r, mc.r))
     for i in range(mc.n):
-        g = mc.a[i] - beta * mc.b[i]
+        g = a[i] - beta * b[i]
         direct += np.outer(g, g)
     direct /= mc.n
     om = omega(mc, beta)
@@ -90,12 +114,12 @@ def test_beta_quadratic_interpolation():
 
 def test_outcome_shift_leaves_a_unchanged():
     ds = make_sim_dataset(seed=17)
-    mc = _pipeline_components(ds)
+    _, a, b = _pipeline_rows(ds)
     shifted = type(ds)(y=ds.y + 11.0, d=ds.d, z=ds.z)
-    mc2 = _pipeline_components(shifted)
-    scale = max(1.0, float(np.max(np.abs(mc.a))))
-    assert np.max(np.abs(mc2.a - mc.a)) <= 1e-10 * scale
-    assert np.array_equal(mc2.b, mc.b)
+    _, a2, b2 = _pipeline_rows(shifted)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    assert np.max(np.abs(a2 - a)) <= 1e-10 * scale
+    assert np.array_equal(b2, b)
 
 
 def test_omega_positive_semidefinite():
@@ -116,10 +140,71 @@ def test_moment_mean_concentrates_at_true_beta():
     eps = _normals(rng, n)
     d = z[:, 0] * z[:, 1]
     y = beta_star * d + 0.3 * z[:, 0] + eps
-    from magiciv import Dataset
-
     ds = Dataset(y=y, d=d, z=z)
     mc = _pipeline_components(ds)
     g = gbar(mc, beta_star)
     bound = 3.0 * np.sqrt(np.trace(omega(mc, beta_star)) / mc.n)
     assert np.linalg.norm(g) <= bound
+
+
+def _assert_close_to_sum(got, want, abs_sum):
+    # rounding of a sum scales with the sum of the terms' magnitudes
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(float(np.max(abs_sum)), 1e-300)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, _GRAM_ROWS - 1, _GRAM_ROWS, _GRAM_ROWS + 1, 2 * _GRAM_ROWS + 3]),
+    q=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_grams_match_dense_products(n, q, seed):
+    rng = np.random.default_rng(seed)
+    p = 4
+    ds = Dataset(y=rng.standard_normal(n), d=rng.standard_normal(n), z=rng.random((n, p)))
+    plan = build_plan(p, q)
+    orders = range(1, q)
+    nuis = NuisanceEstimate(
+        mu_hat=rng.random(p),  # not the sample means, so one row still varies
+        theta={},
+        xi={},
+        r_y={k: rng.standard_normal(n) for k in orders},
+        r_d={k: rng.standard_normal(n) for k in orders},
+    )
+    mc = build_components(ds, nuis, plan)
+    a, b = component_rows(ds, plan, nuis)
+    aa, ab = np.abs(a), np.abs(b)
+    _assert_close_to_sum(mc.s0, a.T @ a / n, aa.T @ aa / n)
+    _assert_close_to_sum(mc.c_ab, a.T @ b / n, aa.T @ ab / n)
+    _assert_close_to_sum(mc.s1, (a.T @ b + b.T @ a) / n, 2.0 * aa.T @ ab / n)
+    _assert_close_to_sum(mc.s2, b.T @ b / n, ab.T @ ab / n)
+    _assert_close_to_sum(mc.abar, a.mean(axis=0), aa.mean(axis=0))
+    _assert_close_to_sum(mc.bbar, b.mean(axis=0), ab.mean(axis=0))
+    # raw rows go through the same kernel: the same chunks, the same bits
+    raw = components_from_arrays(a, b)
+    for field in ("abar", "bbar", "s0", "s1", "s2", "c_ab"):
+        assert np.array_equal(getattr(raw, field), getattr(mc, field))
+    assert np.array_equal(mc.s0, mc.s0.T) and np.array_equal(mc.s2, mc.s2.T)
+
+
+def test_kernel_allocates_far_less_than_one_interaction_matrix():
+    # W is cached first; past it, the moment Grams, F_q and efficient GMM
+    # each work in row chunks and make no n x r array of their own
+    ds = make_sim_dataset(p=10, n=20_000, seed=19)
+    plan = build_plan(ds.p, 3)
+    nuis = fit_nuisance(ds, plan)
+    _interactions(ds, plan, estimate_means(ds))
+    beta_init = tsls(ds).beta_hat
+    one_matrix = ds.n * plan.r * 8
+    for run in (
+        lambda: build_components(ds, nuis, plan),
+        lambda: f_stat(ds, plan),
+        lambda: efficient_fixed_r(ds, plan, beta_init),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * one_matrix

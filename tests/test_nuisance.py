@@ -20,7 +20,7 @@ from magiciv.data import write_csv
 from magiciv.interactions import basis_matrix, demeaned_matrix
 from magiciv.nuisance import NuisanceEstimate, _first_stage, _interactions
 
-from conftest import make_binary_dataset, make_sim_dataset
+from conftest import component_rows, make_binary_dataset, make_sim_dataset
 
 
 def test_estimate_means_half_ones():
@@ -186,7 +186,7 @@ def _results(ds, plan, nuis):
     mc = build_components(ds, nuis, plan)
     fit = estimate_cue(ds, q=plan.q)
     eff = efficient_fixed_r(ds, plan)
-    return (mc.a, mc.b, mc.s0, f_stat(ds, plan).f_value, eff.beta_hat, eff.se,
+    return (*component_rows(ds, plan, nuis), mc.s0, f_stat(ds, plan).f_value, eff.beta_hat, eff.se,
             fit.beta_hat, fit.se, fit.j_stat)
 
 
@@ -203,6 +203,6 @@ def test_reused_dataset_matches_fresh_ones():
             want = _results(Dataset(y=ds.y, d=ds.d, z=ds.z), plan, means)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert not np.array_equal(
-            build_components(ds, other, plan).a, build_components(ds, nuis, plan).a
+            component_rows(ds, plan, other)[0], component_rows(ds, plan, nuis)[0]
         )
     assert len(ds._interactions) == 4  # (q, means) in {2, 3} x {sample, shifted}
