@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from magiciv import Dataset, ScenarioConfig, gen_dataset
+from magiciv import (
+    Dataset,
+    ScenarioConfig,
+    build_components,
+    build_plan,
+    fit_nuisance,
+    gen_dataset,
+)
 from magiciv.nuisance import _interactions
 
 try:  # small-matrix workloads: one BLAS thread is fastest and keeps CI quiet
@@ -49,6 +56,13 @@ def component_rows(ds, plan, nuis):
         np.multiply(w[:, cols], nuis.r_y[k - 1][:, None], out=a[:, cols])
         np.multiply(w[:, cols], nuis.r_d[k - 1][:, None], out=b[:, cols])
     return a, b
+
+
+def pipeline_rows(ds, q=2):
+    """Moment components of a full fit, plus the rows a and b they aggregate."""
+    plan = build_plan(ds.p, q)
+    nuis = fit_nuisance(ds, plan)
+    return (build_components(ds, nuis, plan), *component_rows(ds, plan, nuis))
 
 
 @pytest.fixture

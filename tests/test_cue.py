@@ -30,19 +30,12 @@ from magiciv import cue
 from magiciv.cue import _eval_objective, _ridge_factor
 from magiciv.moments import components_from_arrays
 
-from conftest import component_rows, make_sim_dataset
+from conftest import make_sim_dataset, pipeline_rows
 
 
 def _pipeline_components(ds, q=2):
     plan = build_plan(ds.p, q)
     return build_components(ds, fit_nuisance(ds, plan), plan)
-
-
-def _pipeline_rows(ds, q=2):
-    """Components plus the rows a and b they aggregate."""
-    plan = build_plan(ds.p, q)
-    nuis = fit_nuisance(ds, plan)
-    return (build_components(ds, nuis, plan), *component_rows(ds, plan, nuis))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +100,7 @@ def test_objective_zero_at_ratio_when_exactly_identified():
 
 def test_objective_matches_dense_direct_assembly():
     ds = make_sim_dataset(p=3, n=200, seed=23)
-    mc, a, b = _pipeline_rows(ds)
+    mc, a, b = pipeline_rows(ds)
     assert mc.r == 3
     beta = 0.7
     rows = a - beta * b
@@ -218,7 +211,7 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
 
 def test_minimize_recovers_closed_form_ratio():
     ds = make_sim_dataset(p=2, n=300, c=9.0, seed=24)
-    mc, a, b = _pipeline_rows(ds)
+    mc, a, b = pipeline_rows(ds)
     ratio = float(np.sum(a) / np.sum(b))
     fit = minimize(mc)
     assert abs(fit.beta_hat - ratio) <= 1e-6

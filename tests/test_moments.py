@@ -21,7 +21,7 @@ from magiciv.moments import components_from_arrays
 from magiciv.nuisance import _GRAM_ROWS, _interactions
 from magiciv.simulate import _normals, _rep_rng
 
-from conftest import component_rows, make_binary_dataset, make_sim_dataset
+from conftest import component_rows, make_binary_dataset, make_sim_dataset, pipeline_rows
 
 
 def _pipeline_components(ds, q=2):
@@ -30,28 +30,21 @@ def _pipeline_components(ds, q=2):
     return build_components(ds, nuis, plan)
 
 
-def _pipeline_rows(ds, q=2):
-    """Components plus the rows a and b they aggregate."""
-    plan = build_plan(ds.p, q)
-    nuis = fit_nuisance(ds, plan)
-    return (build_components(ds, nuis, plan), *component_rows(ds, plan, nuis))
-
-
 def test_gbar_at_zero_is_column_means_of_a():
-    mc, a, _ = _pipeline_rows(make_sim_dataset(seed=12))
+    mc, a, _ = pipeline_rows(make_sim_dataset(seed=12))
     assert np.allclose(gbar(mc, 0.0), a.mean(axis=0), atol=0.0)
 
 
 def test_outcome_equals_exposure_makes_a_equal_b():
     ds = make_binary_dataset(n=40, p=3, seed=2)
     ds = type(ds)(y=ds.d.copy(), d=ds.d, z=ds.z)
-    mc, a, b = _pipeline_rows(ds)
+    mc, a, b = pipeline_rows(ds)
     assert np.array_equal(a, b)
     assert np.allclose(gbar(mc, 1.0), 0.0, atol=1e-15)
 
 
 def test_gbar_matches_direct_row_average():
-    mc, a, b = _pipeline_rows(make_sim_dataset(seed=13))
+    mc, a, b = pipeline_rows(make_sim_dataset(seed=13))
     for beta in (-1.3, 0.0, 0.7):
         direct = np.zeros(mc.r)
         for i in range(mc.n):
@@ -78,7 +71,7 @@ def test_omega_exactly_symmetric():
 
 def test_omega_matches_direct_accumulation():
     ds = make_sim_dataset(p=4, n=500, seed=15)
-    mc, a, b = _pipeline_rows(ds)
+    mc, a, b = pipeline_rows(ds)
     beta = 0.8
     direct = np.zeros((mc.r, mc.r))
     for i in range(mc.n):
@@ -114,9 +107,9 @@ def test_beta_quadratic_interpolation():
 
 def test_outcome_shift_leaves_a_unchanged():
     ds = make_sim_dataset(seed=17)
-    _, a, b = _pipeline_rows(ds)
+    _, a, b = pipeline_rows(ds)
     shifted = type(ds)(y=ds.y + 11.0, d=ds.d, z=ds.z)
-    _, a2, b2 = _pipeline_rows(shifted)
+    _, a2, b2 = pipeline_rows(shifted)
     scale = max(1.0, float(np.max(np.abs(a))))
     assert np.max(np.abs(a2 - a)) <= 1e-10 * scale
     assert np.array_equal(b2, b)
