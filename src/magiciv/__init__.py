@@ -18,7 +18,6 @@ from .cue import (
     chisq_quantile,
     estimate_cue,
     minimize,
-    objective,
     objective_derivatives,
     overid_test,
     variance,
@@ -104,7 +103,6 @@ __all__ = [
     "gen_dataset",
     "load_csv",
     "minimize",
-    "objective",
     "objective_derivatives",
     "omega",
     "orthogonality_check",

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cue import _ridge_factor
-from .data import Dataset
+from .data import Dataset, _require_finite
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
 from .nuisance import _cho_solve, _first_stage, _gram, _interactions, estimate_means
@@ -45,11 +45,7 @@ def tsls(ds: Dataset) -> BaselineResult:
     """Two-stage least squares of y on d instrumented by all of z, with
     intercept and heteroskedasticity-robust (HC0) standard error."""
     n = ds.n
-    _, r_d, rank = _first_stage(ds)
-    if rank < ds.p + 1:
-        raise NumericalError(
-            f"first-stage design rank {rank} < {ds.p + 1}; instruments collinear"
-        )
+    _, r_d = _first_stage(ds)
     x = np.column_stack([np.ones(n), ds.d])
     x_hat = np.column_stack([np.ones(n), ds.d - r_d])
     xtx = x_hat.T @ x_hat
@@ -74,12 +70,13 @@ def ratio_pair(ds: Dataset, j: int, k: int) -> BaselineResult:
 
     beta_hat = mean(w*y) / mean(w*d) with w = (z_j - mu_j)(z_k - mu_k) at
     sample means; the standard error is the delta-method one treating the
-    interaction weight as fixed.
+    interaction weight as fixed. A NaN or inf cell raises :class:`DataError`.
     """
     if j == k:
         raise ConfigError("ratio_pair needs two distinct instrument indices")
     if not (0 <= j < ds.p and 0 <= k < ds.p):
         raise ConfigError(f"instrument indices out of range [0, {ds.p})")
+    _require_finite(ds)
     mu = estimate_means(ds)
     w = (ds.z[:, j] - mu[j]) * (ds.z[:, k] - mu[k])
     den = float(np.mean(w * ds.d))
@@ -117,9 +114,7 @@ def efficient_fixed_r(
     if beta_init is None:
         beta_init = tsls(ds).beta_hat
     n = ds.n
-    r_y, r_d, rank = _first_stage(ds)
-    if rank < ds.p + 1:
-        raise NumericalError(f"direct-effect regression design rank {rank} < {ds.p + 1}")
+    r_y, r_d = _first_stage(ds)
     w = _interactions(ds, plan, estimate_means(ds))
     resid0 = r_y - beta_init * r_d
     om = _gram(n, [(w, resid0)]) / n

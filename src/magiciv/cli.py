@@ -10,6 +10,7 @@ configuration error, 2 numerical failure, 3 excess Monte Carlo exclusions.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Callable, Optional
@@ -259,21 +260,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": _config_echo(cfg),
-        "beta_hat": result.beta_hat,
-        "se": result.se,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "ci_level": result.ci_level,
-        "j_stat": result.j_stat,
-        "j_df": result.j_df,
-        "j_pvalue": result.j_pvalue,
-        "q_min": result.q_min,
-        "r": result.r,
-        "n": result.n,
-        "p": result.p,
-        "q": result.q,
-        "boundary_flag": result.boundary_flag,
-        "ridge_used": result.ridge_used,
+        **dataclasses.asdict(result),
         "f_stat": f_value,
         "f_stat_error": f_error,
         "plan": plan_to_jsonable(plan),

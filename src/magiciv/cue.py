@@ -10,8 +10,9 @@ chi-square with r-1 degrees of freedom for the overidentification test.
 Minimization is global-then-local: a uniform grid over the parameter
 interval guards against the multiple local minima a ratio of quadratics can
 have, and golden-section search refines the bracketing interval around the
-grid minimum. Near-singular weighting matrices are handled by a ridge
-ladder that scales with trace(Omega)/r.
+grid minimum. Q has one evaluator, :func:`_eval_objective`, shared by the
+search, the derivatives and the variance; it factors Omega(beta) plus the
+base ridge, escalating by steps of trace(Omega)/r only when that fails.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .nuisance import _cho_solve, _cholesky, fit_nuisance
 __all__ = [
     "CueResult",
     "MinimizeResult",
-    "objective",
     "objective_derivatives",
     "minimize",
     "variance",
@@ -181,26 +181,6 @@ def _factor(om: np.ndarray, ridge: float) -> np.ndarray:
     if ridge > 0.0:
         om = om + ridge * np.eye(om.shape[0])
     return _cholesky(om)
-
-
-def objective(mc: MomentComponents, beta: float, ridge: float = 0.0) -> float:
-    """CUE objective 0.5 * gbar' (Omega + ridge I)^{-1} gbar at the given ridge.
-
-    The weighting matrix is factorized, never inverted. Raises
-    :class:`NumericalError` when the factorization fails at this ridge.
-    """
-    g = gbar(mc, beta)
-    if not g.any():
-        return 0.0  # exact zero of every moment: the objective's infimum
-    om = omega(mc, beta)
-    try:
-        factor = _factor(om, ridge)
-    except LinAlgError:
-        raise NumericalError(
-            f"weighting matrix factorization failed at beta={beta:.6g}, "
-            f"ridge={ridge:.3g} (condition estimate {np.linalg.cond(om):.3e})"
-        ) from None
-    return 0.5 * float(g @ _cho_solve(factor, g))
 
 
 def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):

@@ -28,7 +28,8 @@ class Dataset:
     Structural consistency (matching lengths, 2-D instrument matrix) is
     enforced at construction. Value-level invariants (finiteness, n >= 2,
     non-constant instruments) are reported by :func:`validate` so that
-    questionable data can still be inspected rather than refused outright.
+    questionable data can still be inspected rather than refused outright;
+    the estimators refuse a non-finite cell with :class:`DataError`.
     The estimators memoize derived read-only matrices on the instance
     (see ``nuisance._interactions``); the data arrays never change.
     """
@@ -88,28 +89,33 @@ def validate(ds: Dataset, require_binary: bool = False) -> list[str]:
     the violated invariant and where it occurred.
     """
     report: list[str] = []
-    names = ds.names()
     if ds.n < 2:
         report.append(f"too few observations: n={ds.n}, need n >= 2")
-    for label, vec in (("y", ds.y), ("d", ds.d)):
-        bad = np.flatnonzero(~np.isfinite(vec))
-        if bad.size:
-            report.append(
-                f"non-finite value: column '{label}', row {bad[0] + 1}"
-            )
-    for j in range(ds.p):
-        col = ds.z[:, j]
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            report.append(
-                f"non-finite value: column '{names[j]}', row {bad[0] + 1}"
-            )
+    report += _nonfinite_values(ds)
+    for name, col in zip(ds.names(), ds.z.T):
+        if not np.isfinite(col).all():
             continue
         if ds.n >= 2 and np.var(col) == 0.0:
-            report.append(f"constant instrument: column '{names[j]}'")
+            report.append(f"constant instrument: column '{name}'")
         if require_binary and not np.all((col == 0.0) | (col == 1.0)):
-            report.append(f"non-binary coding: column '{names[j]}'")
+            report.append(f"non-binary coding: column '{name}'")
     return report
+
+
+def _nonfinite_values(ds: Dataset) -> list[str]:
+    """One report per column of y, d and z holding a NaN or inf, naming its first row."""
+    report = []
+    for label, col in zip(("y", "d", *ds.names()), (ds.y, ds.d, *ds.z.T)):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            report.append(f"non-finite value: column '{label}', row {bad[0] + 1}")
+    return report
+
+
+def _require_finite(ds: Dataset) -> None:
+    """Raise :class:`DataError` naming the first non-finite cell, scanning y, d, then z."""
+    if not (np.isfinite(ds.y).all() and np.isfinite(ds.d).all() and np.isfinite(ds.z).all()):
+        raise DataError(_nonfinite_values(ds)[0])
 
 
 def load_csv(

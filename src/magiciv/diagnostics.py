@@ -68,9 +68,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     n, r = ds.n, plan.r
     if n <= r + 1:
         raise NumericalError(f"need n > r + 1 observations (n={n}, r={r})")
-    _, d_bar, rank = _first_stage(ds)
-    if rank < ds.p + 1:
-        raise NumericalError(f"exposure partialling design rank {rank} < {ds.p + 1}")
+    _, d_bar = _first_stage(ds)
     scale = max(float(np.max(np.abs(ds.d))), 1.0)
     if float(np.max(np.abs(d_bar))) <= 1e-12 * scale:
         # exposure exactly linear in z: nothing left for the interactions

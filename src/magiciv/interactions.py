@@ -13,7 +13,8 @@ same left-to-right product ``np.prod`` forms over the gathered factors, and
 bit-identical to it, without the (n, m, k) gather. All orders are written
 into one preallocated C-ordered array: a result with equal values in
 another memory layout sends later BLAS calls down other kernels and moves
-downstream estimates in the last bits.
+downstream estimates in the last bits, so :func:`demeaned_matrix` returns
+all orders and a caller slices order k out with ``plan.order_slices()[k]``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -118,37 +119,16 @@ def _products(x: np.ndarray, plan: InteractionPlan, top: int, lead: int = 0) -> 
     return out
 
 
-def demeaned_matrix(
-    z: np.ndarray,
-    mu: np.ndarray,
-    plan: InteractionPlan,
-    orders: Optional[Iterable[int]] = None,
-) -> np.ndarray:
+def demeaned_matrix(z: np.ndarray, mu: np.ndarray, plan: InteractionPlan) -> np.ndarray:
     """n x r matrix of demeaned interaction products, orders 2..q in plan order.
 
-    Column for subset x holds prod_{j in x} (z_j - mu_j). Restrict to blocks
-    with ``orders``; they are stacked in the order given.
+    Column for subset x holds prod_{j in x} (z_j - mu_j).
     """
     z = _check_width(z, plan)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (plan.p,):
         raise ConfigError(f"mu must have length p={plan.p}")
-    which = tuple(orders) if orders is not None else tuple(range(2, plan.q + 1))
-    for k in which:
-        if not 2 <= k <= plan.q:
-            raise ConfigError(f"order {k} outside plan range 2..{plan.q}")
-    top = max(which, default=1)
-    full = _products(z - mu, plan, top)
-    if which == tuple(range(2, top + 1)):
-        return full
-    slices = plan.order_slices()
-    out = np.empty((z.shape[0], sum(len(plan.subsets_by_order[k]) for k in which)))
-    start = 0
-    for k in which:
-        stop = start + len(plan.subsets_by_order[k])
-        out[:, start:stop] = full[:, slices[k]]
-        start = stop
-    return out
+    return _products(z - mu, plan, plan.q)
 
 
 def basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:

@@ -8,11 +8,14 @@ not incrementally updated, which keeps them individually auditable.
 
 The order-2 basis is (1, z), so its projection is also the linear first
 stage that TSLS, the interaction-strength diagnostic and the efficient-GMM
-baseline partial out; all of them call :func:`_first_stage`, and every
-least-squares solve in the package goes through :func:`_lstsq`. The moment
-components, the diagnostic and efficient GMM read one demeaned interaction
-matrix W per dataset and means, built by :func:`_interactions`, and form
-every n·r² product they need, a Gram of weighted W columns, with
+baseline partial out; all of them call :func:`_first_stage`, the one place
+that requires (1, z) to have full column rank. The nuisance projections
+take the minimum-norm fit on a rank-deficient basis, so the main estimator
+still fits duplicated instruments. Every least-squares solve in the package
+goes through :func:`_lstsq`, and every projection refuses a NaN or inf cell.
+The moment components, the diagnostic and efficient GMM read one demeaned
+interaction matrix W per dataset and means, built by :func:`_interactions`,
+and form every n·r² product they need, a Gram of weighted W columns, with
 :func:`_gram`, which works through W in row chunks and so never makes an
 n x r array of its own.
 """
@@ -26,7 +29,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .data import Dataset
+from .data import Dataset, _require_finite
 from .errors import NumericalError
 from .interactions import InteractionPlan, basis_matrix, demeaned_matrix
 
@@ -140,8 +143,7 @@ def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 
     LAPACK gelsy pivots columns and returns the minimum-norm solution on
     rank deficiency; the rank cutoff is machine-epsilon scaled. Returns the
-    coefficients and the numerical rank; callers that need full rank check
-    it themselves.
+    coefficients and the numerical rank.
     """
     n, m = design.shape
     if m > n:
@@ -163,18 +165,24 @@ def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 def _project(ds: Dataset, design: np.ndarray):
     """Coefficients and residuals of y and d on ``design``, plus its rank.
 
-    Each residual is formed one column at a time, ``y - W @ theta``: one
-    n x 2 product would round differently and move the CUE inputs.
+    A NaN or inf cell of ``ds`` raises :class:`DataError`. Each residual is
+    formed one column at a time, ``y - W @ theta``: one n x 2 product would
+    round differently and move the CUE inputs.
     """
+    _require_finite(ds)
     coef, rank = _lstsq(design, np.column_stack([ds.y, ds.d]))
     theta, xi = coef[:, 0], coef[:, 1]
     return theta, xi, ds.y - design @ theta, ds.d - design @ xi, rank
 
 
-def _first_stage(ds: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
-    """Residuals of y and d on (1, z) and the rank of that design."""
+def _first_stage(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of y and d on (1, z); a rank-deficient (1, z) raises NumericalError."""
     _, _, r_y, r_d, rank = _project(ds, np.column_stack([np.ones(ds.n), ds.z]))
-    return r_y, r_d, rank
+    if rank < ds.p + 1:
+        raise NumericalError(
+            f"first-stage design (1, z) rank {rank} < {ds.p + 1}; instruments collinear"
+        )
+    return r_y, r_d
 
 
 def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:

@@ -221,7 +221,7 @@ def _expected_gk(
     xi_k: np.ndarray,
 ) -> np.ndarray:
     """E[g_k] at an arbitrary nuisance point (mu, theta_{k-1}, xi_{k-1})."""
-    w = demeaned_matrix(z, mu_vec, plan, orders=(k,))
+    w = demeaned_matrix(z, mu_vec, plan)[:, plan.order_slices()[k]]
     resid = (ey - wk @ theta_k) - beta * (ed - wk @ xi_k)
     return w.T @ (probs * resid)
 

@@ -49,7 +49,7 @@ def test_tsls_equals_wald_ratio_when_just_identified():
 def test_tsls_collinear_instruments_error():
     ds = make_binary_dataset(n=40, p=2, seed=3)
     z = np.column_stack([ds.z, ds.z[:, 0]])  # duplicated column
-    with pytest.raises(NumericalError, match="rank"):
+    with pytest.raises(NumericalError, match=r"first-stage design \(1, z\) rank 3 < 4"):
         tsls(Dataset(y=ds.y, d=ds.d, z=z))
 
 
@@ -130,6 +130,14 @@ def test_efficient_fixed_r_bound_positive():
     assert eff.extra["bound"] > 0.0
     assert eff.se > 0.0
     assert eff.extra["beta_first_step"] == tsls(ds).beta_hat
+
+
+def test_efficient_fixed_r_zero_outcome_gives_zero_bound():
+    # y = 0 zeroes every residual moment at the first step, so the weighting
+    # matrix vanishes: the estimate is the exact root and the bound is zero
+    ds = make_sim_dataset(p=6, n=800, seed=0)
+    eff = efficient_fixed_r(Dataset(y=np.zeros(ds.n), d=ds.d, z=ds.z), build_plan(6, 2))
+    assert eff.beta_hat == 0.0 and eff.se == 0.0 and eff.extra["bound"] == 0.0
 
 
 def test_efficient_fixed_r_consistent_where_tsls_is_not():

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from magiciv import ScenarioConfig, gen_dataset
+from magiciv import Dataset, ScenarioConfig, gen_dataset
 from magiciv.cli import main
 from magiciv.data import write_csv
 
@@ -35,10 +36,22 @@ def test_estimate_writes_expected_schema(tmp_path, capsys):
     assert "tsls" in payload["baselines"] and "efficient_fixed_r" in payload["baselines"]
     assert payload["ci_low"] <= payload["beta_hat"] <= payload["ci_high"]
     assert payload["f_stat"] is not None
-    for key in ("beta_hat", "se", "ci_low", "ci_high", "ci_level", "j_stat", "j_df",
-                "j_pvalue", "q_min", "r", "n", "p", "q", "boundary_flag", "ridge_used",
-                "f_stat", "plan"):
-        assert key in payload
+    # the payload spreads CueResult: a new field must show up here first
+    assert set(payload) == {
+        "schema_version", "config", "beta_hat", "se", "ci_low", "ci_high", "ci_level",
+        "j_stat", "j_df", "j_pvalue", "q_min", "r", "n", "p", "q", "boundary_flag",
+        "ridge_used", "f_stat", "f_stat_error", "plan", "growth", "baselines",
+    }
+
+
+def test_estimate_without_output_writes_same_json_to_stdout(tmp_path, capsys):
+    path, ds = _sim_csv(tmp_path, p=4, n=300)
+    out = tmp_path / "est.json"
+    args = ["estimate", "--input", str(path), "--instruments", ",".join(ds.names())]
+    assert main(args + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_estimate_single_instrument_is_data_error(tmp_path, capsys):
@@ -80,6 +93,70 @@ def test_estimate_duplicated_instrument_triggers_ridge(tmp_path, capsys):
     assert payload["f_stat_error"]
 
 
+_RANK_ERROR = "first-stage design (1, z) rank 6 < 7; instruments collinear"
+
+
+def _fail_on_constant(name):
+    pytest.fail(f"{name} in the JSON output")
+
+
+@pytest.mark.parametrize(
+    "edit, flags, codes, expect",
+    [
+        # an instrument duplicated under another name: the CUE rides the ridge
+        # ladder, everything built on the linear first stage reports its rank
+        (
+            lambda ds: Dataset(y=ds.y, d=ds.d, z=np.column_stack([ds.z, ds.z[:, 0]])),
+            [], {0},
+            {"ridge_used": True, "f_stat": None, "f_stat_error": _RANK_ERROR,
+             "baselines.tsls.error": _RANK_ERROR,
+             "baselines.efficient_fixed_r.error": _RANK_ERROR},
+        ),
+        # no interaction moves the exposure: F_q is exactly 0, but the CUE's
+        # objective is flat up to rounding, whose sign picks the exit code
+        (
+            lambda ds: Dataset(y=ds.y, d=1.0 + ds.z @ np.arange(1.0, 6.0), z=ds.z),
+            [], {0, 2}, {"f_stat": 0.0, "f_stat_error": None},
+        ),
+        (
+            lambda ds: Dataset(y=ds.y[:11], d=ds.d[:11], z=ds.z[:11]),
+            [], {0}, {"r": 10, "f_stat": None, "f_stat_error": "need n > r + 1"},
+        ),
+        (
+            lambda ds: Dataset(y=ds.y[:14], d=ds.d[:14], z=ds.z[:14]),
+            ["--q", "3"], {2}, "need n >= 16",
+        ),
+        (lambda ds: ds, ["--bounds", "1"], {1}, "bounds needs exactly two numbers"),
+    ],
+    ids=["duplicated_instrument", "exposure_linear_in_z", "n_is_r_plus_1",
+         "n_below_basis_width", "one_bound"],
+)
+def test_estimate_degenerate_inputs(tmp_path, capsys, edit, flags, codes, expect):
+    ds, _ = gen_dataset(ScenarioConfig(p=5, n=400, scenario="I", seed=5), 0)
+    ds = edit(ds)
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    write_csv(ds, path)
+    code = main(["estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
+                 "--output", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code in codes
+    if code:
+        assert err.startswith({1: "error: ", 2: "numerical failure: "}[code])
+        assert not out.exists()
+        if isinstance(expect, str):
+            assert expect in err
+        return
+    payload = json.loads(out.read_text(), parse_constant=_fail_on_constant)
+    for key, want in expect.items():
+        value = payload
+        for part in key.split("."):
+            value = value[part]
+        if isinstance(want, str):
+            assert want in value, key
+        else:
+            assert value == want, key
+
+
 def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     # six observations cannot support the seven-column order-3 basis
     path, ds = _sim_csv(tmp_path, p=3, n=6, name="tiny.csv")
@@ -113,6 +190,17 @@ def test_simulate_runs_are_byte_identical(tmp_path, capsys):
     payload = json.loads(out1.read_text())
     assert payload["reps"] == 6
     assert payload["config"]["seed"] == 3
+
+
+def test_simulate_without_output_writes_json_to_stdout_and_table_to_stderr(tmp_path, capsys):
+    args = ["simulate", "--p", "4", "--n", "150", "--reps", "2", "--seed", "4", "--c", "8.0"]
+    out = tmp_path / "mc.json"
+    assert main(args + ["--output", str(out)]) == 0
+    table = capsys.readouterr().out
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert captured.err == table and "MAGIC" in table
 
 
 def test_simulate_reps_zero_is_config_error(capsys):

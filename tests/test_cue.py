@@ -20,7 +20,6 @@ from magiciv import (
     fit_nuisance,
     gen_dataset,
     minimize,
-    objective,
     objective_derivatives,
     omega,
     overid_test,
@@ -87,7 +86,7 @@ def test_objective_zero_when_moments_balance():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((60, 4))
     mc = components_from_arrays(a, a.copy())
-    assert objective(mc, 1.0) == 0.0  # g(1) is exactly the zero vector
+    assert _eval_objective(mc, 1.0)[0] == 0.0  # g(1) is exactly the zero vector
 
 
 def test_objective_zero_at_ratio_when_exactly_identified():
@@ -95,7 +94,7 @@ def test_objective_zero_at_ratio_when_exactly_identified():
     mc = _pipeline_components(ds)
     assert mc.r == 1
     ratio = float(mc.abar[0] / mc.bbar[0])
-    assert objective(mc, ratio) <= 1e-18
+    assert _eval_objective(mc, ratio)[0] <= 1e-18
 
 
 def test_objective_matches_dense_direct_assembly():
@@ -107,18 +106,19 @@ def test_objective_matches_dense_direct_assembly():
     g = rows.mean(axis=0)
     om = rows.T @ rows / mc.n
     direct = 0.5 * float(g @ np.linalg.solve(om, g))
-    got = objective(mc, beta)
+    got = _eval_objective(mc, beta)[0]
     assert abs(got - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_objective_reports_failure_with_condition_estimate():
     a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated columns
     mc = components_from_arrays(a, 0.5 * a)
-    with pytest.raises(NumericalError, match="condition estimate"):
-        objective(mc, 0.0, ridge=0.0)
-    # the ladder version still evaluates
+    # the ladder evaluates a singular weighting matrix
     value, _, _, ridge = _eval_objective(mc, 0.0)
     assert math.isfinite(value) and ridge > 0.0
+    # and names the condition estimate when even its top rung fails
+    with pytest.raises(NumericalError, match="condition estimate"):
+        _ridge_factor(np.diag([1.0, -1.0]))
 
 
 def test_ridge_ladder_leaves_positive_definite_matrix_alone():
@@ -192,8 +192,6 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
         assert ridge == want_ridge
         assert np.array_equal(u, want_u)
         assert value == 0.5 * float(g @ want_u)
-        if not singular:
-            assert objective(mc, float(beta)) == value
     monkeypatch.setattr(cue, "_ridge_factor", _scipy_ridge_factor)
     monkeypatch.setattr(cue, "_cho_solve", _scipy_cho_solve)
     want_evals, want_fit, want_var = run()

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from magiciv import (
+    DataError,
     Dataset,
     NumericalError,
     ScenarioConfig,
@@ -12,7 +15,9 @@ from magiciv import (
     estimate_means,
     f_stat,
     fit_nuisance,
+    ratio_pair,
     run_monte_carlo,
+    tsls,
 )
 from magiciv import interactions
 from magiciv.cli import main
@@ -66,8 +71,7 @@ def test_project_matches_normal_equations_oracle():
 
 def test_first_stage_is_order_two_nuisance_and_matches_oracle():
     ds = make_sim_dataset(p=5, n=300, seed=11)
-    r_y, r_d, rank = _first_stage(ds)
-    assert rank == ds.p + 1
+    r_y, r_d = _first_stage(ds)
     nuis = fit_nuisance(ds, build_plan(ds.p, 3))
     assert np.array_equal(r_y, nuis.r_y[1])
     assert np.array_equal(r_d, nuis.r_d[1])
@@ -76,6 +80,36 @@ def test_first_stage_is_order_two_nuisance_and_matches_oracle():
     for target, resid in ((ds.y, r_y), (ds.d, r_d)):
         oracle = target - design @ np.linalg.solve(design.T @ design, design.T @ target)
         assert np.allclose(resid, oracle, atol=1e-10)
+
+
+_ENTRIES = {
+    "estimate_cue": lambda ds, plan: estimate_cue(ds),
+    "tsls": lambda ds, plan: tsls(ds),
+    "f_stat": f_stat,
+    "efficient_fixed_r": efficient_fixed_r,
+    "ratio_pair": lambda ds, plan: ratio_pair(ds, 0, 1),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("column", ["y", "d", "z3"])
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_nonfinite_cell_is_data_error_at_every_entry(entry, column, value):
+    ds = make_sim_dataset(p=6, n=800, seed=0)
+    y, d, z = ds.y.copy(), ds.d.copy(), ds.z.copy()
+    {"y": y, "d": d, "z3": z[:, 2]}[column][[37, 90]] = value
+    with pytest.raises(DataError, match=rf"^non-finite value: column '{column}', row 38$"):
+        _ENTRIES[entry](Dataset(y=y, d=d, z=z), build_plan(6, 2))
+
+
+def test_constant_instrument_still_fits():
+    # finiteness is the only cell check on the estimator path: a constant
+    # instrument zeroes its interaction columns and the ridge ladder engages
+    ds = make_sim_dataset(p=6, n=800, seed=0)
+    z = ds.z.copy()
+    z[:, 3] = 1.0
+    fit = estimate_cue(Dataset(y=ds.y, d=ds.d, z=z))
+    assert math.isfinite(fit.beta_hat) and math.isfinite(fit.se) and fit.ridge_used
 
 
 def test_residuals_zero_coefficients_return_y():
