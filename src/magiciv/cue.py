@@ -25,10 +25,10 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .data import Dataset
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import build_plan
 from .moments import MomentComponents, build_components, gbar, omega
-from .nuisance import _cho_solve, _cholesky, fit_nuisance
+from .nuisance import _cho_solve, _cholesky, _exposure_explained, fit_nuisance
 
 __all__ = [
     "CueResult",
@@ -444,11 +444,20 @@ def estimate_cue(
     ``ridge`` is an always-on base ridge on the weighting matrix (the
     escalation ladder still engages on top of it when factorization fails);
     the default 0.0 leaves regularization entirely to the ladder.
+
+    An exposure whose residual is zero at every order, by the rule
+    :func:`magiciv.diagnostics.f_stat` uses to report ``F_q = 0``, raises
+    :class:`IdentificationError`: the objective is then flat up to rounding.
     """
     if not 0.0 < ci_level < 1.0:
         raise ConfigError(f"ci_level must lie in (0, 1) (got {ci_level})")
     plan = build_plan(ds.p, q)
     nuis = fit_nuisance(ds, plan)
+    if all(_exposure_explained(r_d, ds.d) for r_d in nuis.r_d.values()):
+        raise IdentificationError(
+            "exposure is exactly explained by the lower-order basis at every order: "
+            "no interaction carries exposure signal"
+        )
     mc = build_components(ds, nuis, plan)
     fit = minimize(mc, bounds=bounds, grid_points=grid_points, tol=tol, ridge=ridge)
     v_hat, se = variance(mc, fit.beta_hat, ridge=ridge)

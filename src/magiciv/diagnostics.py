@@ -26,6 +26,7 @@ from .interactions import InteractionPlan
 from .nuisance import (
     _cho_solve,
     _cholesky,
+    _exposure_explained,
     _first_stage,
     _gram,
     _interactions,
@@ -69,9 +70,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     if n <= r + 1:
         raise NumericalError(f"need n > r + 1 observations (n={n}, r={r})")
     _, d_bar = _first_stage(ds)
-    scale = max(float(np.max(np.abs(ds.d))), 1.0)
-    if float(np.max(np.abs(d_bar))) <= 1e-12 * scale:
-        # exposure exactly linear in z: nothing left for the interactions
+    if _exposure_explained(d_bar, ds.d):  # exposure exactly linear in z
         return FStatReport(f_value=0.0, num_restrictions=r, n_effective=n)
 
     w = _interactions(ds, plan, estimate_means(ds))

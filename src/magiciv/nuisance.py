@@ -185,6 +185,15 @@ def _first_stage(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return r_y, r_d
 
 
+def _exposure_explained(r_d: np.ndarray, d: np.ndarray) -> bool:
+    """True when the exposure residual ``r_d`` is zero up to rounding.
+
+    The rule is max|r_d| <= 1e-12 * max(max|d|, 1): the basis that left
+    ``r_d`` explains the exposure, so nothing is left for the interactions.
+    """
+    return float(np.max(np.abs(r_d))) <= 1e-12 * max(float(np.max(np.abs(d))), 1.0)
+
+
 def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     """Estimate means and all per-order projections for orders 2..q."""
     theta: dict[int, np.ndarray] = {}

@@ -112,11 +112,11 @@ def _fail_on_constant(name):
              "baselines.tsls.error": _RANK_ERROR,
              "baselines.efficient_fixed_r.error": _RANK_ERROR},
         ),
-        # no interaction moves the exposure: F_q is exactly 0, but the CUE's
-        # objective is flat up to rounding, whose sign picks the exit code
+        # no interaction moves the exposure: the CUE refuses it by the rule
+        # that sets F_q to exactly 0
         (
             lambda ds: Dataset(y=ds.y, d=1.0 + ds.z @ np.arange(1.0, 6.0), z=ds.z),
-            [], {0, 2}, {"f_stat": 0.0, "f_stat_error": None},
+            [], {2}, "no interaction carries exposure signal",
         ),
         (
             lambda ds: Dataset(y=ds.y[:11], d=ds.d[:11], z=ds.z[:11]),

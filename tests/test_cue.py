@@ -10,6 +10,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from magiciv import (
     ConfigError,
     Dataset,
+    IdentificationError,
     NumericalError,
     ScenarioConfig,
     build_components,
@@ -17,6 +18,7 @@ from magiciv import (
     chisq_cdf,
     chisq_quantile,
     estimate_cue,
+    f_stat,
     fit_nuisance,
     gen_dataset,
     minimize,
@@ -381,6 +383,19 @@ def test_outcome_shift_invariance():
     assert abs(res.beta_hat - base.beta_hat) <= 1e-10
     assert abs(res.se - base.se) <= 1e-8 * max(1.0, base.se)
     assert abs(res.j_stat - base.j_stat) <= 1e-8 * max(1.0, base.j_stat)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exposure_linear_in_z_is_identification_error(seed):
+    # the objective is flat up to rounding here; before the guard, rounding
+    # picked between a curvature failure and se near 1e14
+    ds, _ = gen_dataset(ScenarioConfig(p=5, n=400, scenario="I", seed=seed), 0)
+    plan = build_plan(ds.p, 2)
+    for d in (1.0 + ds.z @ np.arange(1.0, 6.0), ds.z.sum(axis=1), ds.z[:, 0].copy()):
+        linear = Dataset(y=ds.y, d=d, z=ds.z)
+        assert f_stat(linear, plan).f_value == 0.0
+        with pytest.raises(IdentificationError, match="no interaction carries exposure signal"):
+            estimate_cue(linear)
 
 
 def test_ci_level_guard():

@@ -1,10 +1,29 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from magiciv import ConfigError, ExclusionError, ScenarioConfig, gen_dataset, run_monte_carlo
-from magiciv.simulate import _ceil_frac, config_to_jsonable, format_table, summary_to_jsonable
+from magiciv import simulate
+from magiciv.simulate import (
+    _blas_threads,
+    _ceil_frac,
+    _openblas_threads,
+    _pin_worker,
+    _replicate,
+    config_to_jsonable,
+    format_table,
+    summary_to_jsonable,
+)
+
+needs_openblas = pytest.mark.skipif(
+    not _openblas_threads(), reason="no OpenBLAS with a settable thread count is loaded"
+)
+
+
+def _blas_counts() -> list[int]:
+    return [get() for get, _ in _openblas_threads()]
 
 
 def test_generation_is_deterministic_per_rep():
@@ -160,6 +179,56 @@ def test_run_monte_carlo_worker_counts_agree():
     assert json.dumps(summary_to_jsonable(s1), sort_keys=True) == json.dumps(
         summary_to_jsonable(s2), sort_keys=True
     )
+
+
+@needs_openblas
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replication_records_do_not_depend_on_blas_threads(seed):
+    # Scenario I at r = 45, the paper's Monte Carlo size
+    methods = ("magic", "tsls", "efficient_fixed_r")
+    cfg = ScenarioConfig(p=10, n=5000, q=2, scenario="I", seed=seed)
+    records = {}
+    for count in (1, 2):
+        with _blas_threads(count):
+            assert set(_blas_counts()) == {count}
+            records[count] = repr([_replicate((cfg, i, methods)) for i in range(2)])
+    assert records[1] == records[2]
+
+
+def _raise_with_blas_counts(cfg, rep_index):
+    raise RuntimeError(f"BLAS threads {_blas_counts()}")
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_monte_carlo_pins_one_thread_and_restores_the_callers(monkeypatch, workers):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(set(_blas_counts()))  # what forked workers inherit
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    cfg = ScenarioConfig(p=4, n=200, c=8.0, seed=9)
+    with _blas_threads(2):
+        run_monte_carlo(cfg, reps=4, methods=("magic",), workers=workers)
+        assert set(_blas_counts()) == {2}
+        assert pools == ([{1}] if workers == 2 else [])
+        # an error that escapes the loop or the pool: the replication saw one
+        # thread, and the caller's count is back afterwards
+        monkeypatch.setattr(simulate, "gen_dataset", _raise_with_blas_counts)
+        with pytest.raises(RuntimeError, match=r"BLAS threads \[1(, 1)*\]"):
+            run_monte_carlo(cfg, reps=4, methods=("magic",), workers=workers)
+        assert set(_blas_counts()) == {2}
+
+
+@needs_openblas
+def test_pool_initializer_pins_a_worker_that_starts_with_more_threads():
+    # the case of a spawned worker, which inherits no pin
+    with _blas_threads(2):
+        _pin_worker()
+        assert set(_blas_counts()) == {1}
 
 
 def test_run_monte_carlo_argument_guards():
