@@ -28,7 +28,14 @@ from .cue import _ridge_factor
 from .data import Dataset, _require_finite
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
-from .nuisance import _cho_solve, _first_stage, _gram, _interactions, estimate_means
+from .nuisance import (
+    _cho_solve,
+    _first_stage,
+    _gram,
+    _interactions,
+    _one_blas_thread,
+    estimate_means,
+)
 
 __all__ = ["BaselineResult", "tsls", "ratio_pair", "efficient_fixed_r"]
 
@@ -41,6 +48,7 @@ class BaselineResult:
     extra: dict = field(default_factory=dict)
 
 
+@_one_blas_thread
 def tsls(ds: Dataset) -> BaselineResult:
     """Two-stage least squares of y on d instrumented by all of z, with
     intercept and heteroskedasticity-robust (HC0) standard error."""
@@ -96,6 +104,7 @@ def ratio_pair(ds: Dataset, j: int, k: int) -> BaselineResult:
     )
 
 
+@_one_blas_thread
 def efficient_fixed_r(
     ds: Dataset, plan: InteractionPlan, beta_init: Optional[float] = None
 ) -> BaselineResult:

@@ -28,7 +28,13 @@ from .data import Dataset
 from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import build_plan
 from .moments import MomentComponents, build_components, gbar, omega
-from .nuisance import _cho_solve, _cholesky, _exposure_explained, fit_nuisance
+from .nuisance import (
+    _cho_solve,
+    _cholesky,
+    _exposure_explained,
+    _one_blas_thread,
+    fit_nuisance,
+)
 
 __all__ = [
     "CueResult",
@@ -216,6 +222,7 @@ def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
     return 0.5 * float(g @ u), u, factor, ridge
 
 
+@_one_blas_thread
 def objective_derivatives(
     mc: MomentComponents, beta: float, base_ridge: float = 0.0
 ) -> tuple[float, float, float, float]:
@@ -251,6 +258,7 @@ class MinimizeResult:
     ridge_used: bool
 
 
+@_one_blas_thread
 def minimize(
     mc: MomentComponents,
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
@@ -366,6 +374,7 @@ def minimize(
 # ---------------------------------------------------------------------------
 
 
+@_one_blas_thread
 def variance(
     mc: MomentComponents, beta_hat: float, ridge: float = 0.0
 ) -> tuple[float, float]:
@@ -430,6 +439,7 @@ class CueResult:
     ridge_used: bool
 
 
+@_one_blas_thread
 def estimate_cue(
     ds: Dataset,
     q: int = 2,

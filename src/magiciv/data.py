@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,8 +31,9 @@ class Dataset:
     non-constant instruments) are reported by :func:`validate` so that
     questionable data can still be inspected rather than refused outright;
     the estimators refuse a non-finite cell with :class:`DataError`.
-    The estimators memoize derived read-only matrices on the instance
-    (see ``nuisance._interactions``); the data arrays never change.
+    The estimators memoize derived read-only arrays on the instance (see
+    ``nuisance._interactions`` and ``nuisance._linear_projection``); the
+    data arrays never change.
     """
 
     y: np.ndarray
@@ -39,6 +41,7 @@ class Dataset:
     z: np.ndarray
     instrument_names: Optional[tuple[str, ...]] = None
     _interactions: dict = field(default_factory=dict, init=False, repr=False)
+    _first_stage: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = np.ascontiguousarray(self.y, dtype=float)
@@ -118,6 +121,56 @@ def _require_finite(ds: Dataset) -> None:
         raise DataError(_nonfinite_values(ds)[0])
 
 
+def _load_rows(fh, width: int, columns: list[int]) -> Optional[np.ndarray]:
+    """The data rows after the header as a float table, ``columns`` in order.
+
+    A fast path: None unless every row has ``width`` fields and every cell
+    is a finite number. ``np.loadtxt`` accepts a subset of what ``float``
+    does (no underscores or non-ASCII digits) and parses it to the same
+    doubles. All columns are read: with ``usecols`` it would not check the
+    field count of each row.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty table is the row loop's to report
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table[:, columns]
+
+
+def _parse_rows(reader, header, selected, positions, path) -> np.ndarray:
+    """Parse the data rows cell by cell, raising :class:`DataError` at the first bad one."""
+    rows: list[list[float]] = []
+    for row_idx, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue  # ignore trailing blank lines
+        if len(row) != len(header):
+            raise DataError(
+                f"row {row_idx} has {len(row)} fields, header has {len(header)}"
+            )
+        parsed = []
+        for name in selected:
+            cell = row[positions[name]].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"cannot parse cell (row {row_idx}, column '{name}'): {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"non-finite cell (row {row_idx}, column '{name}'): {cell!r}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+    if not rows:
+        raise DataError(f"no data rows in {path}")
+    return np.asarray(rows, dtype=float)
+
+
 def load_csv(
     path: str | os.PathLike,
     outcome_col: str,
@@ -160,32 +213,15 @@ def load_csv(
             if len(hits) > 1:
                 raise DataError(f"ambiguous column: '{name}' appears twice in header")
             positions[name] = hits[0]
-        rows: list[list[float]] = []
-        for row_idx, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue  # ignore trailing blank lines
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {row_idx} has {len(row)} fields, header has {len(header)}"
-                )
-            parsed = []
-            for name in selected:
-                cell = row[positions[name]].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"cannot parse cell (row {row_idx}, column '{name}'): {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"non-finite cell (row {row_idx}, column '{name}'): {cell!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"no data rows in {path}")
-    table = np.asarray(rows, dtype=float)
+        table = None
+        if fh.seekable():  # a pipe cannot be reread, so it takes the row loop alone
+            table = _load_rows(fh, len(header), [positions[name] for name in selected])
+            if table is None:  # not a plain numeric table: the row loop names the fault
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+        if table is None:
+            table = _parse_rows(reader, header, selected, positions, path)
     ds = Dataset(
         y=table[:, 0],
         d=table[:, 1],

@@ -30,6 +30,7 @@ from .nuisance import (
     _first_stage,
     _gram,
     _interactions,
+    _one_blas_thread,
     estimate_means,
 )
 
@@ -51,6 +52,7 @@ class FStatReport:
     n_effective: int
 
 
+@_one_blas_thread
 def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     """Robust Wald / r for the interaction coefficients explaining exposure.
 

@@ -32,7 +32,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
-from .nuisance import NuisanceEstimate, _gram, _interactions
+from .nuisance import NuisanceEstimate, _gram, _interactions, _one_blas_thread
 
 __all__ = [
     "MomentComponents",
@@ -77,6 +77,7 @@ def _from_gram(gram: np.ndarray, n: int, r: int) -> MomentComponents:
     )
 
 
+@_one_blas_thread
 def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
     """Aggregates of raw (n, r) component matrices."""
     a = np.asarray(a, dtype=float)
@@ -87,6 +88,7 @@ def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
     return _from_gram(_gram(n, [(None, None), (a, None), (b, None)]), n, r)
 
 
+@_one_blas_thread
 def build_components(
     ds: Dataset, nuis: NuisanceEstimate, plan: InteractionPlan
 ) -> MomentComponents:

@@ -13,31 +13,128 @@ that requires (1, z) to have full column rank. The nuisance projections
 take the minimum-norm fit on a rank-deficient basis, so the main estimator
 still fits duplicated instruments. Every least-squares solve in the package
 goes through :func:`_lstsq`, and every projection refuses a NaN or inf cell.
+The (1, z) projection is made once per dataset and memoized on it, by
+:func:`_linear_projection`.
 The moment components, the diagnostic and efficient GMM read one demeaned
 interaction matrix W per dataset and means, built by :func:`_interactions`,
 and form every n·r² product they need, a Gram of weighted W columns, with
 :func:`_gram`, which works through W in row chunks and so never makes an
 n x r array of its own.
+
+BLAS threads: every public function of the package that calls BLAS or
+LAPACK holds each loaded BLAS at one thread while it runs, through the
+:func:`_one_blas_thread` decorator over :func:`_blas_threads`. Results then
+do not depend on the machine's thread count, and threads that only spin
+between the many small solves cost no CPU. The libraries are found on the
+first pin and kept for the life of the process (the package loads numpy's
+and scipy's BLAS at import): through threadpoolctl when it imports, which
+also covers MKL and BLIS, and otherwise each OpenBLAS in /proc/self/maps
+through ctypes. The thread count is process-global, so concurrent callers
+in one process can race on it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import linalg
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .data import Dataset, _require_finite
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan, basis_matrix, demeaned_matrix
+
+try:  # covers MKL and BLIS builds as well as OpenBLAS
+    from threadpoolctl import ThreadpoolController
+except ImportError:  # the ctypes scan below handles OpenBLAS
+    ThreadpoolController = None
 
 __all__ = [
     "NuisanceEstimate",
     "estimate_means",
     "fit_nuisance",
 ]
+
+# (get, set) thread-count functions of each loaded BLAS, found on first use
+_BLAS_CONTROLS: Optional[list[tuple[Callable[[], int], Callable[[int], None]]]] = None
+
+
+def _scan_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of each OpenBLAS in /proc/self/maps.
+
+    numpy and scipy each bundle one; a library without the functions is
+    skipped, and where /proc is missing the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def _blas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of every BLAS this process has loaded.
+
+    Found on the first call and kept: from one threadpoolctl controller
+    when threadpoolctl imports, otherwise by :func:`_scan_openblas`.
+    """
+    global _BLAS_CONTROLS
+    if _BLAS_CONTROLS is None:
+        if ThreadpoolController is not None:
+            _BLAS_CONTROLS = [
+                (lib.get_num_threads, lib.set_num_threads)
+                for lib in ThreadpoolController().lib_controllers
+            ]
+        else:
+            _BLAS_CONTROLS = _scan_openblas()
+    return _BLAS_CONTROLS
+
+
+@contextmanager
+def _blas_threads(count: int) -> Iterator[None]:
+    """Hold every loaded BLAS at ``count`` threads; restore the old counts on exit.
+
+    A library already at ``count`` is only read, so a pin nested inside
+    another at the same count sets nothing. A BLAS that neither
+    threadpoolctl nor the OpenBLAS scan recognises stays as it is.
+    """
+    changed = [(set_, old) for get, set_ in _blas_controls() if (old := get()) != count]
+    try:
+        for set_, _ in changed:
+            set_(count)
+        yield
+    finally:
+        for set_, old in changed:
+            set_(old)
+
+
+def _one_blas_thread(fn):
+    """Decorator: run ``fn`` with every loaded BLAS held at one thread."""
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        with _blas_threads(1):
+            return fn(*args, **kwargs)
+
+    return pinned
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +272,24 @@ def _project(ds: Dataset, design: np.ndarray):
     return theta, xi, ds.y - design @ theta, ds.d - design @ xi, rank
 
 
+def _linear_projection(ds: Dataset):
+    """:func:`_project` of y and d on (1, z), memoized on ``ds``; arrays read-only.
+
+    TSLS, the interaction-strength diagnostic, efficient GMM and the
+    order-2 nuisance step all read this one fit. (1, z) holds the same
+    values as ``basis_matrix(z, plan, 2)``, so the fit is that step's.
+    """
+    if not ds._first_stage:
+        fit = _project(ds, np.column_stack([np.ones(ds.n), ds.z]))
+        for arr in fit[:4]:
+            arr.setflags(write=False)
+        ds._first_stage.append(fit)
+    return ds._first_stage[0]
+
+
 def _first_stage(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of y and d on (1, z); a rank-deficient (1, z) raises NumericalError."""
-    _, _, r_y, r_d, rank = _project(ds, np.column_stack([np.ones(ds.n), ds.z]))
+    _, _, r_y, r_d, rank = _linear_projection(ds)
     if rank < ds.p + 1:
         raise NumericalError(
             f"first-stage design (1, z) rank {rank} < {ds.p + 1}; instruments collinear"
@@ -194,13 +306,21 @@ def _exposure_explained(r_d: np.ndarray, d: np.ndarray) -> bool:
     return float(np.max(np.abs(r_d))) <= 1e-12 * max(float(np.max(np.abs(d))), 1.0)
 
 
+@_one_blas_thread
 def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
-    """Estimate means and all per-order projections for orders 2..q."""
+    """Estimate means and all per-order projections for orders 2..q.
+
+    The order-2 projection is the dataset's memoized (1, z) fit, taken at
+    its minimum norm when (1, z) is rank-deficient.
+    """
+    if ds.p != plan.p:
+        raise ConfigError(f"row width {ds.p} does not match plan built for p={plan.p}")
     theta: dict[int, np.ndarray] = {}
     xi: dict[int, np.ndarray] = {}
     r_y: dict[int, np.ndarray] = {}
     r_d: dict[int, np.ndarray] = {}
-    for k in range(2, plan.q + 1):
+    theta[1], xi[1], r_y[1], r_d[1], _ = _linear_projection(ds)
+    for k in range(3, plan.q + 1):
         design = basis_matrix(ds.z, plan, k)
         theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
     return NuisanceEstimate(mu_hat=estimate_means(ds), theta=theta, xi=xi, r_y=r_y, r_d=r_d)

@@ -15,33 +15,27 @@ uniforms keyed by (seed, rep_index); normals are produced by Box-Muller on
 those uniforms rather than any library sampler, so streams are stable
 across platforms and replications are order-insensitive.
 
-BLAS threads: replications are small, and BLAS threads only fight over the
-cores, so :func:`run_monte_carlo` holds every loaded BLAS at one thread
-for its whole run, the in-process loop and the process pool's lifetime
-alike, and restores the caller's counts when it returns or raises. It
-uses threadpoolctl when that imports; otherwise it sets each OpenBLAS
-found in /proc/self/maps through ctypes, and any other BLAS stays
-unpinned. Forked workers inherit the pin; spawned ones pin themselves in
-the pool initializer. A fit outside the runner (``estimate_cue``, the CLI
-``estimate``) is not pinned: its large products gain from threads.
+BLAS threads: every estimator entry point, the CLI ``estimate`` included,
+runs with each loaded BLAS held at one thread (see :mod:`magiciv.nuisance`),
+so results do not depend on the machine's thread count, at r = 45 or at
+r = 286 alike. :func:`run_monte_carlo` holds the same pin for its whole
+run, the in-process loop and the process pool's lifetime alike, and
+restores the caller's counts when it returns or raises: forked workers
+inherit the pin, spawned ones pin themselves in the pool initializer, and
+the entry points' own pins then only read the counts. The count is
+process-global, so callers running in threads of one process can race on
+it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-try:  # covers MKL and BLIS builds as well as OpenBLAS
-    from threadpoolctl import threadpool_info, threadpool_limits
-except ImportError:  # the ctypes fallback below handles OpenBLAS
-    threadpool_info = threadpool_limits = None
 
 from .baselines import efficient_fixed_r, tsls
 from .cue import chisq_quantile, estimate_cue
@@ -49,6 +43,7 @@ from .data import Dataset
 from .diagnostics import f_stat
 from .errors import ConfigError, ExclusionError, MagicivError
 from .interactions import build_plan
+from .nuisance import _blas_controls, _blas_threads
 
 __all__ = [
     "ScenarioConfig",
@@ -274,54 +269,6 @@ class McSummary:
     methods: Mapping[str, MethodSummary]
 
 
-def _openblas_threads() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process.
-
-    Libraries are found in /proc/self/maps at call time (numpy and scipy
-    each bundle one); a library without the functions is skipped, and where
-    /proc is missing the list is empty.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
-@contextmanager
-def _blas_threads(count: int) -> Iterator[None]:
-    """Hold every loaded BLAS at ``count`` threads; restore the old counts on exit.
-
-    Uses threadpoolctl when it imports. Otherwise each OpenBLAS is set
-    through ctypes, and a library already at ``count`` is left alone; any
-    other BLAS stays as it is.
-    """
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=count):
-            yield
-        return
-    changed = [(set_, old) for get, set_ in _openblas_threads() if (old := get()) != count]
-    try:
-        for set_, _ in changed:
-            set_(count)
-        yield
-    finally:
-        for set_, old in changed:
-            set_(old)
-
-
 def _pin_worker() -> None:
     """Pool initializer: one BLAS thread for a worker that starts with more.
 
@@ -330,11 +277,7 @@ def _pin_worker() -> None:
     OpenBLAS's thread server in each worker. Spawned and forkserver
     workers start at the library default and are pinned here for life.
     """
-    if threadpool_limits is not None:
-        if any(info["num_threads"] > 1 for info in threadpool_info()):
-            threadpool_limits(limits=1)
-        return
-    for get, set_ in _openblas_threads():
+    for get, set_ in _blas_controls():
         if get() > 1:
             set_(1)
 

@@ -11,13 +11,6 @@ from magiciv import (
 )
 from magiciv.nuisance import _interactions
 
-try:  # small-matrix workloads: one BLAS thread is fastest and keeps CI quiet
-    from threadpoolctl import threadpool_limits
-
-    _BLAS_LIMIT = threadpool_limits(limits=1)
-except ImportError:  # pragma: no cover
-    _BLAS_LIMIT = None
-
 
 def make_sim_dataset(
     p=4, n=400, c=8.0, seed=0, scenario="I", beta_true=0.0, rep=0, **kw

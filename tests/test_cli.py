@@ -8,6 +8,7 @@ import pytest
 from magiciv import Dataset, ScenarioConfig, gen_dataset
 from magiciv.cli import main
 from magiciv.data import write_csv
+from magiciv.nuisance import _blas_controls, _blas_threads
 
 
 def _sim_csv(tmp_path, p=10, n=300, seed=5, name="sim.csv"):
@@ -42,6 +43,23 @@ def test_estimate_writes_expected_schema(tmp_path, capsys):
         "j_stat", "j_df", "j_pvalue", "q_min", "r", "n", "p", "q", "boundary_flag",
         "ridge_used", "f_stat", "f_stat_error", "plan", "growth", "baselines",
     }
+
+
+@pytest.mark.skipif(not _blas_controls(), reason="no BLAS with a settable thread count is loaded")
+def test_estimate_json_does_not_depend_on_blas_threads(tmp_path, capsys):
+    # the benchmark's CSV design: p = 12, q = 3 (r = 286), n = 20000
+    path, ds = _sim_csv(tmp_path, p=12, n=20000, seed=0)
+    out = tmp_path / "est.json"
+    args = ["estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
+            "--q", "3", "--output", str(out)]
+    payloads = {}
+    for count in (1, 2):
+        with _blas_threads(count):  # the caller's thread count
+            assert {get() for get, _ in _blas_controls()} == {count}
+            assert main(args) == 0
+        payloads[count] = out.read_bytes()
+    assert payloads[1] == payloads[2]
+    assert json.loads(payloads[1])["f_stat_error"] is None
 
 
 def test_estimate_without_output_writes_same_json_to_stdout(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import csv
+import io
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magiciv import DataError, Dataset, ScenarioConfig, gen_dataset, load_csv, validate
-from magiciv.data import write_csv
+from magiciv.data import _load_rows, _parse_rows, write_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -145,3 +150,83 @@ def test_simulator_output_validates_clean(tmp_path):
     write_csv(ds, path)
     back = load_csv(path, "y", "d", list(ds.names()))
     assert validate(back) == []
+
+
+_padding = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+
+@st.composite
+def _numeric_csv(draw):
+    """A headered CSV of finite doubles, each written with ``repr`` and padded."""
+    width = draw(st.integers(3, 6))
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(
+        st.tuples(_padding, st.floats(allow_nan=False, allow_infinity=False), _padding),
+        min_size=width * n, max_size=width * n,
+    ))
+    fields = [f"{lead}{value!r}{trail}" for lead, value, trail in cells]
+    rows = [",".join(fields[i * width:(i + 1) * width]) for i in range(n)]
+    header = [f"c{j}" for j in range(width)]
+    columns = draw(st.permutations(range(width)))[:draw(st.integers(3, width))]
+    return "\n".join([",".join(header), *rows]) + "\n", header, list(columns)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_numeric_csv())
+def test_fast_path_parses_the_same_doubles_as_the_row_loop(case):
+    text, header, columns = case
+    selected = [header[j] for j in columns]
+    positions = {name: j for j, name in enumerate(header)}
+    fh = io.StringIO(text)
+    next(csv.reader(fh))
+    fast = _load_rows(fh, len(header), columns)
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    slow = _parse_rows(reader, header, selected, positions, "case.csv")
+    assert fast is not None
+    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()  # -0.0 too
+
+
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ("1_000,2,1,0", [1000.0, 2.0, 1.0, 0.0]),  # underscores: float() only
+        ("\u0661,2,1,0", [1.0, 2.0, 1.0, 0.0]),  # an Arabic-Indic digit one
+        ("  \n1,2,1,0", [1.0, 2.0, 1.0, 0.0]),  # a blank line of spaces
+    ],
+)
+def test_cells_only_float_accepts_still_load(tmp_path, row, want):
+    path = _write(tmp_path, f"y,d,z1,z2\n{row}\n3,4,0,1\n")
+    ds = load_csv(path, "y", "d", ["z1", "z2"])
+    assert [ds.y[0], ds.d[0], *ds.z[0]] == want
+
+
+def test_ragged_rows_in_unselected_columns_are_refused(tmp_path):
+    # a row one field long and one a field short: the selected columns parse
+    path = _write(tmp_path, "y,d,z1,z2,note\n1,2,1,0,7,8\n2,3,0,1\n")
+    with pytest.raises(DataError, match="row 1 has 6 fields, header has 5"):
+        load_csv(path, "y", "d", ["z1", "z2"])
+
+
+def test_quoted_comma_in_unselected_column_keeps_fields(tmp_path):
+    path = _write(tmp_path, 'id,y,d,z1,z2\n"a,7",1,2,1,0\n"b,8",2,3,0,1\n')
+    ds = load_csv(path, "y", "d", ["z1", "z2"])
+    assert ds.y.tolist() == [1.0, 2.0] and ds.z[:, 0].tolist() == [1.0, 0.0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("cell", ["0.5", "NA"])
+def test_load_csv_reads_a_pipe(cell):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, f"y,d,z1,z2\n1,{cell},1,0\n2,3,0,1\n".encode())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        if cell == "NA":
+            with pytest.raises(DataError, match=r"cannot parse cell \(row 1, column 'd'\)"):
+                load_csv(path, "y", "d", ["z1", "z2"])
+        else:
+            assert load_csv(path, "y", "d", ["z1", "z2"]).d.tolist() == [0.5, 3.0]
+    finally:
+        os.close(read_end)

@@ -1,9 +1,11 @@
+import builtins
 import math
 
 import numpy as np
 import pytest
 
 from magiciv import (
+    ConfigError,
     DataError,
     Dataset,
     NumericalError,
@@ -19,11 +21,17 @@ from magiciv import (
     run_monte_carlo,
     tsls,
 )
-from magiciv import interactions
+from magiciv import interactions, nuisance
 from magiciv.cli import main
 from magiciv.data import write_csv
 from magiciv.interactions import basis_matrix, demeaned_matrix
-from magiciv.nuisance import NuisanceEstimate, _first_stage, _interactions
+from magiciv.nuisance import (
+    NuisanceEstimate,
+    _blas_controls,
+    _blas_threads,
+    _first_stage,
+    _interactions,
+)
 
 from conftest import component_rows, make_binary_dataset, make_sim_dataset
 
@@ -180,29 +188,63 @@ def _count_builds(monkeypatch):
     return calls
 
 
+def _count_projections(monkeypatch):
+    """Record the column count of every least-squares projection's design."""
+    widths = []
+    project = nuisance._project
+
+    def counting(ds, design):
+        widths.append(design.shape[1])
+        return project(ds, design)
+
+    monkeypatch.setattr(nuisance, "_project", counting)
+    return widths
+
+
 def test_estimate_builds_demeaned_matrix_once(tmp_path, monkeypatch):
     ds = make_sim_dataset(p=5, n=300, seed=21)
     path = tmp_path / "sim.csv"
     write_csv(ds, path)
     calls = _count_builds(monkeypatch)
+    widths = _count_projections(monkeypatch)
     code = main([
         "estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
         "--q", "3", "--output", str(tmp_path / "est.json"),
     ])
     assert code == 0
-    # one n x r demeaned build serves the Grams, F_q and efficient GMM;
-    # the other two builds are the order-1 and order-2 nuisance bases
-    assert sorted(calls) == [(0, 3), (6, 1), (6, 2)]
+    # one n x r demeaned build serves the Grams, F_q and efficient GMM; the
+    # other is the order-3 nuisance basis. The order-2 basis is (1, z),
+    # projected once for the nuisance step, F_q, TSLS and efficient GMM.
+    assert sorted(calls) == [(0, 3), (6, 2)]
+    assert sorted(widths) == [6, 16]
 
 
 def test_replication_builds_demeaned_matrix_once(monkeypatch):
     calls = _count_builds(monkeypatch)
+    widths = _count_projections(monkeypatch)
     summary = run_monte_carlo(
         ScenarioConfig(p=4, n=300, seed=3), reps=2,
         methods=("magic", "tsls", "efficient_fixed_r"), workers=1,
     )
     assert summary.n_excluded == 0
     assert [c for c in calls if c[0] == 0] == [(0, 2)] * 2
+    assert widths == [5] * 2  # one (1, z) projection per replication
+
+
+def test_first_stage_is_memoized_read_only():
+    ds = make_sim_dataset(p=4, n=300, seed=24)
+    r_y, r_d = _first_stage(ds)
+    nuis = fit_nuisance(ds, build_plan(ds.p, 2))
+    assert nuis.r_y[1] is r_y and nuis.r_d[1] is r_d
+    for arr in (r_y, r_d, nuis.theta[1], nuis.xi[1]):
+        assert not arr.flags.writeable
+    assert _first_stage(ds)[0] is r_y
+
+
+def test_nuisance_refuses_a_plan_of_another_width():
+    ds = make_sim_dataset(p=4, n=300, seed=24)
+    with pytest.raises(ConfigError, match="row width 4 does not match plan built for p=5"):
+        fit_nuisance(ds, build_plan(5, 2))
 
 
 def test_shared_matrix_is_read_only_and_reused():
@@ -240,3 +282,64 @@ def test_reused_dataset_matches_fresh_ones():
             component_rows(ds, plan, other)[0], component_rows(ds, plan, nuis)[0]
         )
     assert len(ds._interactions) == 4  # (q, means) in {2, 3} x {sample, shifted}
+
+
+@pytest.mark.skipif(not _blas_controls(), reason="no BLAS with a settable thread count is loaded")
+def test_nested_pin_reads_no_maps_and_sets_no_count(monkeypatch):
+    ds = make_sim_dataset(p=4, n=300, seed=25)
+    sets = []
+
+    def counting(set_):
+        def counted(count):
+            sets.append(count)
+            set_(count)
+        return counted
+
+    monkeypatch.setattr(
+        nuisance, "_BLAS_CONTROLS", [(get, counting(set_)) for get, set_ in _blas_controls()]
+    )
+    maps_reads = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            maps_reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with _blas_threads(2):
+        del sets[:]
+        with _blas_threads(1):  # from two threads: each library is set, then restored
+            assert sets == [1] * len(_blas_controls())
+            del sets[:]
+            with _blas_threads(1):
+                tsls(ds)  # a pinned entry point nests a third pin
+            assert sets == []
+        assert sets == [2] * len(_blas_controls())
+    assert maps_reads == []
+
+
+def test_threadpoolctl_libraries_are_pinned_and_restored(monkeypatch):
+    # threadpoolctl's controllers expose get_num_threads / set_num_threads
+    class Library:
+        def __init__(self, threads):
+            self.threads = threads
+
+        def get_num_threads(self):
+            return self.threads
+
+        def set_num_threads(self, count):
+            self.threads = count
+
+    libs = [Library(4), Library(1)]
+
+    class Controller:
+        lib_controllers = libs
+
+    monkeypatch.setattr(nuisance, "ThreadpoolController", Controller)
+    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    with pytest.raises(RuntimeError):
+        with _blas_threads(1):
+            assert [lib.threads for lib in libs] == [1, 1]
+            raise RuntimeError
+    assert [lib.threads for lib in libs] == [4, 1]

@@ -6,10 +6,9 @@ import pytest
 
 from magiciv import ConfigError, ExclusionError, ScenarioConfig, gen_dataset, run_monte_carlo
 from magiciv import simulate
+from magiciv.nuisance import _blas_controls, _blas_threads
 from magiciv.simulate import (
-    _blas_threads,
     _ceil_frac,
-    _openblas_threads,
     _pin_worker,
     _replicate,
     config_to_jsonable,
@@ -18,12 +17,12 @@ from magiciv.simulate import (
 )
 
 needs_openblas = pytest.mark.skipif(
-    not _openblas_threads(), reason="no OpenBLAS with a settable thread count is loaded"
+    not _blas_controls(), reason="no BLAS with a settable thread count is loaded"
 )
 
 
 def _blas_counts() -> list[int]:
-    return [get() for get, _ in _openblas_threads()]
+    return [get() for get, _ in _blas_controls()]
 
 
 def test_generation_is_deterministic_per_rep():
