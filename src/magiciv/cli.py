@@ -2,15 +2,19 @@
 
 Configuration comes from an optional flat key=value file plus flags, with
 flags winning; every run embeds the full effective configuration in its
-output so a run can be reproduced from the output alone. All randomness
-flows from the single explicit seed. Exit codes: 0 success, 1 data or
-configuration error, 2 numerical failure, 3 excess Monte Carlo exclusions.
+output so a run can be reproduced from the output alone. A key that sets a
+library parameter or a ``ScenarioConfig`` field takes its type and default
+from that signature or field, so the CLI defaults are the library's. All
+randomness flows from the single explicit seed. Exit codes: 0 success, 1
+data or configuration error, 2 numerical failure, 3 excess Monte Carlo
+exclusions.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from typing import Callable, Optional
@@ -33,7 +37,6 @@ from .interactions import build_plan, plan_to_jsonable
 from .oracle import PopulationDgp, orthogonality_check, population_beta
 from .simulate import (
     ScenarioConfig,
-    config_to_jsonable,
     format_table,
     gen_dataset,
     run_monte_carlo,
@@ -80,43 +83,51 @@ _PARSERS: dict[str, Callable] = {
 # verb -> key -> (type name, default); required keys have default=REQUIRED
 REQUIRED = object()
 
+# Keys that set a library parameter take its type and default from the
+# library's signature, so the two cannot drift apart. Annotations are strings
+# (``from __future__ import annotations``): a scalar one names its parser,
+# and a sequence one maps here.
+_ANNOTATION_TYPES = {
+    "tuple[float, float]": "floats",
+    "Sequence[float]": "floats",
+    "Sequence[str]": "strs",
+}
+
+
+def _library_keys(func: Callable, *names: str) -> dict[str, tuple[str, object]]:
+    """Keys for ``func``'s parameters ``names`` (all of them when none are given)."""
+    params = inspect.signature(func).parameters
+    return {
+        name: (_ANNOTATION_TYPES.get(param.annotation, param.annotation), param.default)
+        for name, param in params.items()
+        if name in names or not names
+    }
+
+
 _ESTIMATE_KEYS: dict[str, tuple[str, object]] = {
     "input": ("str", REQUIRED),
     "outcome": ("str", "y"),
     "exposure": ("str", "d"),
     "instruments": ("strs", REQUIRED),
-    "q": ("int", 2),
-    "bounds": ("floats", (-10.0, 10.0)),
-    "grid_points": ("int", 512),
-    "tol": ("float", 1e-9),
-    "ci_level": ("float", 0.95),
-    "ridge": ("float", 0.0),
+    **_library_keys(estimate_cue, "q", "bounds", "grid_points", "tol", "ci_level", "ridge"),
     "output": ("str", None),
 }
 
+# a dataclass's parameters are its fields; sigma, a 2x2 matrix, is set by
+# three scalar keys
+_SCENARIO_KEYS = _library_keys(ScenarioConfig)
+_, _SIGMA = _SCENARIO_KEYS.pop("sigma")
+
 _SIMULATE_KEYS: dict[str, tuple[str, object]] = {
-    "scenario": ("str", "I"),
+    **_SCENARIO_KEYS,
+    # ScenarioConfig has no default design size: the CLI's own, in the fields' place
     "p": ("int", 10),
     "n": ("int", 5000),
+    "sigma_var_eps": ("float", _SIGMA[0][0]),
+    "sigma_var_nu": ("float", _SIGMA[1][1]),
+    "sigma_cov": ("float", _SIGMA[0][1]),
     "reps": ("int", 100),
-    "q": ("int", 2),
-    "beta_true": ("float", 0.0),
-    "c": ("float", 3.75),
-    "mu": ("float", 0.5),
-    "sigma_var_eps": ("float", 1.0),
-    "sigma_var_nu": ("float", 1.0),
-    "sigma_cov": ("float", 0.25),
-    "theta_mean": ("float", 1.0),
-    "theta_var": ("float", 1.0),
-    "pi_mean": ("float", 0.2),
-    "pi_var": ("float", 0.2),
-    "scale_as_sd": ("bool", False),
-    "misspecify_alice": ("bool", False),
-    "freeze_phi": ("bool", False),
-    "center_interactions": ("bool", True),
-    "seed": ("int", 0),
-    "methods": ("strs", ("magic", "tsls")),
-    "workers": ("int", 1),
+    **_library_keys(run_monte_carlo, "methods", "workers"),
     "output": ("str", None),
     "emit_data": ("str", None),
 }
@@ -125,8 +136,7 @@ _ORACLE_KEYS: dict[str, tuple[str, object]] = {
     "p": ("int", 2),
     "q": ("int", 2),
     "beta_true": ("float", 0.5),
-    "beta_grid": ("floats", (-2.0, -1.0, 0.0, 1.0, 2.0)),
-    "step": ("float", 1e-4),
+    **_library_keys(orthogonality_check, "beta_grid", "step"),
     "dependent": ("bool", False),
     "flip": ("float", 0.1),
 }
@@ -186,16 +196,8 @@ _EXECUTION_KEYS = ("output", "workers", "emit_data")
 
 
 def _config_echo(cfg: dict) -> dict:
-    """JSON-ready effective configuration (tuples become lists)."""
-    out = {}
-    for key, value in cfg.items():
-        if key in _EXECUTION_KEYS:
-            continue
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    """The effective configuration without execution-only keys (tuples dump as lists)."""
+    return {key: value for key, value in cfg.items() if key not in _EXECUTION_KEYS}
 
 
 def _dump_json(payload: dict, output: Optional[str]) -> None:
@@ -284,28 +286,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _effective_config("simulate", args)
     if cfg["reps"] < 1:
         raise ConfigError(f"reps must be >= 1 (got {cfg['reps']})")
-    scenario = ScenarioConfig(
-        p=cfg["p"],
-        n=cfg["n"],
-        q=cfg["q"],
-        beta_true=cfg["beta_true"],
-        c=cfg["c"],
-        mu=cfg["mu"],
-        sigma=(
-            (cfg["sigma_var_eps"], cfg["sigma_cov"]),
-            (cfg["sigma_cov"], cfg["sigma_var_nu"]),
-        ),
-        scenario=cfg["scenario"],
-        theta_mean=cfg["theta_mean"],
-        theta_var=cfg["theta_var"],
-        pi_mean=cfg["pi_mean"],
-        pi_var=cfg["pi_var"],
-        scale_as_sd=cfg["scale_as_sd"],
-        misspecify_alice=cfg["misspecify_alice"],
-        freeze_phi=cfg["freeze_phi"],
-        center_interactions=cfg["center_interactions"],
-        seed=cfg["seed"],
-    )
+    var_eps, var_nu, cov = cfg["sigma_var_eps"], cfg["sigma_var_nu"], cfg["sigma_cov"]
+    sigma = ((var_eps, cov), (cov, var_nu))
+    scenario = ScenarioConfig(sigma=sigma, **{name: cfg[name] for name in _SCENARIO_KEYS})
     if cfg["emit_data"]:
         ds, _ = gen_dataset(scenario, 0)
         write_csv(ds, cfg["emit_data"])

@@ -222,6 +222,17 @@ def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
     return 0.5 * float(g @ u), u, factor, ridge
 
 
+def _derivatives(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
+    """Q, Q', Q'' and the ridge, with the solve u and the factor they share."""
+    q, u, factor, ridge = _eval_objective(mc, beta, base_ridge)
+    dom = -mc.s1 + 2.0 * beta * mc.s2
+    dom_u = dom @ u
+    dq = float(-mc.bbar @ u) - 0.5 * float(u @ dom_u)
+    w = -mc.bbar - dom_u
+    d2q = float(w @ _cho_solve(factor, w)) - float(u @ (mc.s2 @ u))
+    return q, dq, d2q, ridge, u, factor
+
+
 @_one_blas_thread
 def objective_derivatives(
     mc: MomentComponents, beta: float, base_ridge: float = 0.0
@@ -236,13 +247,7 @@ def objective_derivatives(
 
     where Omega' = -s1 + 2 beta s2. Returns (Q, Q', Q'', ridge_used).
     """
-    q, u, factor, ridge = _eval_objective(mc, beta, base_ridge)
-    dom = -mc.s1 + 2.0 * beta * mc.s2
-    dom_u = dom @ u
-    dq = float(-mc.bbar @ u) - 0.5 * float(u @ dom_u)
-    w = -mc.bbar - dom_u
-    d2q = float(w @ _cho_solve(factor, w)) - float(u @ (mc.s2 @ u))
-    return q, dq, d2q, ridge
+    return _derivatives(mc, beta, base_ridge)[:4]
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +393,11 @@ def variance(
     The standard error is sqrt(v_hat / n). A nonpositive curvature at the
     reported minimum signals a non-convex pathology and raises.
     """
-    q, _, h, _ = objective_derivatives(mc, beta_hat, ridge)
+    _, _, h, _, u, factor = _derivatives(mc, beta_hat, ridge)
     if not h > 0.0:
         raise NumericalError(
             f"nonpositive objective curvature at beta_hat ({h:.3e}); variance unreliable"
         )
-    _, u, factor, _ = _eval_objective(mc, beta_hat, ridge)
     c_ba = mc.c_ab.T
     # E_n[G g'] = -(c_ba - beta*s2); D = -bbar - E_n[G g'] u
     d_vec = -mc.bbar + (c_ba - beta_hat * mc.s2) @ u

@@ -150,42 +150,40 @@ def _conditional_means(dgp: PopulationDgp, z: np.ndarray) -> tuple[np.ndarray, n
     return ey, ed
 
 
+def _on_lattice(dgp: PopulationDgp, q: int):
+    """Demeaned interactions (orders 2..q), probabilities, E[Y | z] and E[D | z] per row."""
+    z, probs = _lattice(dgp)
+    w = demeaned_matrix(z, dgp.instrument_means(), build_plan(dgp.p, q))
+    ey, ed = _conditional_means(dgp, z)
+    return w, probs, ey, ed
+
+
 def population_moment(dgp: PopulationDgp, beta: float, q: int) -> np.ndarray:
     """Exact E[ demeaned interactions * (Y - beta D) ], stacked orders 2..q."""
-    plan = build_plan(dgp.p, q)
-    z, probs = _lattice(dgp)
-    w = demeaned_matrix(z, dgp.instrument_means(), plan)
-    ey, ed = _conditional_means(dgp, z)
+    w, probs, ey, ed = _on_lattice(dgp, q)
     return w.T @ (probs * (ey - beta * ed))
 
 
 def population_relevance(dgp: PopulationDgp, q: int) -> np.ndarray:
     """The moment derivative in beta: -E[ demeaned interactions * D ]."""
-    plan = build_plan(dgp.p, q)
-    z, probs = _lattice(dgp)
-    w = demeaned_matrix(z, dgp.instrument_means(), plan)
-    _, ed = _conditional_means(dgp, z)
+    w, probs, _, ed = _on_lattice(dgp, q)
     return -(w.T @ (probs * ed))
 
 
 def population_beta(dgp: PopulationDgp, q: int) -> float:
     """Unique root of the relevance-projected scalar moment (affine in beta)."""
-    m_vec = population_relevance(dgp, q)
+    w, probs, ey, ed = _on_lattice(dgp, q)
+    slope = w.T @ (probs * ed)  # moment(beta) = m0 - beta * slope
+    m_vec = -slope  # the relevance vector
     if float(np.max(np.abs(m_vec))) < 1e-12:
         raise IdentificationError(
             "no interaction is associated with the exposure (relevance vector is 0)"
         )
-    plan = build_plan(dgp.p, q)
-    z, probs = _lattice(dgp)
-    w = demeaned_matrix(z, dgp.instrument_means(), plan)
-    ey, ed = _conditional_means(dgp, z)
     m0 = w.T @ (probs * ey)  # moment at beta = 0
-    slope = w.T @ (probs * ed)  # moment(beta) = m0 - beta * slope
     return float(m_vec @ m0) / float(m_vec @ slope)
 
 
 def _population_projections(
-    dgp: PopulationDgp,
     plan: InteractionPlan,
     z: np.ndarray,
     probs: np.ndarray,
@@ -256,7 +254,7 @@ def orthogonality_check(
     worst = 0.0
     by_order: dict[int, float] = {}
     for k in range(2, q + 1):
-        wk, theta_k, xi_k = _population_projections(dgp, plan, z, probs, ey, ed, k)
+        wk, theta_k, xi_k = _population_projections(plan, z, probs, ey, ed, k)
         order_worst = 0.0
 
         def gk(beta: float, mu_vec: np.ndarray, th: np.ndarray, xi_: np.ndarray) -> np.ndarray:
@@ -308,7 +306,7 @@ def second_order_probe(
     z, probs = _lattice(dgp)
     mu_star = dgp.instrument_means()
     ey, ed = _conditional_means(dgp, z)
-    wk, theta_k, xi_k = _population_projections(dgp, plan, z, probs, ey, ed, k)
+    wk, theta_k, xi_k = _population_projections(plan, z, probs, ey, ed, k)
     base = _expected_gk(plan, z, probs, ey, ed, wk, k, beta, mu_star, theta_k, xi_k)
 
     def shifted(scale: float) -> float:

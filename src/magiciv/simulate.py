@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
@@ -53,7 +53,6 @@ __all__ = [
     "gen_dataset",
     "run_monte_carlo",
     "summary_to_jsonable",
-    "config_to_jsonable",
     "format_table",
 ]
 
@@ -390,46 +389,9 @@ def run_monte_carlo(
     )
 
 
-def config_to_jsonable(cfg: ScenarioConfig) -> dict:
-    return {
-        "p": cfg.p,
-        "n": cfg.n,
-        "q": cfg.q,
-        "beta_true": cfg.beta_true,
-        "c": cfg.c,
-        "mu": cfg.mu,
-        "sigma": [list(row) for row in cfg.sigma],
-        "scenario": cfg.scenario,
-        "theta_mean": cfg.theta_mean,
-        "theta_var": cfg.theta_var,
-        "pi_mean": cfg.pi_mean,
-        "pi_var": cfg.pi_var,
-        "scale_as_sd": cfg.scale_as_sd,
-        "misspecify_alice": cfg.misspecify_alice,
-        "freeze_phi": cfg.freeze_phi,
-        "center_interactions": cfg.center_interactions,
-        "seed": cfg.seed,
-    }
-
-
 def summary_to_jsonable(summary: McSummary) -> dict:
-    methods = {}
-    for name, ms in summary.methods.items():
-        methods[name] = {
-            "abs_bias": ms.abs_bias,
-            "sd": ms.sd,
-            "mean_se": ms.mean_se,
-            "coverage_95": ms.coverage_95,
-            "overid_rejection_rate": ms.overid_rejection_rate,
-            "mean_f_stat": ms.mean_f_stat,
-        }
-    return {
-        "config": config_to_jsonable(summary.config),
-        "reps": summary.reps,
-        "n_excluded": summary.n_excluded,
-        "exclusions": [[i, msg] for i, msg in summary.exclusions],
-        "methods": methods,
-    }
+    """The summary as nested dicts, tuples and scalars, ready for ``json.dumps``."""
+    return asdict(summary)
 
 
 def format_table(summary: McSummary) -> str:

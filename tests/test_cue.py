@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -458,3 +458,33 @@ def test_estimate_is_invariant_to_instrument_order(p, q, n, scenario, seed, data
     for name in ("beta_hat", "se", "j_stat"):
         want, got = getattr(base, name), getattr(moved, name)
         assert abs(got - want) <= 1e-10 * abs(want), name
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    p=st.integers(4, 6),
+    q=st.integers(2, 3),
+    n=st.integers(1500, 2000),
+    scenario=st.sampled_from(["I", "III", "IV", "custom"]),
+    seed=st.integers(0, 2**16),
+    b=st.floats(-2.0, 2.0),
+    a=st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0)),
+    c=st.floats(-1.0, 1.0),
+)
+def test_estimate_is_equivariant(p, q, n, scenario, seed, b, a, c):
+    # g(beta) is linear in y - beta d: y + b d moves Q by b along beta, and
+    # a y stretches it by a. The interactions are demeaned and the nuisance
+    # basis holds the intercept, so shifting y or z changes no moment.
+    ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, scenario=scenario, seed=seed), 0)
+    base = estimate_cue(ds, q=q)
+    # the search is over the default bounds: keep beta_hat's images inside
+    assume(abs(base.beta_hat) * max(abs(a), 1.0) + abs(b) < 9.0)
+    cases = {  # transformed data and its expected (beta_hat, se, j_stat)
+        "y + b d": (ds.y + b * ds.d, ds.z, base.beta_hat + b, base.se),
+        "a y": (a * ds.y, ds.z, a * base.beta_hat, abs(a) * base.se),
+        "y + c, z + c": (ds.y + c, ds.z + c, base.beta_hat, base.se),
+    }
+    for label, (y, z, beta_hat, se) in cases.items():
+        got = estimate_cue(Dataset(y=y, d=ds.d, z=z), q=q)
+        for name, want in (("beta_hat", beta_hat), ("se", se), ("j_stat", base.j_stat)):
+            assert abs(getattr(got, name) - want) <= 1e-10 * abs(want), (label, name)

@@ -11,7 +11,6 @@ from magiciv.simulate import (
     _ceil_frac,
     _pin_worker,
     _replicate,
-    config_to_jsonable,
     format_table,
     summary_to_jsonable,
 )
@@ -259,6 +258,9 @@ def test_summary_serialization_and_table():
         "overid_rejection_rate", "mean_f_stat",
     }
     assert payload["methods"]["tsls"]["overid_rejection_rate"] is None
-    assert payload["config"] == config_to_jsonable(cfg)
+    # the config survives JSON and rebuilds the design it came from
+    config = json.loads(json.dumps(payload["config"]))
+    config["sigma"] = tuple(tuple(row) for row in config["sigma"])
+    assert ScenarioConfig(**config) == cfg
     table = format_table(summary)
     assert "MAGIC" in table and "TSLS" in table and "Coverage" in table
