@@ -13,6 +13,16 @@ have, and golden-section search refines the bracketing interval around the
 grid minimum. Q has one evaluator, :func:`_eval_objective`, shared by the
 search, the derivatives and the variance; it factors Omega(beta) plus the
 base ridge, escalating by steps of trace(Omega)/r only when that fails.
+
+The grid is certified rather than evaluated in full. Q is the conjugate of
+a quadratic form, Q(beta) = max_v v'g(beta) - 0.5 v'(Omega(beta) + rho I)v
+(Boyd & Vandenberghe 2004, sec. 3.3), so the solve u = (Omega + rho I)^{-1} g
+of any one evaluation gives a concave quadratic minorant of Q over the whole
+interval. Q is evaluated at every 16th grid point; a grid point is skipped
+only when one of those minorants proves it lies above the best value found,
+by a rounding margin, and every other point is evaluated as before. The
+grid minimum, its index and everything downstream are therefore those of
+the full grid, to the bit.
 """
 
 from __future__ import annotations
@@ -57,6 +67,18 @@ DEFAULT_TOL = 1e-9
 _RIDGE_MULTIPLIERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Grid certificate: the stride of the first evaluated points, and the margin
+# a minorant must clear to skip a point. The absolute margin is a multiple of
+# r^2 * eps * max(1, beta^2) * (|u|'(|s0| + |s1| + |s2|)|u| + |u|'(|abar| + |bbar|)
+# + rho u'u), which bounds the rounding of the minorant's coefficients, of
+# forming Omega(beta) and of its Cholesky factor (backward error); the
+# relative margin covers the final dot product of Q. Both are generous: the
+# points skipped lie far above the minimum, so raising either margin 1e4-fold
+# adds almost no evaluations.
+_CERT_STRIDE = 16
+_CERT_ABS = 64.0
+_CERT_REL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +279,85 @@ def objective_derivatives(
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """The CUE minimizer and its objective value.
+
+    ``ridge_used`` is True when some evaluated point factored Omega with a
+    positive ridge, the base ridge or the ladder's. A grid point that the
+    certificate skips is never factored, but the first evaluation that needs
+    the ladder makes the whole grid evaluated, so a weighting matrix that is
+    singular at every beta (a duplicated instrument) reports it as before.
+    """
+
     beta_hat: float
     q_min: float
     boundary_flag: bool
     ridge_used: bool
+
+
+def _minorant(mc: MomentComponents, betas: np.ndarray, us: np.ndarray, ridge: float):
+    """Certified lower bound on Q at each of ``betas``, from the solves in the rows of ``us``.
+
+    For any v, Q(beta) >= v'g(beta) - 0.5 v'(Omega(beta) + ridge I)v, a
+    quadratic in beta; each solve gives one, and the bound is their maximum
+    less the rounding margin.
+    """
+    us_s0, us_s1, us_s2 = us @ mc.s0, us @ mc.s1, us @ mc.s2
+    uu = np.sum(us * us, axis=1)
+    c0 = us @ mc.abar - 0.5 * np.sum(us_s0 * us, axis=1) - 0.5 * ridge * uu
+    c1 = 0.5 * np.sum(us_s1 * us, axis=1) - us @ mc.bbar
+    c2 = -0.5 * np.sum(us_s2 * us, axis=1)
+    abs_us = np.abs(us)
+    abs_s = np.abs(mc.s0) + np.abs(mc.s1) + np.abs(mc.s2)
+    size = (
+        np.sum((abs_us @ abs_s) * abs_us, axis=1)
+        + abs_us @ (np.abs(mc.abar) + np.abs(mc.bbar))
+        + ridge * uu
+    )
+    b = betas[:, None]
+    margin = _CERT_ABS * mc.r * mc.r * np.finfo(float).eps * np.maximum(1.0, b * b) * size
+    return np.max(c0 + b * (c1 + b * c2) - margin, axis=1)
+
+
+def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
+    """Q on the grid, skipping the points a minorant proves to lie above the minimum.
+
+    Evaluates every ``_CERT_STRIDE``-th point and the last, then, in index
+    order, every point whose certified lower bound does not clear the best
+    of those values by the margin. Should any evaluation need the ridge
+    ladder (or exhaust it), the rest of the grid is evaluated as well.
+    Returns (values, evaluated, ridge_used): values is inf at skipped
+    points and wherever Q is non-finite or cannot be factored.
+    """
+    values = np.full(grid.size, np.inf)
+    evaluated = np.zeros(grid.size, dtype=bool)
+    solves = []
+    ridge_used = ladder = False
+
+    def scan(indices):
+        nonlocal ridge_used, ladder
+        for i in indices:
+            evaluated[i] = True
+            try:
+                value, u, _, used = _eval_objective(mc, float(grid[i]), ridge)
+            except NumericalError:
+                ladder = True
+                continue
+            ridge_used |= used > 0.0
+            ladder |= used > ridge
+            if np.isfinite(value):
+                values[i] = value
+                solves.append(u)
+
+    scan(np.unique(np.append(np.arange(0, grid.size, _CERT_STRIDE), grid.size - 1)))
+    rest = ~evaluated
+    if solves and not ladder:
+        q_best = float(values.min())
+        bound = _minorant(mc, grid[rest], np.array(solves), ridge)
+        rest[rest] = ~(bound > q_best + _CERT_REL * abs(q_best))
+    scan(np.flatnonzero(rest))
+    if ladder:
+        scan(np.flatnonzero(~evaluated))
+    return values, evaluated, ridge_used
 
 
 @_one_blas_thread
@@ -271,11 +368,16 @@ def minimize(
     tol: float = DEFAULT_TOL,
     ridge: float = 0.0,
 ) -> MinimizeResult:
-    """Global grid scan plus golden-section refinement of the CUE objective.
+    """Certified global grid scan plus golden-section refinement of the CUE objective.
 
-    Grid ties break toward the smallest beta; the boundary flag marks a
-    minimizer within tol of either bound (an identification warning, not an
-    error). After the interval shrinks below tol, a few safeguarded Newton
+    The grid stage finds the minimum over all ``grid_points`` points but
+    evaluates Q only where it must: every 16th point first, then each point
+    that no minorant built from those solves proves to lie above their best
+    value (see :func:`_scan_grid`), and the whole grid when the ridge ladder
+    engages. The grid minimum is the full grid's to the bit. Grid ties
+    break toward the smallest beta; the boundary flag marks a minimizer
+    within tol of either bound (an identification warning, not an error).
+    After the interval shrinks below tol, a few safeguarded Newton
     steps on the analytic gradient polish the point: near a flat minimum,
     function-value comparisons drown in rounding while the gradient root
     stays sharply determined. If some beta drives every moment to exactly
@@ -293,7 +395,8 @@ def minimize(
     if ridge < 0.0:
         raise ConfigError("ridge must be >= 0")
 
-    any_ridge = False
+    grid = np.linspace(lo, hi, grid_points)
+    values, _, any_ridge = _scan_grid(mc, grid, ridge)
 
     def f(beta: float) -> float:
         nonlocal any_ridge
@@ -302,15 +405,6 @@ def minimize(
             any_ridge = True
         return value
 
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.empty(grid_points)
-    for i, beta in enumerate(grid):
-        try:
-            values[i] = f(float(beta))
-        except NumericalError:
-            values[i] = np.inf
-        if not np.isfinite(values[i]):
-            values[i] = np.inf
     if not np.any(np.isfinite(values)):
         raise NumericalError("objective is non-finite at every grid point")
     i_min = int(np.argmin(values))  # first occurrence: smallest beta wins ties

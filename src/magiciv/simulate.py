@@ -222,9 +222,12 @@ def gen_dataset(cfg: ScenarioConfig, rep_index: int) -> tuple[Dataset, TruthReco
     eps = l00 * g1
     nu = l10 * g1 + l11 * g2
 
-    raw_products = np.empty((cfg.n, len(pairs)))
-    for idx, (j, k) in enumerate(pairs):
-        raw_products[:, idx] = z[:, j] * z[:, k]
+    # raw products feed only the uncentered exposure and the misspecified outcome
+    raw_products = None
+    if phi is not None or not cfg.center_interactions:
+        raw_products = np.empty((cfg.n, len(pairs)))
+        for idx, (j, k) in enumerate(pairs):
+            raw_products[:, idx] = z[:, j] * z[:, k]
     if cfg.center_interactions:
         zc = z - cfg.mu
         exposure_inter = np.empty((cfg.n, len(pairs)))

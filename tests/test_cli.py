@@ -185,6 +185,25 @@ def test_estimate_numerical_failure_exit_code(tmp_path, capsys):
     assert "need n >=" in capsys.readouterr().err
 
 
+def test_estimate_flat_objective_exit_code(tmp_path, capsys, monkeypatch):
+    # moments with b = 0 make Q constant in beta; the zero curvature at the
+    # minimizer is a numerical failure, exit 2, and no JSON is written
+    from magiciv import cue, moments
+
+    def flat(ds, nuis, plan):
+        a = np.random.default_rng(3).standard_normal((ds.n, plan.r))
+        return moments.components_from_arrays(a, 0.0 * a)
+
+    monkeypatch.setattr(cue, "build_components", flat)
+    path, ds = _sim_csv(tmp_path, p=4, n=200, name="flat.csv")
+    out = tmp_path / "flat.json"
+    code = main(["estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
+                 "--output", str(out)])
+    assert code == 2
+    assert "numerical failure: nonpositive objective curvature" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_exactly_identified_has_null_pvalue(tmp_path):
     path, ds = _sim_csv(tmp_path, p=2, n=200, name="p2.csv")
     out = tmp_path / "p2.json"

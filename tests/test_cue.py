@@ -257,6 +257,129 @@ def test_minimize_nonfinite_everywhere_errors():
 
 
 # ---------------------------------------------------------------------------
+# grid certificate: a full _eval_objective sweep of the grid is the oracle
+# ---------------------------------------------------------------------------
+
+_GRID = np.linspace(*cue.DEFAULT_BOUNDS, cue.DEFAULT_GRID_POINTS)
+
+
+def _full_sweep(mc, ridge=0.0):
+    values = np.full(_GRID.size, np.inf)
+    for i, beta in enumerate(_GRID):
+        try:
+            value = _eval_objective(mc, float(beta), ridge)[0]
+        except NumericalError:
+            continue
+        if np.isfinite(value):
+            values[i] = value
+    return values
+
+
+def _assert_certified(mc, ridge=0.0):
+    """The certified scan picks the sweep's argmin; every point it skips lies above."""
+    want = _full_sweep(mc, ridge)
+    values, evaluated, _ = cue._scan_grid(mc, _GRID, ridge)
+    i_min = int(np.argmin(want))
+    assert int(np.argmin(values)) == i_min
+    assert np.array_equal(values[evaluated], want[evaluated])
+    assert np.all(want[~evaluated] > want[i_min])
+    return want, evaluated
+
+
+def _two_basin_components(rng, m, n, t0, noise, shift):
+    """Moment rows whose objective is mirror-symmetric about beta = shift.
+
+    In the base rows, the first m columns satisfy a = t0 b + noise and the
+    last m are pure noise with b = 0. The mirrored rows reverse the columns
+    and negate b, so there the last m identify -t0. Q has a basin near each
+    of shift +- t0, and the two minima agree up to rounding.
+    """
+    b = 1.0 + 0.3 * rng.standard_normal((n, 2 * m))
+    b[:, m:] = 0.0
+    a = noise * rng.standard_normal((n, 2 * m))
+    a[:, :m] += t0 * b[:, :m]
+    rows_a = np.vstack([a, a[:, ::-1]])
+    rows_b = np.vstack([b, -b[:, ::-1]])
+    return components_from_arrays(rows_a + shift * rows_b, rows_b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(20, 200),
+    t0=st.floats(0.2, 9.5),
+    noise=st.one_of(st.floats(0.01, 2.0), st.floats(1e2, 1e4)),
+    shift=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+    ridge_scale=st.sampled_from([0.0, 1e-8, 1e-2, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_certified_grid_picks_the_full_sweeps_minimum(
+    m, n, t0, noise, shift, ridge_scale, seed
+):
+    # shift = 0 centres the mirror on the grid's own mirror, so the two
+    # basins' grid minima tie up to rounding and rounding picks the winner;
+    # a large noise flattens Q until the minorants are tight to rounding
+    mc = _two_basin_components(np.random.default_rng(seed), m, n, t0, noise, shift)
+    _assert_certified(mc, ridge_scale * float(np.trace(mc.s0)) / mc.r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_grid_resolves_a_rounding_level_tie(seed):
+    mc = _two_basin_components(np.random.default_rng(seed), 2, 120, 4.0, 0.1, 0.0)
+    want, evaluated = _assert_certified(mc)
+    # two interior local minima of the sweep, mirror images, within 1e-12
+    inner = want[1:-1]
+    minima = np.flatnonzero((inner < want[:-2]) & (inner <= want[2:])) + 1
+    first, second = sorted(minima, key=lambda i: want[i])[:2]
+    assert first + second == _GRID.size - 1
+    assert abs(want[first] - want[second]) <= 1e-12 * want[first]
+    assert not evaluated.all()
+
+
+def test_certified_grid_prunes_with_a_base_ridge():
+    mc = _pipeline_components(make_sim_dataset(p=6, n=800, seed=29))
+    for ridge in (1e-8, 1e-3, float(np.trace(mc.s0)) / mc.r):
+        _, evaluated = _assert_certified(mc, ridge)
+        assert evaluated.sum() < _GRID.size // 4
+
+
+def _duplicated_instrument_components():
+    ds = make_sim_dataset(p=5, n=400, seed=5)
+    return _pipeline_components(Dataset(y=ds.y, d=ds.d, z=np.column_stack([ds.z, ds.z[:, 0]])))
+
+
+@pytest.mark.parametrize(
+    "build", [_duplicated_column_components, _duplicated_instrument_components]
+)
+def test_certified_grid_evaluates_everything_once_the_ladder_engages(build):
+    mc = build()
+    values, evaluated, ridge_used = cue._scan_grid(mc, _GRID, 0.0)
+    assert evaluated.all() and ridge_used
+    assert np.array_equal(values, _full_sweep(mc))
+    assert minimize(mc).ridge_used
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(8, 300),
+    r=st.integers(1, 12),
+    ridge=st.sampled_from([0.0, 1e-6]),
+    seed=st.integers(0, 2**16),
+)
+def test_flat_objective_is_fully_scanned_and_has_no_variance(n, r, ridge, seed):
+    # b = 0 makes Q constant in beta: no point lies above another, so none
+    # is skipped, the tie goes to the lower bound, and the curvature is zero
+    a = np.random.default_rng(seed).standard_normal((n + r, r))
+    mc = components_from_arrays(a, 0.0 * a)
+    values, evaluated, _ = cue._scan_grid(mc, _GRID, ridge)
+    assert evaluated.all() and np.all(values == values[0])
+    fit = minimize(mc, ridge=ridge)
+    assert fit.beta_hat == cue.DEFAULT_BOUNDS[0] and fit.boundary_flag
+    with pytest.raises(NumericalError, match="nonpositive objective curvature"):
+        variance(mc, fit.beta_hat, ridge=ridge)
+
+
+# ---------------------------------------------------------------------------
 # derivatives and variance
 # ---------------------------------------------------------------------------
 
