@@ -10,7 +10,7 @@ interaction-strength diagnostic, reference estimators, a seeded Monte Carlo
 harness, and an exact small-p population oracle for verification.
 """
 
-from .baselines import BaselineResult, efficient_fixed_r, ratio_pair, tsls
+from .baselines import BaselineResult, efficient_fixed_r, tsls
 from .cue import (
     CueResult,
     MinimizeResult,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .interactions import (
     InteractionPlan,
-    basis_matrix,
     build_plan,
     demeaned_matrix,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "PopulationDgp",
     "ScenarioConfig",
     "TruthRecord",
-    "basis_matrix",
     "build_components",
     "build_plan",
     "chisq_cdf",
@@ -110,7 +108,6 @@ __all__ = [
     "population_beta",
     "population_moment",
     "population_relevance",
-    "ratio_pair",
     "run_monte_carlo",
     "tsls",
     "validate",

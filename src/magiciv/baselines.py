@@ -1,5 +1,5 @@
-"""Reference estimators: TSLS, a single-pair interaction ratio, and the
-fixed-dimension efficient two-step GMM with its variance-bound estimate.
+"""Reference estimators: TSLS and the fixed-dimension efficient two-step
+GMM with its variance-bound estimate.
 
 These exist for comparison with the main estimator. TSLS is inconsistent
 whenever instruments have direct outcome effects; the interaction-based
@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .cue import _ridge_factor
-from .data import Dataset, _require_finite
-from .errors import ConfigError, NumericalError
+from .data import Dataset
+from .errors import NumericalError
 from .interactions import InteractionPlan
 from .nuisance import (
     _cho_solve,
@@ -37,12 +37,12 @@ from .nuisance import (
     estimate_means,
 )
 
-__all__ = ["BaselineResult", "tsls", "ratio_pair", "efficient_fixed_r"]
+__all__ = ["BaselineResult", "tsls", "efficient_fixed_r"]
 
 
 @dataclass(frozen=True)
 class BaselineResult:
-    method: str  # "tsls" | "ratio_pair" | "efficient_fixed_r"
+    method: str  # "tsls" | "efficient_fixed_r"
     beta_hat: float
     se: float
     extra: dict = field(default_factory=dict)
@@ -70,37 +70,6 @@ def tsls(ds: Dataset) -> BaselineResult:
         beta_hat=float(coef[1]),
         se=math.sqrt(max(vcov[1, 1], 0.0)),
         extra={"intercept": float(coef[0])},
-    )
-
-
-def ratio_pair(ds: Dataset, j: int, k: int) -> BaselineResult:
-    """Plug-in ratio estimator from a single demeaned pairwise interaction.
-
-    beta_hat = mean(w*y) / mean(w*d) with w = (z_j - mu_j)(z_k - mu_k) at
-    sample means; the standard error is the delta-method one treating the
-    interaction weight as fixed. A NaN or inf cell raises :class:`DataError`.
-    """
-    if j == k:
-        raise ConfigError("ratio_pair needs two distinct instrument indices")
-    if not (0 <= j < ds.p and 0 <= k < ds.p):
-        raise ConfigError(f"instrument indices out of range [0, {ds.p})")
-    _require_finite(ds)
-    mu = estimate_means(ds)
-    w = (ds.z[:, j] - mu[j]) * (ds.z[:, k] - mu[k])
-    den = float(np.mean(w * ds.d))
-    if den == 0.0:
-        raise NumericalError(
-            f"interaction ({j},{k}) carries no exposure signal (denominator 0.0)"
-        )
-    num = float(np.mean(w * ds.y))
-    beta = num / den
-    m = w * (ds.y - beta * ds.d)
-    se = math.sqrt(float(np.mean(m * m)) / ds.n) / abs(den)
-    return BaselineResult(
-        method="ratio_pair",
-        beta_hat=beta,
-        se=se,
-        extra={"pair": [int(min(j, k)), int(max(j, k))], "denominator": den},
     )
 
 

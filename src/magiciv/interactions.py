@@ -32,7 +32,6 @@ __all__ = [
     "InteractionPlan",
     "build_plan",
     "demeaned_matrix",
-    "basis_matrix",
     "plan_to_jsonable",
 ]
 
@@ -46,7 +45,8 @@ class InteractionPlan:
 
     ``subsets_by_order[k]`` lists the size-k index subsets in lexicographic
     order; r counts the subsets of orders 2..q (the moment components).
-    Order-1 subsets are kept because the non-demeaned basis needs them.
+    The order-1 subsets are the heads of the order-2 products, and the plan
+    JSON lists them with the other orders.
     """
 
     p: int
@@ -96,18 +96,18 @@ def _check_width(z: np.ndarray, plan: InteractionPlan) -> np.ndarray:
     return z
 
 
-def _products(x: np.ndarray, plan: InteractionPlan, top: int, lead: int = 0) -> np.ndarray:
-    """C-ordered (n, lead + r_top) array of column products of ``x``.
+def _products(x: np.ndarray, plan: InteractionPlan, top: int) -> np.ndarray:
+    """C-ordered (n, r_top) array of column products of ``x``.
 
-    Columns after the first ``lead`` (left unset for the caller) hold the
-    products over the plan's subsets of orders 2..top in plan order; r_top
-    counts those subsets. Each order-k column is its order-(k-1) prefix
-    column times the subset's last factor.
+    The columns hold the products over the plan's subsets of orders 2..top
+    in plan order; r_top counts those subsets. Each order-k column is its
+    order-(k-1) prefix column times the subset's last factor, so a build to
+    a lower ``top`` gives the leading columns of a higher one bit for bit.
     """
     n, p = x.shape
     width = sum(len(plan.subsets_by_order[k]) for k in range(2, top + 1))
-    out = np.empty((n, lead + width))
-    prev, col = x, lead
+    out = np.empty((n, width))
+    prev, col = x, 0
     for k in range(2, top + 1):
         start = col
         for h, head in enumerate(plan.subsets_by_order[k - 1]):
@@ -129,17 +129,6 @@ def demeaned_matrix(z: np.ndarray, mu: np.ndarray, plan: InteractionPlan) -> np.
     if mu.shape != (plan.p,):
         raise ConfigError(f"mu must have length p={plan.p}")
     return _products(z - mu, plan, plan.q)
-
-
-def basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
-    """n-row design with intercept then raw products over subsets of sizes 1..k-1."""
-    if not 2 <= k <= plan.q:
-        raise ConfigError(f"basis order k={k} outside valid range 2..{plan.q}")
-    z = _check_width(z, plan)
-    out = _products(z, plan, k - 1, lead=1 + plan.p)
-    out[:, 0] = 1.0
-    out[:, 1:1 + plan.p] = z
-    return out
 
 
 def plan_to_jsonable(plan: InteractionPlan) -> dict:

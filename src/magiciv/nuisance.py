@@ -1,19 +1,24 @@
 """First-stage nuisance estimation: instrument means and per-order projections.
 
-For each interaction order k the outcome and exposure are projected onto the
-non-demeaned lower-order basis W_{k-1} = (1, mains, ..., order k-1 products)
-by ordinary least squares, and the per-order residuals feed the moment
-construction. Each order is projected independently; the q-1 regressions are
-not incrementally updated, which keeps them individually auditable.
+For each interaction order k the outcome and exposure are projected by
+ordinary least squares onto the lower-order basis of orders 0..k-1, and the
+per-order residuals feed the moment construction. Only the span of that
+basis matters. The order-2 basis is (1, z); for k >= 3 it is
+(1, z - mu_hat, demeaned products of orders 2..k-1), the same span as the
+raw products, with conditioning that does not degrade as z moves away from
+0. Its product columns are built by the same code as the demeaned
+interaction matrix W, so they equal W's leading columns bit for bit. Each
+order is projected independently; the q-1 regressions are not
+incrementally updated, which keeps them individually auditable.
 
-The order-2 basis is (1, z), so its projection is also the linear first
-stage that TSLS, the interaction-strength diagnostic and the efficient-GMM
-baseline partial out; all of them call :func:`_first_stage`, the one place
-that requires (1, z) to have full column rank. The nuisance projections
-take the minimum-norm fit on a rank-deficient basis, so the main estimator
-still fits duplicated instruments. Every least-squares solve in the package
-goes through :func:`_lstsq`, and every projection refuses a NaN or inf cell.
-The (1, z) projection is made once per dataset and memoized on it, by
+The order-2 projection is also the linear first stage that TSLS, the
+interaction-strength diagnostic and the efficient-GMM baseline partial out;
+all of them call :func:`_first_stage`, the one place that requires (1, z) to
+have full column rank. The nuisance projections take the minimum-norm fit on
+a rank-deficient basis, so the main estimator still fits duplicated
+instruments. Every least-squares solve in the package goes through
+:func:`_lstsq`, and every projection refuses a NaN or inf cell. The (1, z)
+projection is made once per dataset and memoized on it, by
 :func:`_linear_projection`.
 The moment components, the diagnostic and efficient GMM read one demeaned
 interaction matrix W per dataset and means, built by :func:`_interactions`,
@@ -48,7 +53,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .data import Dataset, _require_finite
 from .errors import ConfigError, NumericalError
-from .interactions import InteractionPlan, basis_matrix, demeaned_matrix
+from . import interactions
+from .interactions import InteractionPlan, demeaned_matrix
 
 try:  # covers MKL and BLIS builds as well as OpenBLAS
     from threadpoolctl import ThreadpoolController
@@ -142,8 +148,10 @@ class NuisanceEstimate:
     """Sample means plus per-order projection coefficients and residuals.
 
     ``theta[k-1]`` and ``xi[k-1]`` hold the outcome and exposure coefficients
-    on the order-(k-1) basis W, for k = 2..q; ``r_y[k-1] = y - W theta[k-1]``
-    and ``r_d[k-1] = d - W xi[k-1]`` are the matching residuals.
+    on the order-(k-1) basis B, for k = 2..q: (1, z) at k = 2, and (1,
+    z - mu_hat, demeaned products of orders 2..k-1) above it. ``r_y[k-1] =
+    y - B theta[k-1]`` and ``r_d[k-1] = d - B xi[k-1]`` are the matching
+    residuals.
     """
 
     mu_hat: np.ndarray
@@ -276,8 +284,7 @@ def _linear_projection(ds: Dataset):
     """:func:`_project` of y and d on (1, z), memoized on ``ds``; arrays read-only.
 
     TSLS, the interaction-strength diagnostic, efficient GMM and the
-    order-2 nuisance step all read this one fit. (1, z) holds the same
-    values as ``basis_matrix(z, plan, 2)``, so the fit is that step's.
+    order-2 nuisance step all read this one fit.
     """
     if not ds._first_stage:
         fit = _project(ds, np.column_stack([np.ones(ds.n), ds.z]))
@@ -311,7 +318,8 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     """Estimate means and all per-order projections for orders 2..q.
 
     The order-2 projection is the dataset's memoized (1, z) fit, taken at
-    its minimum norm when (1, z) is rank-deficient.
+    its minimum norm when (1, z) is rank-deficient. Each order k >= 3 is
+    projected on (1, z - mu_hat, demeaned products of orders 2..k-1).
     """
     if ds.p != plan.p:
         raise ConfigError(f"row width {ds.p} does not match plan built for p={plan.p}")
@@ -320,7 +328,9 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     r_y: dict[int, np.ndarray] = {}
     r_d: dict[int, np.ndarray] = {}
     theta[1], xi[1], r_y[1], r_d[1], _ = _linear_projection(ds)
+    mu = estimate_means(ds)
+    zc = ds.z - mu if plan.q >= 3 else None  # q = 2 reads only the (1, z) fit
     for k in range(3, plan.q + 1):
-        design = basis_matrix(ds.z, plan, k)
+        design = np.column_stack([np.ones(ds.n), zc, interactions._products(zc, plan, k - 1)])
         theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
-    return NuisanceEstimate(mu_hat=estimate_means(ds), theta=theta, xi=xi, r_y=r_y, r_d=r_d)
+    return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, IdentificationError, NumericalError
-from .interactions import InteractionPlan, basis_matrix, build_plan, demeaned_matrix
+from .interactions import InteractionPlan, build_plan, demeaned_matrix
 
 __all__ = [
     "PopulationDgp",
@@ -183,6 +183,19 @@ def population_beta(dgp: PopulationDgp, q: int) -> float:
     return float(m_vec @ m0) / float(m_vec @ slope)
 
 
+def _basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
+    """Intercept, then the raw products over the subsets of sizes 1..k-1.
+
+    The order-k projection basis in its textbook form, one ``np.prod`` per
+    column: the reference that the estimator's demeaned basis, which spans
+    the same space, is checked against.
+    """
+    cols = [np.ones(z.shape[0])]
+    for j in range(1, k):
+        cols += [np.prod(z[:, list(s)], axis=1) for s in plan.subsets_by_order[j]]
+    return np.column_stack(cols)
+
+
 def _population_projections(
     plan: InteractionPlan,
     z: np.ndarray,
@@ -192,7 +205,7 @@ def _population_projections(
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Population least-squares coefficients of Y and D on the order-(k-1) basis."""
-    wk = basis_matrix(z, plan, k)
+    wk = _basis_matrix(z, plan, k)
     sw = np.sqrt(probs)
     coef, _, rank, _ = np.linalg.lstsq(
         sw[:, None] * wk, sw[:, None] * np.column_stack([ey, ed]), rcond=None

@@ -2,22 +2,18 @@ import numpy as np
 import pytest
 
 from magiciv import (
-    ConfigError,
     Dataset,
     NumericalError,
-    PopulationDgp,
     build_components,
     build_plan,
     efficient_fixed_r,
     estimate_cue,
     fit_nuisance,
     omega,
-    population_beta,
-    ratio_pair,
     tsls,
 )
 from magiciv import baselines
-from magiciv.simulate import ScenarioConfig, _normals, _rep_rng, gen_dataset
+from magiciv.simulate import ScenarioConfig, gen_dataset
 
 from conftest import make_binary_dataset, make_sim_dataset
 
@@ -53,63 +49,6 @@ def test_tsls_collinear_instruments_error():
         tsls(Dataset(y=ds.y, d=ds.d, z=z))
 
 
-def test_ratio_pair_exact_on_noiseless_product():
-    rng = np.random.default_rng(4)
-    z = (rng.random((60, 2)) < 0.5).astype(float)
-    z[0] = [0, 1]
-    z[1] = [1, 0]
-    z[2] = [1, 1]
-    d = z[:, 0] * z[:, 1]
-    ds = Dataset(y=3.0 * d, d=d, z=z)
-    res = ratio_pair(ds, 0, 1)
-    assert abs(res.beta_hat - 3.0) <= 1e-12
-    swapped = ratio_pair(ds, 1, 0)
-    assert swapped.beta_hat == res.beta_hat
-    assert swapped.se == res.se
-
-
-def test_ratio_pair_guards():
-    ds = make_binary_dataset(n=30, p=3, seed=5)
-    with pytest.raises(ConfigError, match="distinct"):
-        ratio_pair(ds, 1, 1)
-    with pytest.raises(ConfigError, match="out of range"):
-        ratio_pair(ds, 0, 9)
-    # balanced design: the sample covariance of (z1, z2) is exactly zero,
-    # so a constant exposure yields an exactly zero denominator
-    z = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
-    flat = Dataset(y=np.arange(12.0), d=np.full(12, 2.0), z=z)
-    with pytest.raises(NumericalError, match="denominator"):
-        ratio_pair(flat, 0, 1)
-
-
-def test_ratio_pair_matches_population_within_three_ses():
-    # valid-pi-zero design: the naive delta-method SE is the asymptotic one
-    beta_star, n = 0.5, 100_000
-    rng = _rep_rng(77, 0)
-    z = (rng.random((n, 2)) < 0.5).astype(float)
-    raw = _normals(rng, 2 * n)
-    nu, eps = raw[:n], raw[n:]
-    d = z[:, 0] + z[:, 1] + (z[:, 0] - 0.5) * (z[:, 1] - 0.5) + nu
-    y = beta_star * d + eps
-    ds = Dataset(y=y, d=d, z=z)
-
-    dgp = PopulationDgp(
-        p=2, mu=np.array([0.5, 0.5]), beta_true=beta_star,
-        pi=np.zeros(2), theta=np.ones(2), alpha={(0, 1): 1.0},
-    )
-    assert abs(population_beta(dgp, 2) - beta_star) <= 1e-12
-
-    # population SE by enumeration: Var(w(Y - b*D)) = E[w^2] Var(eps),
-    # E[w D] = alpha E[w^2]; both from the 4-point lattice
-    e_w2 = sum(
-        0.25 * ((z1 - 0.5) * (z2 - 0.5)) ** 2 for z1 in (0, 1) for z2 in (0, 1)
-    )
-    se_pop = np.sqrt(e_w2 / n) / abs(1.0 * e_w2)
-    res = ratio_pair(ds, 0, 1)
-    assert abs(res.beta_hat - beta_star) <= 3.0 * se_pop
-    assert abs(res.se - se_pop) <= 0.2 * se_pop
-
-
 def test_efficient_fixed_r_noiseless_agrees_with_cue_and_ratio():
     rng = np.random.default_rng(6)
     z = (rng.random((80, 2)) < 0.5).astype(float)
@@ -122,6 +61,10 @@ def test_efficient_fixed_r_noiseless_agrees_with_cue_and_ratio():
     eff = efficient_fixed_r(ds, plan)
     assert abs(eff.beta_hat - 0.5) <= 1e-8
     assert abs(estimate_cue(ds).beta_hat - 0.5) <= 1e-6
+    # the single-pair ratio mean(w y) / mean(w d) on the demeaned product
+    zc = z - z.mean(axis=0)
+    w = zc[:, 0] * zc[:, 1]
+    assert abs(np.mean(w * ds.y) / np.mean(w * ds.d) - 0.5) <= 1e-12
 
 
 def test_efficient_fixed_r_bound_positive():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -593,11 +593,16 @@ def test_estimate_is_invariant_to_instrument_order(p, q, n, scenario, seed, data
     b=st.floats(-2.0, 2.0),
     a=st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0)),
     c=st.floats(-1.0, 1.0),
+    m=st.one_of(st.integers(-100, -1), st.integers(1, 100)),
 )
-def test_estimate_is_equivariant(p, q, n, scenario, seed, b, a, c):
+# a raw-product nuisance basis moved beta_hat here by 2.0e-9 relative at z + 100
+@example(p=6, q=3, n=1800, scenario="IV", seed=3, b=0.0, a=1.0, c=0.0, m=100)
+def test_estimate_is_equivariant(p, q, n, scenario, seed, b, a, c, m):
     # g(beta) is linear in y - beta d: y + b d moves Q by b along beta, and
     # a y stretches it by a. The interactions are demeaned and the nuisance
-    # basis holds the intercept, so shifting y or z changes no moment.
+    # basis holds the intercept, so shifting y or z changes no moment. The
+    # integer shift m keeps z + m exact on the binary instruments, so any
+    # error it shows comes from the estimator, not from rounded input.
     ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, scenario=scenario, seed=seed), 0)
     base = estimate_cue(ds, q=q)
     # the search is over the default bounds: keep beta_hat's images inside
@@ -606,6 +611,7 @@ def test_estimate_is_equivariant(p, q, n, scenario, seed, b, a, c):
         "y + b d": (ds.y + b * ds.d, ds.z, base.beta_hat + b, base.se),
         "a y": (a * ds.y, ds.z, a * base.beta_hat, abs(a) * base.se),
         "y + c, z + c": (ds.y + c, ds.z + c, base.beta_hat, base.se),
+        "y + m, z + m": (ds.y + m, ds.z + m, base.beta_hat, base.se),
     }
     for label, (y, z, beta_hat, se) in cases.items():
         got = estimate_cue(Dataset(y=y, d=ds.d, z=z), q=q)

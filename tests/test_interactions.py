@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from magiciv import ConfigError, build_plan
-from magiciv.interactions import (
-    basis_matrix,
-    demeaned_matrix,
-    plan_to_jsonable,
-)
+from magiciv.interactions import demeaned_matrix, plan_to_jsonable
+from magiciv.oracle import _basis_matrix
 
 
 def test_plan_p3_q2_subsets_and_r():
@@ -60,21 +57,19 @@ def test_demeaned_matrix_row_examples():
 
 def test_basis_matrix_row_examples():
     plan2 = build_plan(2, 2)
-    assert basis_matrix(np.array([1.0, 0.0]), plan2, 2)[0].tolist() == [1.0, 1.0, 0.0]
+    assert _basis_matrix(np.array([[1.0, 0.0]]), plan2, 2)[0].tolist() == [1.0, 1.0, 0.0]
 
     plan3 = build_plan(3, 3)
-    got = basis_matrix(np.array([1.0, 0.0, 1.0]), plan3, 3)[0]
+    got = _basis_matrix(np.array([[1.0, 0.0, 1.0]]), plan3, 3)[0]
     assert got.tolist() == [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
-    assert basis_matrix(np.zeros(3), plan3, 3)[0].tolist() == [1.0] + [0.0] * 6
+    assert _basis_matrix(np.zeros((1, 3)), plan3, 3)[0].tolist() == [1.0] + [0.0] * 6
 
 
 def test_basis_order_errors():
     plan = build_plan(3, 2)
-    with pytest.raises(ConfigError, match="outside valid range"):
-        basis_matrix(np.zeros((2, 3)), plan, 3)
     with pytest.raises(ConfigError, match="does not match plan"):
-        basis_matrix(np.zeros(4), plan, 2)
+        demeaned_matrix(np.zeros(4), np.zeros(4), plan)
     with pytest.raises(ConfigError, match="mu must have length"):
         demeaned_matrix(np.zeros(3), np.zeros(2), plan)
 
@@ -150,6 +145,6 @@ def test_products_equal_left_to_right_loop(data):
     for k, cols in plan.order_slices().items():
         assert np.array_equal(full[:, cols], _loop_block(zc, plan, k))
         check(
-            basis_matrix(z, plan, k),
+            _basis_matrix(z, plan, k),
             [np.ones((n, 1))] + [_loop_block(z, plan, j) for j in range(1, k)],
         )

@@ -17,14 +17,13 @@ from magiciv import (
     estimate_means,
     f_stat,
     fit_nuisance,
-    ratio_pair,
     run_monte_carlo,
     tsls,
 )
 from magiciv import interactions, nuisance
 from magiciv.cli import main
 from magiciv.data import write_csv
-from magiciv.interactions import basis_matrix, demeaned_matrix
+from magiciv.interactions import demeaned_matrix
 from magiciv.nuisance import (
     NuisanceEstimate,
     _blas_controls,
@@ -32,6 +31,7 @@ from magiciv.nuisance import (
     _first_stage,
     _interactions,
 )
+from magiciv.oracle import _basis_matrix
 
 from conftest import component_rows, make_binary_dataset, make_sim_dataset
 
@@ -67,7 +67,7 @@ def test_project_matches_normal_equations_oracle():
     y = z[:, 0] * z[:, 1]
     ds = Dataset(y=y, d=y.copy(), z=z)
     plan = build_plan(2, 2)
-    design = basis_matrix(ds.z, plan, 2)
+    design = _basis_matrix(ds.z, plan, 2)
     oracle_coef = np.linalg.solve(design.T @ design, design.T @ y)
     oracle_resid = y - design @ oracle_coef
 
@@ -95,7 +95,6 @@ _ENTRIES = {
     "tsls": lambda ds, plan: tsls(ds),
     "f_stat": f_stat,
     "efficient_fixed_r": efficient_fixed_r,
-    "ratio_pair": lambda ds, plan: ratio_pair(ds, 0, 1),
 }
 
 
@@ -125,7 +124,7 @@ def test_residuals_zero_coefficients_return_y():
     # coefficients vanish and the residuals are the variables themselves
     ds = make_binary_dataset(n=18, p=2, seed=5)
     plan = build_plan(2, 2)
-    design = basis_matrix(ds.z, plan, 2)
+    design = _basis_matrix(ds.z, plan, 2)
     hat = design @ np.linalg.solve(design.T @ design, design.T)
     rng = np.random.default_rng(5)
     y, d = (v - hat @ v for v in rng.standard_normal((2, ds.n)))
@@ -149,7 +148,7 @@ def test_in_sample_orthogonality_bound():
     plan = build_plan(4, 3)
     nuis = fit_nuisance(ds, plan)
     for k in (2, 3):
-        design = basis_matrix(ds.z, plan, k)
+        design = _basis_matrix(ds.z, plan, k)
         bound = 1e-8 * ds.n * np.max(np.abs(ds.y)) * np.max(np.abs(design))
         assert np.max(np.abs(design.T @ nuis.r_y[k - 1])) <= bound
         bound_d = 1e-8 * ds.n * np.max(np.abs(ds.d)) * np.max(np.abs(design))
@@ -176,13 +175,13 @@ def test_design_wider_than_n_reports_requirement():
 
 
 def _count_builds(monkeypatch):
-    """Record (lead, top) of every product build; lead 0 is a demeaned matrix."""
+    """Record the top order of every interaction-product build."""
     calls = []
     build = interactions._products
 
-    def counting(x, plan, top, lead=0):
-        calls.append((lead, top))
-        return build(x, plan, top, lead)
+    def counting(x, plan, top):
+        calls.append(top)
+        return build(x, plan, top)
 
     monkeypatch.setattr(interactions, "_products", counting)
     return calls
@@ -213,9 +212,10 @@ def test_estimate_builds_demeaned_matrix_once(tmp_path, monkeypatch):
     ])
     assert code == 0
     # one n x r demeaned build serves the Grams, F_q and efficient GMM; the
-    # other is the order-3 nuisance basis. The order-2 basis is (1, z),
-    # projected once for the nuisance step, F_q, TSLS and efficient GMM.
-    assert sorted(calls) == [(0, 3), (6, 2)]
+    # other holds the demeaned order-2 products of the order-3 nuisance
+    # basis. The order-2 basis is (1, z), projected once for the nuisance
+    # step, F_q, TSLS and efficient GMM. No build is of raw products.
+    assert sorted(calls) == [2, 3]
     assert sorted(widths) == [6, 16]
 
 
@@ -227,7 +227,7 @@ def test_replication_builds_demeaned_matrix_once(monkeypatch):
         methods=("magic", "tsls", "efficient_fixed_r"), workers=1,
     )
     assert summary.n_excluded == 0
-    assert [c for c in calls if c[0] == 0] == [(0, 2)] * 2
+    assert calls == [2] * 2  # W only: q = 2 nuisance reads the (1, z) fit
     assert widths == [5] * 2  # one (1, z) projection per replication
 
 

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -227,6 +230,42 @@ def test_pool_initializer_pins_a_worker_that_starts_with_more_threads():
     with _blas_threads(2):
         _pin_worker()
         assert set(_blas_counts()) == {1}
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_initializer_pins_workers_of_each_start_method(method):
+    # these workers do not fork from the pinned parent: each starts at the
+    # library default thread count and only the initializer pins it
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=get_context(method), initializer=_pin_worker
+    ) as pool:
+        assert set(pool.submit(_blas_counts).result()) == {1}
+
+
+_START_METHOD_RUN = """
+import json, multiprocessing, sys
+from magiciv import ScenarioConfig, run_monte_carlo
+from magiciv.simulate import summary_to_jsonable
+
+multiprocessing.set_start_method(sys.argv[1])
+cfg = ScenarioConfig(p=4, n=200, c=8.0, seed=9)
+for workers in (1, 2):
+    summary = run_monte_carlo(cfg, reps=8, methods=("magic", "tsls"), workers=workers)
+    print(json.dumps(summary_to_jsonable(summary), sort_keys=True))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_run_monte_carlo_worker_counts_agree_under_each_start_method(method):
+    # the start method is process-wide, so a fresh interpreter sets it
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_METHOD_RUN, method],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    one_worker, two_workers = proc.stdout.splitlines()
+    assert one_worker == two_workers
 
 
 def test_run_monte_carlo_argument_guards():
