@@ -12,8 +12,9 @@ their own tuning stacks and are available in their authors' packages.
 TSLS and the efficient-GMM direct-effect regression share one linear first
 stage, the residuals of y and d on (1, z); it is the same projection as the
 order-2 nuisance step of the main estimator. Efficient GMM's weighting
-matrix is a Gram of the cached interaction matrix with residual row
-weights, accumulated in row chunks like the main estimator's moments.
+matrix is a Gram of the demeaned interactions with residual row weights,
+accumulated in row chunks like the main estimator's moments; its two
+moment vectors are summed over the same chunks.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import numpy as np
 from .cue import _ridge_factor
 from .data import Dataset
 from .errors import NumericalError
+from . import interactions
 from .interactions import InteractionPlan
 from .nuisance import (
     _cho_solve,
     _first_stage,
     _gram,
-    _interactions,
     _one_blas_thread,
     estimate_means,
 )
@@ -93,10 +94,16 @@ def efficient_fixed_r(
         beta_init = tsls(ds).beta_hat
     n = ds.n
     r_y, r_d = _first_stage(ds)
-    w = _interactions(ds, plan, estimate_means(ds))
+    zc = ds.z - estimate_means(ds)
     resid0 = r_y - beta_init * r_d
-    om = _gram(n, [(w, resid0)]) / n
-    b_vec = w.T @ ds.d / n
+    om = _gram(n, [(slice(0, plan.r), resid0)], zc, plan) / n
+    # moment is affine in beta: E_n[w (resid0 + beta_init d)] - beta E_n[w d]
+    level = resid0 + beta_init * ds.d
+    a_sum, b_sum = np.zeros(plan.r), np.zeros(plan.r)
+    for rows, wt in interactions._product_blocks(zc, plan, plan.q):
+        a_sum += wt @ level[rows]
+        b_sum += wt @ ds.d[rows]
+    a_vec, b_vec = a_sum / n, b_sum / n
     m_vec = -b_vec
     if float(np.max(np.abs(m_vec))) == 0.0:
         raise NumericalError("relevance vector is identically zero")
@@ -108,8 +115,6 @@ def efficient_fixed_r(
     else:
         theta_opt = _cho_solve(_ridge_factor(om)[0], m_vec)
         bound_override = None
-    # moment is affine in beta: E_n[w (resid0 + beta_init d)] - beta E_n[w d]
-    a_vec = w.T @ (resid0 + beta_init * ds.d) / n
     denom = float(theta_opt @ b_vec)
     if denom == 0.0:
         raise NumericalError("weighted moment has zero slope in beta")

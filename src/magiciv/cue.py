@@ -27,6 +27,7 @@ the full grid, to the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -157,11 +158,14 @@ def _chisq_pdf(x: float, df: int) -> float:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def chisq_quantile(alpha: float, df: int) -> float:
     """The (1 - alpha) quantile of the chi-square distribution with df dof.
 
     Finds the root of CDF(x) = 1 - alpha by monotone bracketing followed by
     Newton steps safeguarded with bisection, to 1e-10 relative accuracy.
+    Memoized: every replication asks for the same few quantiles, and the
+    root search costs a fifth of a millisecond.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1) (got {alpha})")

@@ -31,8 +31,8 @@ class Dataset:
     non-constant instruments) are reported by :func:`validate` so that
     questionable data can still be inspected rather than refused outright;
     the estimators refuse a non-finite cell with :class:`DataError`.
-    The estimators memoize derived read-only arrays on the instance (see
-    ``nuisance._interactions`` and ``nuisance._linear_projection``); the
+    The estimators memoize one derived result on the instance, the
+    read-only (1, z) projection of ``nuisance._linear_projection``; the
     data arrays never change.
     """
 
@@ -40,7 +40,6 @@ class Dataset:
     d: np.ndarray
     z: np.ndarray
     instrument_names: Optional[tuple[str, ...]] = None
-    _interactions: dict = field(default_factory=dict, init=False, repr=False)
     _first_stage: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:

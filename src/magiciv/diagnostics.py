@@ -8,9 +8,10 @@ descriptive measure of identification strength, not a formal pre-test, so
 no small-sample or degrees-of-freedom correction is applied. The partialling
 step is the linear first stage that TSLS and the order-2 nuisance step share.
 
-The regression is solved from its normal equations, whose Grams the
-row-chunked kernel accumulates from the cached interaction matrix, so no
-n x (r + 1) design is formed; see :func:`f_stat`.
+The regression is solved from its normal equations, whose Grams are
+accumulated in row chunks, each chunk of the demeaned interactions built
+from the centered instruments just before it is used, so no n x (r + 1)
+design is formed; see :func:`f_stat`.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .data import Dataset
 from .errors import NumericalError
-from .interactions import InteractionPlan
+from . import interactions
+from .interactions import ROW_BLOCK, InteractionPlan
 from .nuisance import (
     _cho_solve,
     _cholesky,
     _exposure_explained,
     _first_stage,
     _gram,
-    _interactions,
+    _mirror,
     _one_blas_thread,
+    _syrk_add,
     estimate_means,
 )
 
@@ -61,12 +64,12 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     sandwich Wald statistic for the r interaction coefficients, divided by r.
 
     Step (2) solves the normal equations: the kernel
-    :func:`magiciv.nuisance._gram` accumulates X'X and X'd from W in row
-    chunks, and one Cholesky factor of X'X, with its columns scaled to unit
+    :func:`magiciv.nuisance._gram` accumulates X'X and X'd in row chunks of
+    W, and one Cholesky factor of X'X, with its columns scaled to unit
     diagonal, gives the coefficients and the sandwich's bread. A second
-    pass accumulates the meat X' diag(e^2) X. The statistic does not depend
-    on the column scaling. A rank-deficient or badly conditioned X'X raises
-    :class:`NumericalError`.
+    pass over the chunks forms the residual e and accumulates the meat
+    X' diag(e^2) X. The statistic does not depend on the column scaling. A
+    rank-deficient or badly conditioned X'X raises :class:`NumericalError`.
     """
     n, r = ds.n, plan.r
     if n <= r + 1:
@@ -75,9 +78,9 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     if _exposure_explained(d_bar, ds.d):  # exposure exactly linear in z
         return FStatReport(f_value=0.0, num_restrictions=r, n_effective=n)
 
-    w = _interactions(ds, plan, estimate_means(ds))
+    zc = ds.z - estimate_means(ds)
     m = r + 1
-    gram = _gram(n, [(None, None), (w, None), (d_bar[:, None], None)])
+    gram = _gram(n, [(None, None), (slice(0, r), None), (d_bar[:, None], None)], zc, plan)
     diag = np.diag(gram)[:m]
     if not np.all(diag > 0.0):
         raise NumericalError(
@@ -98,8 +101,19 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
             f"estimate of X'X {rcond:.3e} < {_MIN_RCOND:.0e}"
         )
     coef = _cho_solve(factor, gram[:m, m] * s)  # coefficients on the scaled columns
-    resid = d_bar - s[0] * coef[0] - w @ (s[1:] * coef[1:])
-    meat = _gram(n, [(None, resid), (w, resid)]) * s[:, None] * s
+    # the meat is the Gram of [e | W e], e = d_bar - X coef, chunk by chunk
+    intercept, slopes = s[0] * coef[0], s[1:] * coef[1:]
+    meat = np.zeros((m, m), order="F")
+    buf = np.empty((min(n, ROW_BLOCK), m))
+    for rows, wt in interactions._product_blocks(zc, plan, plan.q):
+        chunk = buf[: rows.stop - rows.start]
+        w = chunk[:, 1:]
+        w[...] = wt.T  # C-ordered rows: W @ slopes rounds as on the dense W
+        resid = d_bar[rows] - intercept - w @ slopes
+        chunk[:, 0] = resid
+        w *= resid[:, None]
+        meat = _syrk_add(meat, chunk)
+    meat = _mirror(meat) * s[:, None] * s
     bread = _cho_solve(factor, np.eye(m))
     vcov = bread @ meat @ bread
     gamma = coef[1:]

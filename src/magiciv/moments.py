@@ -18,9 +18,10 @@ which is what the overidentification statistic is defined with.
 
 The rows a_i and b_i are never stored. All five aggregates are blocks of
 one Gram matrix, that of [1 | a | b], which the row-chunked kernel
-:func:`magiciv.nuisance._gram` accumulates from the cached demeaned
-interaction matrix and the per-order residuals: the ones column gives the
-means, and one syrk per chunk gives s0, E_n[a b'] and s2.
+:func:`magiciv.nuisance._gram` accumulates from the centered instruments
+and the per-order residuals, building each row chunk of the demeaned
+interaction matrix as it goes: the ones column gives the means, and one
+syrk per chunk gives s0, E_n[a b'] and s2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
-from .nuisance import NuisanceEstimate, _gram, _interactions, _one_blas_thread
+from .nuisance import NuisanceEstimate, _gram, _one_blas_thread
 
 __all__ = [
     "MomentComponents",
@@ -92,10 +93,11 @@ def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
 def build_components(
     ds: Dataset, nuis: NuisanceEstimate, plan: InteractionPlan
 ) -> MomentComponents:
-    """Moment aggregates from the cached interaction matrix and residuals.
+    """Moment aggregates from the demeaned interactions and residuals.
 
     Column block k of a (of b) is the order-k block of the demeaned
-    interaction matrix times the order-k outcome (exposure) residual.
+    interaction matrix, at the nuisance means, times the order-k outcome
+    (exposure) residual.
     """
     if nuis.mu_hat.shape != (plan.p,):
         raise ConfigError("nuisance means do not match the plan's p")
@@ -103,11 +105,11 @@ def build_components(
     for k in slices:
         if k - 1 not in nuis.r_y or k - 1 not in nuis.r_d:
             raise NumericalError(f"nuisance estimate has no residuals for order k={k}")
-    w = _interactions(ds, plan, nuis.mu_hat)
     blocks = [(None, None)]
-    blocks += [(w[:, cols], nuis.r_y[k - 1]) for k, cols in slices.items()]
-    blocks += [(w[:, cols], nuis.r_d[k - 1]) for k, cols in slices.items()]
-    return _from_gram(_gram(ds.n, blocks), ds.n, plan.r)
+    blocks += [(cols, nuis.r_y[k - 1]) for k, cols in slices.items()]
+    blocks += [(cols, nuis.r_d[k - 1]) for k, cols in slices.items()]
+    gram = _gram(ds.n, blocks, ds.z - nuis.mu_hat, plan)
+    return _from_gram(gram, ds.n, plan.r)
 
 
 def gbar(mc: MomentComponents, beta: float) -> np.ndarray:

@@ -6,10 +6,11 @@ per-order residuals feed the moment construction. Only the span of that
 basis matters. The order-2 basis is (1, z); for k >= 3 it is
 (1, z - mu_hat, demeaned products of orders 2..k-1), the same span as the
 raw products, with conditioning that does not degrade as z moves away from
-0. Its product columns are built by the same code as the demeaned
-interaction matrix W, so they equal W's leading columns bit for bit. Each
-order is projected independently; the q-1 regressions are not
-incrementally updated, which keeps them individually auditable.
+0. Its product columns are written straight into the design by the same
+kernel that builds the demeaned interaction matrix W, so they equal W's
+leading columns bit for bit. Each order is projected independently; the
+q-1 regressions are not incrementally updated, which keeps them
+individually auditable.
 
 The order-2 projection is also the linear first stage that TSLS, the
 interaction-strength diagnostic and the efficient-GMM baseline partial out;
@@ -20,11 +21,14 @@ instruments. Every least-squares solve in the package goes through
 :func:`_lstsq`, and every projection refuses a NaN or inf cell. The (1, z)
 projection is made once per dataset and memoized on it, by
 :func:`_linear_projection`.
-The moment components, the diagnostic and efficient GMM read one demeaned
-interaction matrix W per dataset and means, built by :func:`_interactions`,
-and form every n·r² product they need, a Gram of weighted W columns, with
-:func:`_gram`, which works through W in row chunks and so never makes an
-n x r array of its own.
+The moment components, the diagnostic and efficient GMM never hold the
+n x r demeaned interaction matrix W. They pass the centered instruments
+z - mu and the plan to :func:`_gram`, which forms every n·r² product they
+need, a Gram of weighted W columns, and builds each row chunk of W just
+before it fills its syrk buffer; a consumer that needs W rows for anything
+else loops over the same chunks. No n x r array is made: the
+widest n-row array of a fit is the top nuisance design, whose products
+stop at order q - 1.
 
 BLAS threads: every public function of the package that calls BLAS or
 LAPACK holds each loaded BLAS at one thread while it runs, through the
@@ -45,7 +49,7 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import linalg
@@ -54,7 +58,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from .data import Dataset, _require_finite
 from .errors import ConfigError, NumericalError
 from . import interactions
-from .interactions import InteractionPlan, demeaned_matrix
+from .interactions import ROW_BLOCK, InteractionPlan
 
 try:  # covers MKL and BLIS builds as well as OpenBLAS
     from threadpoolctl import ThreadpoolController
@@ -166,64 +170,66 @@ def estimate_means(ds: Dataset) -> np.ndarray:
     return ds.z.mean(axis=0)
 
 
-def _interactions(ds: Dataset, plan: InteractionPlan, mu: np.ndarray) -> np.ndarray:
-    """Read-only n x r demeaned interaction matrix of ``ds`` at means ``mu``.
-
-    Memoized on the dataset per (p, q, mu), so the moment components, the
-    interaction-strength diagnostic and efficient GMM share one build; other
-    means get their own entry.
-    """
-    mu = np.asarray(mu, dtype=float)
-    key = (plan.p, plan.q, mu.tobytes())
-    w = ds._interactions.get(key)
-    if w is None:
-        w = demeaned_matrix(ds.z, mu, plan)
-        w.setflags(write=False)
-        ds._interactions[key] = w
-    return w
-
-
-# Rows per chunk of the Gram kernel: enough for BLAS to run at full speed,
-# few enough that the chunk buffer stays a small fraction of W at large n.
-_GRAM_ROWS = 2048
-
 (_SYRK,) = get_blas_funcs(("syrk",), (np.empty(0),))
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 
+def _syrk_add(gram: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Add chunk' chunk into the upper triangle of the Fortran-ordered ``gram``."""
+    # chunk.T is Fortran-ordered, so BLAS reads the C-ordered chunk in place
+    return _SYRK(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)
+
+
+def _mirror(gram: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of ``gram`` into its lower one: exactly symmetric."""
+    upper = np.triu_indices(gram.shape[0], 1)
+    gram.T[upper] = gram[upper]
+    return gram
+
+
 def _gram(
-    n: int, blocks: Sequence[tuple[Optional[np.ndarray], Optional[np.ndarray]]]
+    n: int,
+    blocks: Sequence[tuple[Union[np.ndarray, slice, None], Optional[np.ndarray]]],
+    zc: Optional[np.ndarray] = None,
+    plan: Optional[InteractionPlan] = None,
 ) -> np.ndarray:
     """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``.
 
-    Each block is (x, v): an (n, m) matrix, or None for one column of ones,
-    scaled row by row by the n-vector v (None leaves it unscaled). X is
-    written ``_GRAM_ROWS`` rows at a time into one reused buffer, and each
-    chunk is added into the upper triangle by a BLAS syrk, so no n-row array
-    is made. A ones block puts the column sums of the others in its row.
+    Each block is (x, v), scaled row by row by the n-vector v (None leaves
+    it unscaled). x is an (n, m) matrix; None, for one column of ones; or a
+    slice with explicit bounds, for those columns of the demeaned
+    interaction matrix W at centered instruments ``zc`` under ``plan``,
+    whose rows the product kernel builds one chunk at a time. X is written
+    ``ROW_BLOCK`` rows at a time into one reused buffer, and each chunk is
+    added into the upper triangle by a BLAS syrk, so no n-row array is
+    made. A ones block puts the column sums of the others in its row.
     """
-    widths = [1 if x is None else x.shape[1] for x, _ in blocks]
+    widths = [
+        1 if x is None else x.stop - x.start if isinstance(x, slice) else x.shape[1]
+        for x, _ in blocks
+    ]
     m = sum(widths)
     gram = np.zeros((m, m), order="F")
-    buf = np.empty((min(n, _GRAM_ROWS), m))
-    for start in range(0, n, _GRAM_ROWS):
-        rows = slice(start, min(start + _GRAM_ROWS, n))
-        chunk = buf[: rows.stop - start]
+    buf = np.empty((min(n, ROW_BLOCK), m))
+    if zc is None:
+        starts = range(0, n, ROW_BLOCK)
+        chunks = ((slice(start, min(start + ROW_BLOCK, n)), None) for start in starts)
+    else:
+        chunks = interactions._product_blocks(zc, plan, plan.q)
+    for rows, wt in chunks:
+        chunk = buf[: rows.stop - rows.start]
         col = 0
         for (x, v), width in zip(blocks, widths):
             dst = chunk[:, col:col + width]
+            col += width
             if x is None:
                 dst[:, 0] = 1.0 if v is None else v[rows]
-            elif v is None:
-                dst[...] = x[rows]
-            else:
-                np.multiply(x[rows], v[rows, None], out=dst)
-            col += width
-        # chunk.T is Fortran-ordered, so BLAS reads the buffer in place
-        gram = _SYRK(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)
-    upper = np.triu_indices(m, 1)
-    gram.T[upper] = gram[upper]
-    return gram
+                continue
+            dst[...] = wt[x].T if isinstance(x, slice) else x[rows]
+            if v is not None:
+                dst *= v[rows, None]
+        gram = _syrk_add(gram, chunk)
+    return _mirror(gram)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -331,6 +337,11 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     mu = estimate_means(ds)
     zc = ds.z - mu if plan.q >= 3 else None  # q = 2 reads only the (1, z) fit
     for k in range(3, plan.q + 1):
-        design = np.column_stack([np.ones(ds.n), zc, interactions._products(zc, plan, k - 1)])
+        # the C-ordered [1 | z - mu | products of orders 2..k-1], filled in place
+        lead = 1 + ds.p
+        design = np.empty((ds.n, lead + plan.order_slices()[k - 1].stop))
+        design[:, 0] = 1.0
+        design[:, 1:lead] = zc
+        interactions._products(zc, plan, k - 1, design[:, lead:])
         theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
     return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)

@@ -9,7 +9,7 @@ from magiciv import (
     fit_nuisance,
     gen_dataset,
 )
-from magiciv.nuisance import _interactions
+from magiciv.interactions import demeaned_matrix
 
 
 def make_sim_dataset(
@@ -39,10 +39,11 @@ def component_rows(ds, plan, nuis):
     """Rows a_i and b_i of the moment split g_i(beta) = a_i - beta * b_i.
 
     ``MomentComponents`` keeps only their aggregates; checks that need the
-    rows rebuild them from the cached interaction matrix: order block k of
-    a (of b) is its block times the order-k outcome (exposure) residual.
+    rows rebuild them from the dense demeaned interaction matrix: order
+    block k of a (of b) is its block times the order-k outcome (exposure)
+    residual.
     """
-    w = _interactions(ds, plan, nuis.mu_hat)
+    w = demeaned_matrix(ds.z, nuis.mu_hat, plan)
     a = np.empty(w.shape)
     b = np.empty(w.shape)
     for k, cols in plan.order_slices().items():

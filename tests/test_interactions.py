@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from magiciv import ConfigError, build_plan
-from magiciv.interactions import demeaned_matrix, plan_to_jsonable
+from magiciv.interactions import ROW_BLOCK, demeaned_matrix, plan_to_jsonable
 from magiciv.oracle import _basis_matrix
 
 
@@ -148,3 +148,16 @@ def test_products_equal_left_to_right_loop(data):
             _basis_matrix(z, plan, k),
             [np.ones((n, 1))] + [_loop_block(z, plan, j) for j in range(1, k)],
         )
+
+
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+def test_products_across_row_blocks_equal_left_to_right_loop(n):
+    # the kernel builds ROW_BLOCK rows at a time; every block must land in
+    # its own rows, the last one short
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, 5))
+    mu = rng.standard_normal(5)
+    plan = build_plan(5, 4)
+    got = demeaned_matrix(z, mu, plan)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, np.column_stack([_loop_block(z - mu, plan, k) for k in range(2, 5)]))

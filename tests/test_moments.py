@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from magiciv import (
     build_components,
     build_plan,
     efficient_fixed_r,
+    estimate_cue,
     estimate_means,
     f_stat,
     fit_nuisance,
@@ -17,8 +19,10 @@ from magiciv import (
     omega,
     tsls,
 )
+from magiciv.cue import _ridge_factor
+from magiciv.interactions import ROW_BLOCK, demeaned_matrix
 from magiciv.moments import components_from_arrays
-from magiciv.nuisance import _GRAM_ROWS, _interactions
+from magiciv.nuisance import _blas_threads, _cho_solve, _cholesky, _first_stage, _gram
 from magiciv.simulate import _normals, _rep_rng
 
 from conftest import component_rows, make_binary_dataset, make_sim_dataset, pipeline_rows
@@ -147,7 +151,7 @@ def _assert_close_to_sum(got, want, abs_sum):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    n=st.sampled_from([1, _GRAM_ROWS - 1, _GRAM_ROWS, _GRAM_ROWS + 1, 2 * _GRAM_ROWS + 3]),
+    n=st.sampled_from([1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]),
     q=st.sampled_from([2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -180,19 +184,84 @@ def test_chunked_grams_match_dense_products(n, q, seed):
     assert np.array_equal(mc.s0, mc.s0.T) and np.array_equal(mc.s2, mc.s2.T)
 
 
+def _dense_f_stat(ds, plan):
+    """F_q by its formula from the dense W, through the same Gram kernel."""
+    n, r, m = ds.n, plan.r, plan.r + 1
+    _, d_bar = _first_stage(ds)
+    w = demeaned_matrix(ds.z, estimate_means(ds), plan)
+    gram = _gram(n, [(None, None), (w, None), (d_bar[:, None], None)])
+    s = 1.0 / np.sqrt(np.diag(gram)[:m])
+    factor = _cholesky(gram[:m, :m] * s[:, None] * s)
+    coef = _cho_solve(factor, gram[:m, m] * s)
+    resid = d_bar - s[0] * coef[0] - w @ (s[1:] * coef[1:])
+    meat = _gram(n, [(None, resid), (w, resid)]) * s[:, None] * s
+    bread = _cho_solve(factor, np.eye(m))
+    vcov = bread @ meat @ bread
+    gamma = coef[1:]
+    return float(gamma @ _cho_solve(_cholesky(vcov[1:, 1:]), gamma)) / r
+
+
+def _dense_efficient(ds, plan, beta_init):
+    """Efficient GMM's (beta_hat, bound) by their formulas from the dense W."""
+    n = ds.n
+    r_y, r_d = _first_stage(ds)
+    w = demeaned_matrix(ds.z, estimate_means(ds), plan)
+    resid0 = r_y - beta_init * r_d
+    theta = _cho_solve(_ridge_factor(_gram(n, [(w, resid0)]) / n)[0], -(w.T @ ds.d / n))
+    a_vec = w.T @ (resid0 + beta_init * ds.d) / n
+    b_vec = w.T @ ds.d / n
+    return float(theta @ a_vec) / float(theta @ b_vec), 1.0 / float(-b_vec @ theta) / n
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+def test_streamed_interactions_match_dense_formulas(n, q):
+    # the Grams build W chunk by chunk; on either side of a chunk boundary
+    # they must give the bits of the same formulas over the dense W
+    rng = np.random.default_rng(1000 * n + q)
+    p = 4
+    z = (rng.random((n, p)) < 0.5) + 0.1 * rng.random((n, p))
+    inter = demeaned_matrix(z, z.mean(axis=0), build_plan(p, 2))
+    d = inter @ np.full(inter.shape[1], 2.0) + z @ np.ones(p) + rng.standard_normal(n)
+    ds = Dataset(y=0.8 * d + z[:, 0] + rng.standard_normal(n), d=d, z=z)
+    plan = build_plan(p, q)
+    nuis = NuisanceEstimate(
+        mu_hat=rng.random(p),
+        theta={},
+        xi={},
+        r_y={k: rng.standard_normal(n) for k in range(1, q)},
+        r_d={k: rng.standard_normal(n) for k in range(1, q)},
+    )
+    mc = build_components(ds, nuis, plan)
+    dense = components_from_arrays(*component_rows(ds, plan, nuis))
+    for field in ("abar", "bbar", "s0", "s1", "s2", "c_ab"):
+        assert np.array_equal(getattr(mc, field), getattr(dense, field))
+    if n <= plan.r + 1:
+        return
+    with _blas_threads(1):  # the library pins its own calls the same way
+        want_f = _dense_f_stat(ds, plan)
+        beta_init = tsls(ds).beta_hat
+        want_beta, want_bound = _dense_efficient(ds, plan, beta_init)
+    assert f_stat(ds, plan).f_value == want_f
+    # efficient GMM sums W'd chunk by chunk: rounding may move, by little
+    eff = efficient_fixed_r(ds, plan, beta_init)
+    assert abs(eff.beta_hat - want_beta) <= 1e-14 * abs(want_beta)
+    assert abs(eff.extra["bound"] - want_bound) <= 1e-14 * abs(want_bound)
+
+
 def test_kernel_allocates_far_less_than_one_interaction_matrix():
-    # W is cached first; past it, the moment Grams, F_q and efficient GMM
-    # each work in row chunks and make no n x r array of their own
-    ds = make_sim_dataset(p=10, n=20_000, seed=19)
-    plan = build_plan(ds.p, 3)
+    # no step of a fit holds the n x r demeaned interaction matrix: the
+    # moment Grams, F_q and efficient GMM stream it in row chunks
+    ds = make_sim_dataset(p=12, n=20_000, seed=19)
+    plan = build_plan(ds.p, 3)  # r = 286
     nuis = fit_nuisance(ds, plan)
-    _interactions(ds, plan, estimate_means(ds))
     beta_init = tsls(ds).beta_hat
     one_matrix = ds.n * plan.r * 8
     for run in (
         lambda: build_components(ds, nuis, plan),
         lambda: f_stat(ds, plan),
         lambda: efficient_fixed_r(ds, plan, beta_init),
+        lambda: estimate_cue(Dataset(y=ds.y, d=ds.d, z=ds.z), q=3),  # nothing memoized
     ):
         tracemalloc.start()
         try:
@@ -200,4 +269,4 @@ def test_kernel_allocates_far_less_than_one_interaction_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * one_matrix
+        assert peak < one_matrix

@@ -23,13 +23,12 @@ from magiciv import (
 from magiciv import interactions, nuisance
 from magiciv.cli import main
 from magiciv.data import write_csv
-from magiciv.interactions import demeaned_matrix
+from magiciv.interactions import ROW_BLOCK
 from magiciv.nuisance import (
     NuisanceEstimate,
     _blas_controls,
     _blas_threads,
     _first_stage,
-    _interactions,
 )
 from magiciv.oracle import _basis_matrix
 
@@ -175,15 +174,16 @@ def test_design_wider_than_n_reports_requirement():
 
 
 def _count_builds(monkeypatch):
-    """Record the top order of every interaction-product build."""
+    """Record (top order, rows) of every block of interaction products built."""
     calls = []
-    build = interactions._products
+    build = interactions._product_blocks
 
     def counting(x, plan, top):
-        calls.append(top)
-        return build(x, plan, top)
+        for rows, prod in build(x, plan, top):
+            calls.append((top, rows.stop - rows.start))
+            yield rows, prod
 
-    monkeypatch.setattr(interactions, "_products", counting)
+    monkeypatch.setattr(interactions, "_product_blocks", counting)
     return calls
 
 
@@ -200,8 +200,8 @@ def _count_projections(monkeypatch):
     return widths
 
 
-def test_estimate_builds_demeaned_matrix_once(tmp_path, monkeypatch):
-    ds = make_sim_dataset(p=5, n=300, seed=21)
+def test_estimate_streams_interactions_in_chunks(tmp_path, monkeypatch):
+    ds = make_sim_dataset(p=5, n=ROW_BLOCK + 52, seed=21)
     path = tmp_path / "sim.csv"
     write_csv(ds, path)
     calls = _count_builds(monkeypatch)
@@ -211,15 +211,16 @@ def test_estimate_builds_demeaned_matrix_once(tmp_path, monkeypatch):
         "--q", "3", "--output", str(tmp_path / "est.json"),
     ])
     assert code == 0
-    # one n x r demeaned build serves the Grams, F_q and efficient GMM; the
-    # other holds the demeaned order-2 products of the order-3 nuisance
-    # basis. The order-2 basis is (1, z), projected once for the nuisance
+    # the order-3 nuisance design takes the order-2 products, and five
+    # passes stream W in two chunks each: the moment Grams, F_q's X'X and
+    # its residual and meat, and efficient GMM's Omega and its moment
+    # vectors. The order-2 basis is (1, z), projected once for the nuisance
     # step, F_q, TSLS and efficient GMM. No build is of raw products.
-    assert sorted(calls) == [2, 3]
+    assert sorted(calls) == [(2, 52), (2, ROW_BLOCK)] + [(3, 52)] * 5 + [(3, ROW_BLOCK)] * 5
     assert sorted(widths) == [6, 16]
 
 
-def test_replication_builds_demeaned_matrix_once(monkeypatch):
+def test_replication_streams_interactions_in_chunks(monkeypatch):
     calls = _count_builds(monkeypatch)
     widths = _count_projections(monkeypatch)
     summary = run_monte_carlo(
@@ -227,7 +228,9 @@ def test_replication_builds_demeaned_matrix_once(monkeypatch):
         methods=("magic", "tsls", "efficient_fixed_r"), workers=1,
     )
     assert summary.n_excluded == 0
-    assert calls == [2] * 2  # W only: q = 2 nuisance reads the (1, z) fit
+    # per replication: F_q twice, the moment Grams and efficient GMM twice;
+    # the q = 2 nuisance reads the (1, z) fit and builds no products
+    assert calls == [(2, 300)] * 10
     assert widths == [5] * 2  # one (1, z) projection per replication
 
 
@@ -245,17 +248,6 @@ def test_nuisance_refuses_a_plan_of_another_width():
     ds = make_sim_dataset(p=4, n=300, seed=24)
     with pytest.raises(ConfigError, match="row width 4 does not match plan built for p=5"):
         fit_nuisance(ds, build_plan(5, 2))
-
-
-def test_shared_matrix_is_read_only_and_reused():
-    ds = make_sim_dataset(seed=22)
-    plan = build_plan(ds.p, 2)
-    w = _interactions(ds, plan, estimate_means(ds))
-    assert not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[0, 0] = 1.0
-    assert _interactions(ds, plan, estimate_means(ds)) is w
-    assert np.array_equal(w, demeaned_matrix(ds.z, estimate_means(ds), plan))
 
 
 def _results(ds, plan, nuis):
@@ -281,7 +273,6 @@ def test_reused_dataset_matches_fresh_ones():
         assert not np.array_equal(
             component_rows(ds, plan, other)[0], component_rows(ds, plan, nuis)[0]
         )
-    assert len(ds._interactions) == 4  # (q, means) in {2, 3} x {sample, shifted}
 
 
 @pytest.mark.skipif(not _blas_controls(), reason="no BLAS with a settable thread count is loaded")
