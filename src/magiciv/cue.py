@@ -9,10 +9,11 @@ chi-square with r-1 degrees of freedom for the overidentification test.
 
 Minimization is global-then-local: a uniform grid over the parameter
 interval guards against the multiple local minima a ratio of quadratics can
-have, and golden-section search refines the bracketing interval around the
-grid minimum. Q has one evaluator, :func:`_eval_objective`, shared by the
-search, the derivatives and the variance; it factors Omega(beta) plus the
-base ridge, escalating by steps of trace(Omega)/r only when that fails.
+have, and Newton steps on the analytic gradient, safeguarded by bisection,
+find the root of Q' in the bracket around the grid minimum. Q has one
+evaluator, :func:`_eval_objective`, shared by the search, the derivatives
+and the variance; it factors Omega(beta) plus the base ridge, escalating by
+steps of trace(Omega)/r only when that fails.
 
 The grid is certified rather than evaluated in full. Q is the conjugate of
 a quadratic form, Q(beta) = max_v v'g(beta) - 0.5 v'(Omega(beta) + rho I)v
@@ -66,8 +67,6 @@ DEFAULT_TOL = 1e-9
 # Ridge multipliers applied to trace(Omega)/r, escalating by 10x, once the
 # weighting matrix with the base ridge alone fails to factor.
 _RIDGE_MULTIPLIERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Grid certificate: the stride of the first evaluated points, and the margin
 # a minorant must clear to skip a point. The absolute margin is a multiple of
@@ -230,7 +229,7 @@ def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
         return _factor(om, base_ridge), base_ridge
     except LinAlgError:
         pass
-    scale = max(float(np.trace(om)) / max(om.shape[0], 1), np.finfo(float).tiny)
+    scale = max(float(np.trace(om)) / max(om.shape[0], 1), float(np.finfo(float).tiny))
     for mult in _RIDGE_MULTIPLIERS:
         ridge = base_ridge + mult * scale
         try:
@@ -375,7 +374,7 @@ def minimize(
     tol: float = DEFAULT_TOL,
     ridge: float = 0.0,
 ) -> MinimizeResult:
-    """Certified global grid scan plus golden-section refinement of the CUE objective.
+    """Certified global grid scan plus a safeguarded Newton search of the CUE objective.
 
     The grid stage finds the minimum over all ``grid_points`` points but
     evaluates Q only where it must: every 16th point first, then each point
@@ -384,13 +383,18 @@ def minimize(
     engages. The grid minimum is the full grid's to the bit. Grid ties
     break toward the smallest beta; the boundary flag marks a minimizer
     within tol of either bound (an identification warning, not an error).
-    After the interval shrinks below tol, a few safeguarded Newton
-    steps on the analytic gradient polish the point: near a flat minimum,
-    function-value comparisons drown in rounding while the gradient root
-    stays sharply determined. If some beta drives every moment to exactly
-    zero (only possible when the stacked means are proportional), that root
-    is evaluated as an extra candidate, since no grid can be relied on to
-    contain it.
+
+    From the grid minimum, Newton steps on the analytic gradient seek the
+    root of Q' inside the bracket of the two neighbouring grid points: the
+    sign of each Q' shrinks the bracket, and a step that would leave it
+    bisects instead. The search stops at a Newton step below 1e-13 relative,
+    at Q' = 0, or once a bisected bracket is within tol. Near a flat minimum
+    function values drown in rounding while the gradient root stays sharply
+    determined, so the last iterate is kept unless some evaluated point lies
+    below it by more than 1e-9 relative. If some beta drives every moment to
+    exactly zero (only possible when the stacked means are proportional),
+    that root is evaluated as an extra candidate, since no grid can be
+    relied on to contain it.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not lo < hi:
@@ -404,68 +408,49 @@ def minimize(
 
     grid = np.linspace(lo, hi, grid_points)
     values, _, any_ridge = _scan_grid(mc, grid, ridge)
-
-    def f(beta: float) -> float:
-        nonlocal any_ridge
-        value, _, _, used = _eval_objective(mc, beta, ridge)
-        if used > 0.0:
-            any_ridge = True
-        return value
-
     if not np.any(np.isfinite(values)):
         raise NumericalError("objective is non-finite at every grid point")
     i_min = int(np.argmin(values))  # first occurrence: smallest beta wins ties
-
-    bracket_lo = float(grid[max(i_min - 1, 0)])
-    bracket_hi = float(grid[min(i_min + 1, grid_points - 1)])
-    best_beta = float(grid[i_min])
+    a = float(grid[max(i_min - 1, 0)])
+    b = float(grid[min(i_min + 1, grid_points - 1)])
+    best_beta = beta = float(grid[i_min])
     best_val = float(values[i_min])
 
-    a, b = bracket_lo, bracket_hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+    # Newton on Q' safeguarded by bisection, confined to the grid bracket; the
+    # bound is loose: bisection alone takes the default interval to tol in 35
+    for _ in range(100):
+        val, dq, d2q, used, _, _ = _derivatives(mc, beta, ridge)
+        any_ridge |= used > 0.0
+        if val < best_val or (val == best_val and beta < best_beta):
+            best_beta, best_val = beta, val
+        if dq == 0.0 or not math.isfinite(dq):
+            break
+        if dq > 0.0:
+            b = beta
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    for cand, val in ((x1, f1), (x2, f2)):
-        if val < best_val or (val == best_val and cand < best_beta):
-            best_beta, best_val = cand, val
-
-    # Newton polish, confined to the grid bracket (same basin).
-    beta_p = best_beta
-    polished = False
-    for _ in range(30):
-        _, dq, d2q, used = objective_derivatives(mc, beta_p, ridge)
-        if used > 0.0:
-            any_ridge = True
-        if not (d2q > 0.0 and math.isfinite(dq)):
+            a = beta
+        step = dq / d2q if d2q > 0.0 else math.inf
+        if abs(step) <= 1e-13 * max(1.0, abs(beta)):
             break
-        cand = beta_p - dq / d2q
-        if not (bracket_lo < cand < bracket_hi):
+        if a < beta - step < b:
+            beta -= step
+        elif b - a <= tol:
             break
-        done = abs(cand - beta_p) <= 1e-13 * max(1.0, abs(cand))
-        beta_p = cand
-        if done:
-            polished = True
-            break
-    if polished:
-        val_p = f(beta_p)
-        if val_p <= best_val + 1e-9 * max(1.0, abs(best_val)):
-            best_beta, best_val = beta_p, min(val_p, best_val)
+        else:
+            beta = 0.5 * (a + b)
+    else:  # no exit was reached, and beta is unevaluated: keep the best
+        val = math.inf
+    # the gradient root outranks a lower Q that differs only by rounding
+    if val <= best_val + 1e-9 * max(1.0, abs(best_val)):
+        best_beta, best_val = beta, val
 
     # exact-root candidate: gbar(beta0) == 0 makes the objective exactly 0
     denom = float(mc.bbar @ mc.bbar)
     if denom > 0.0:
         beta0 = float(mc.abar @ mc.bbar) / denom
         if lo <= beta0 <= hi and not gbar(mc, beta0).any():
-            val0 = f(beta0)
+            val0, _, _, used = _eval_objective(mc, beta0, ridge)
+            any_ridge |= used > 0.0
             if val0 < best_val or (val0 == best_val and beta0 < best_beta):
                 best_beta, best_val = beta0, val0
 

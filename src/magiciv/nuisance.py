@@ -182,8 +182,8 @@ def _syrk_add(gram: np.ndarray, chunk: np.ndarray) -> np.ndarray:
 
 def _mirror(gram: np.ndarray) -> np.ndarray:
     """Copy the upper triangle of ``gram`` into its lower one: exactly symmetric."""
-    upper = np.triu_indices(gram.shape[0], 1)
-    gram.T[upper] = gram[upper]
+    for j in range(gram.shape[0] - 1):
+        gram[j + 1:, j] = gram[j, j + 1:]
     return gram
 
 

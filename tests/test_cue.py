@@ -238,6 +238,17 @@ def test_minimize_result_is_grid_optimal():
         assert fit.q_min <= value + 1e-12
 
 
+def test_search_stops_at_a_gradient_root():
+    # a golden section followed by a Newton polish that cycled at rounding
+    # level stopped here 7.7e-7 from the root of Q'
+    ds, _ = gen_dataset(ScenarioConfig(p=10, q=2, n=5000, c=0.5, seed=3), 13)
+    mc = _pipeline_components(ds)
+    fit = minimize(mc, ridge=1e-3)
+    _, dq, d2q, _ = objective_derivatives(mc, fit.beta_hat, 1e-3)
+    assert not fit.boundary_flag and d2q > 0.0
+    assert abs(dq / d2q) <= 1e-12 * max(1.0, abs(fit.beta_hat))
+
+
 def test_minimize_argument_guards():
     ds = make_sim_dataset(p=2, n=120, seed=27)
     mc = _pipeline_components(ds)
@@ -556,10 +567,16 @@ def test_explicit_base_ridge_is_recorded_and_benign():
 )
 def test_cue_objective_is_bounded(p, q, n, c, scenario, seed):
     # with the uncentered weighting 2Q(beta) is the uncentered R^2 of
-    # regressing 1 on g_i(beta), so 0 <= 2 q_min <= 1 and 0 <= J <= n
+    # regressing 1 on g_i(beta), so 0 <= 2 q_min <= 1 and 0 <= J <= n; an
+    # interior minimizer is a root of Q' with positive curvature
     ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, c=c, scenario=scenario, seed=seed), 0)
-    fit = minimize(_pipeline_components(ds, q))
+    mc = _pipeline_components(ds, q)
+    fit = minimize(mc)
     assert 0.0 <= 2.0 * fit.q_min <= 1.0
+    if not fit.boundary_flag:
+        _, dq, d2q, _ = objective_derivatives(mc, fit.beta_hat)
+        assert d2q > 0.0
+        assert abs(dq / d2q) <= cue.DEFAULT_TOL * max(1.0, abs(fit.beta_hat))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -334,3 +334,19 @@ def test_threadpoolctl_libraries_are_pinned_and_restored(monkeypatch):
             assert [lib.threads for lib in libs] == [1, 1]
             raise RuntimeError
     assert [lib.threads for lib in libs] == [4, 1]
+
+
+def test_unrecognised_blas_stays_unpinned(monkeypatch):
+    # neither threadpoolctl nor the OpenBLAS scan finds a library to control
+    ds = make_sim_dataset(p=4, n=400, seed=41)
+    pinned = estimate_cue(ds)
+    real = _blas_controls()
+    with _blas_threads(2):
+        monkeypatch.setattr(nuisance, "ThreadpoolController", None)
+        monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+        monkeypatch.setattr(nuisance, "_scan_openblas", lambda: [])
+        with _blas_threads(1):
+            assert nuisance._BLAS_CONTROLS == []
+            assert [get() for get, _ in real] == [2] * len(real)
+        assert [get() for get, _ in real] == [2] * len(real)
+        assert estimate_cue(ds) == pinned
