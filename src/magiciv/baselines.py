@@ -27,11 +27,12 @@ import numpy as np
 
 from .cue import _ridge_factor
 from .data import Dataset
-from .errors import NumericalError
+from .errors import IdentificationError, NumericalError
 from . import interactions
 from .interactions import InteractionPlan
 from .nuisance import (
     _cho_solve,
+    _exposure_explained,
     _first_stage,
     _gram,
     _one_blas_thread,
@@ -52,11 +53,20 @@ class BaselineResult:
 @_one_blas_thread
 def tsls(ds: Dataset) -> BaselineResult:
     """Two-stage least squares of y on d instrumented by all of z, with
-    intercept and heteroskedasticity-robust (HC0) standard error."""
+    intercept and heteroskedasticity-robust (HC0) standard error.
+
+    A fitted exposure d - r_d that does not vary beyond rounding, by the
+    rule max(d - r_d) - min(d - r_d) <= 1e-12 * max(max|d|, 1), leaves the
+    projected design singular and raises :class:`NumericalError`; an
+    exposure linear in z still fits (TSLS is then OLS).
+    """
     n = ds.n
     _, r_d = _first_stage(ds)
+    d_hat = ds.d - r_d
+    if float(np.ptp(d_hat)) <= 1e-12 * max(float(np.max(np.abs(ds.d))), 1.0):
+        raise NumericalError("projected design is singular (no exposure variation)")
     x = np.column_stack([np.ones(n), ds.d])
-    x_hat = np.column_stack([np.ones(n), ds.d - r_d])
+    x_hat = np.column_stack([np.ones(n), d_hat])
     xtx = x_hat.T @ x_hat
     try:
         coef = np.linalg.solve(xtx, x_hat.T @ ds.y)
@@ -89,11 +99,21 @@ def efficient_fixed_r(
     efficiency only, not consistency, because the interaction moments hold
     for any instrument direct effects. ``extra`` carries the fixed-dimension
     variance bound estimate (M' Omega^{-1} M)^{-1} / n.
+
+    An exposure that the (1, z) first stage explains, by the rule
+    :func:`magiciv.diagnostics.f_stat` uses to report ``F_q = 0``, raises
+    :class:`IdentificationError` before any first step is taken: the
+    interaction moments then carry no exposure signal.
     """
+    r_y, r_d = _first_stage(ds)
+    if _exposure_explained(r_d, ds.d):
+        raise IdentificationError(
+            "exposure is exactly explained by the linear first stage (1, z): "
+            "no interaction carries exposure signal"
+        )
     if beta_init is None:
         beta_init = tsls(ds).beta_hat
     n = ds.n
-    r_y, r_d = _first_stage(ds)
     zc = ds.z - estimate_means(ds)
     resid0 = r_y - beta_init * r_d
     om = _gram(n, [(slice(0, plan.r), resid0)], zc, plan) / n
@@ -107,19 +127,15 @@ def efficient_fixed_r(
     m_vec = -b_vec
     if float(np.max(np.abs(m_vec))) == 0.0:
         raise NumericalError("relevance vector is identically zero")
-    if not om.any():
-        # every residual moment vanished at beta_init (noiseless exact fit):
-        # the weighting is immaterial and the bound degenerates to zero
-        theta_opt = m_vec.copy()
-        bound_override = 0.0
-    else:
-        theta_opt = _cho_solve(_ridge_factor(om)[0], m_vec)
-        bound_override = None
+    # every residual moment vanished at beta_init (noiseless exact fit): the
+    # weighting is immaterial and the bound degenerates to zero
+    noisy = om.any()
+    theta_opt = _cho_solve(_ridge_factor(om)[0], m_vec) if noisy else m_vec
     denom = float(theta_opt @ b_vec)
     if denom == 0.0:
         raise NumericalError("weighted moment has zero slope in beta")
     beta_hat = float(theta_opt @ a_vec) / denom
-    bound = bound_override if bound_override is not None else 1.0 / float(m_vec @ theta_opt) / n
+    bound = 1.0 / float(m_vec @ theta_opt) / n if noisy else 0.0
     return BaselineResult(
         method="efficient_fixed_r",
         beta_hat=beta_hat,

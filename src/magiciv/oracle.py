@@ -4,7 +4,10 @@ For p <= 12 every instrument configuration can be enumerated, which turns
 population expectations into finite weighted sums: conditional means of the
 outcome and exposure are polynomials in z, configuration probabilities are
 products of Bernoulli weights, and identification or orthogonality claims
-can be verified to machine precision instead of by sampling.
+can be verified to machine precision instead of by sampling. Orthogonality
+is checked by central differences of each order's exact moment map in its
+stacked nuisance: the instrument means, then the projection coefficients of
+Y and D on the order-(k-1) raw-product basis.
 
 The generating process mirrors the simulator (linear effects plus pairwise
 exposure interactions, optional pairwise outcome interactions violating the
@@ -17,8 +20,8 @@ flip) so the consequences of dependent instruments can be demonstrated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Mapping, Sequence
+from itertools import islice, product
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,15 +79,13 @@ class PopulationDgp:
                 raise ConfigError(f"{name} must have length p={self.p}")
         if np.any((mu <= 0.0) | (mu >= 1.0)):
             raise ConfigError("instrument means must lie strictly in (0, 1)")
-        for key in self.alpha:
-            if len(key) != 2 or not 0 <= key[0] < key[1] < self.p:
-                raise ConfigError(f"bad alpha key {key}: need 0 <= j < k < p")
+        for name, keys in (("alpha", self.alpha), ("phi", self.phi)):
+            for key in keys:
+                if len(key) != 2 or not 0 <= key[0] < key[1] < self.p:
+                    raise ConfigError(f"bad {name} key {key}: need 0 <= j < k < p")
         for key in self.alpha3:
             if len(key) != 3 or not 0 <= key[0] < key[1] < key[2] < self.p:
                 raise ConfigError(f"bad alpha3 key {key}: need 0 <= i < j < k < p")
-        for key in self.phi:
-            if len(key) != 2 or not 0 <= key[0] < key[1] < self.p:
-                raise ConfigError(f"bad phi key {key}: need 0 <= j < k < p")
         for child, (parent, flip) in self.dependent.items():
             if not 0 <= child < self.p or not 0 <= parent < self.p or child == parent:
                 raise ConfigError(f"bad dependence {child} -> {parent}")
@@ -108,30 +109,25 @@ class PopulationDgp:
 def _lattice(dgp: PopulationDgp) -> tuple[np.ndarray, np.ndarray]:
     """All instrument configurations with their probabilities.
 
-    Free instruments contribute a Bernoulli(mu_j) bit each; each dependent
-    child contributes a flip bit. Probabilities sum to 1 exactly up to
-    float rounding.
+    Free instruments contribute a Bernoulli(mu_j) bit each, then each
+    dependent child a flip bit; row i holds the bits of i in binary, first
+    bit most significant. Each probability is the product of its bits'
+    weights, multiplied in that order. Probabilities sum to 1 up to float
+    rounding.
     """
     children = sorted(dgp.dependent)
     free = [j for j in range(dgp.p) if j not in dgp.dependent]
-    m = len(free) + len(children)
-    rows = np.empty((2**m, dgp.p))
-    probs = np.empty(2**m)
-    for idx, bits in enumerate(product((0, 1), repeat=m)):
-        z = np.zeros(dgp.p)
-        prob = 1.0
-        for pos, j in enumerate(free):
-            b = bits[pos]
-            z[j] = float(b)
-            prob *= dgp.mu[j] if b else 1.0 - dgp.mu[j]
-        for pos, child in enumerate(children):
-            parent, flip_prob = dgp.dependent[child]
-            flip = bits[len(free) + pos]
-            z[child] = float(int(z[parent]) ^ flip)
-            prob *= flip_prob if flip else 1.0 - flip_prob
-        rows[idx] = z
-        probs[idx] = prob
-    return rows, probs
+    bits = np.array(list(product((0, 1), repeat=len(free) + len(children))), dtype=bool)
+    z = np.zeros((bits.shape[0], dgp.p))
+    probs = np.ones(bits.shape[0])
+    for pos, j in enumerate(free):
+        z[:, j] = bits[:, pos]
+        probs *= np.where(bits[:, pos], dgp.mu[j], 1.0 - dgp.mu[j])
+    for pos, child in enumerate(children, start=len(free)):
+        parent, flip_prob = dgp.dependent[child]
+        z[:, child] = (z[:, parent] == 1.0) ^ bits[:, pos]
+        probs *= np.where(bits[:, pos], flip_prob, 1.0 - flip_prob)
+    return z, probs
 
 
 def _conditional_means(dgp: PopulationDgp, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +136,7 @@ def _conditional_means(dgp: PopulationDgp, z: np.ndarray) -> tuple[np.ndarray, n
     for (j, k), coef in dgp.alpha.items():
         ed = ed + coef * z[:, j] * z[:, k]
     if dgp.alpha3:
-        means = dgp.instrument_means()
-        zc = z - means
+        zc = z - dgp.instrument_means()
         for (i, j, k), coef in dgp.alpha3.items():
             ed = ed + coef * zc[:, i] * zc[:, j] * zc[:, k]
     ey = dgp.beta_true * ed + z @ dgp.pi
@@ -173,14 +168,13 @@ def population_relevance(dgp: PopulationDgp, q: int) -> np.ndarray:
 def population_beta(dgp: PopulationDgp, q: int) -> float:
     """Unique root of the relevance-projected scalar moment (affine in beta)."""
     w, probs, ey, ed = _on_lattice(dgp, q)
-    slope = w.T @ (probs * ed)  # moment(beta) = m0 - beta * slope
-    m_vec = -slope  # the relevance vector
-    if float(np.max(np.abs(m_vec))) < 1e-12:
+    slope = w.T @ (probs * ed)  # moment(beta) = m0 - beta * slope; -slope is the relevance
+    if float(np.max(np.abs(slope))) < 1e-12:
         raise IdentificationError(
             "no interaction is associated with the exposure (relevance vector is 0)"
         )
     m0 = w.T @ (probs * ey)  # moment at beta = 0
-    return float(m_vec @ m0) / float(m_vec @ slope)
+    return float(slope @ m0) / float(slope @ slope)
 
 
 def _basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
@@ -196,45 +190,37 @@ def _basis_matrix(z: np.ndarray, plan: InteractionPlan, k: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _population_projections(
-    plan: InteractionPlan,
-    z: np.ndarray,
-    probs: np.ndarray,
-    ey: np.ndarray,
-    ed: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Population least-squares coefficients of Y and D on the order-(k-1) basis."""
-    wk = _basis_matrix(z, plan, k)
+def _order_moments(dgp: PopulationDgp, q: int) -> Iterator[tuple[np.ndarray, Callable]]:
+    """Yield, for k = 2..q, the true nuisance of order k and its moment map.
+
+    The nuisance nu = (mu, theta_{k-1}, xi_{k-1}) stacks the instrument
+    means and the population least-squares coefficients of Y and D on the
+    order-(k-1) raw-product basis; the map (beta, nu) -> E[g_k] evaluates
+    the order-k moment exactly at any nuisance point. The lattice, the
+    conditional means and each order's projections are computed once.
+    """
+    plan = build_plan(dgp.p, q)
+    z, probs = _lattice(dgp)
+    ey, ed = _conditional_means(dgp, z)
     sw = np.sqrt(probs)
-    coef, _, rank, _ = np.linalg.lstsq(
-        sw[:, None] * wk, sw[:, None] * np.column_stack([ey, ed]), rcond=None
-    )
-    if rank < wk.shape[1]:
-        raise NumericalError(
-            f"singular population design for the order-{k - 1} projection "
-            f"(rank {rank} < {wk.shape[1]})"
-        )
-    return wk, coef[:, 0], coef[:, 1]
+    targets = sw[:, None] * np.column_stack([ey, ed])
+    p = dgp.p
+    for k in range(2, q + 1):
+        wk = _basis_matrix(z, plan, k)
+        coef, _, rank, _ = np.linalg.lstsq(sw[:, None] * wk, targets, rcond=None)
+        if rank < wk.shape[1]:
+            raise NumericalError(
+                f"singular population design for the order-{k - 1} projection "
+                f"(rank {rank} < {wk.shape[1]})"
+            )
+        cols, mid = plan.order_slices()[k], p + wk.shape[1]
 
+        def moment(beta: float, nu: np.ndarray, wk=wk, cols=cols, mid=mid) -> np.ndarray:
+            w = demeaned_matrix(z, nu[:p], plan)[:, cols]
+            resid = (ey - wk @ nu[p:mid]) - beta * (ed - wk @ nu[mid:])
+            return w.T @ (probs * resid)
 
-def _expected_gk(
-    plan: InteractionPlan,
-    z: np.ndarray,
-    probs: np.ndarray,
-    ey: np.ndarray,
-    ed: np.ndarray,
-    wk: np.ndarray,
-    k: int,
-    beta: float,
-    mu_vec: np.ndarray,
-    theta_k: np.ndarray,
-    xi_k: np.ndarray,
-) -> np.ndarray:
-    """E[g_k] at an arbitrary nuisance point (mu, theta_{k-1}, xi_{k-1})."""
-    w = demeaned_matrix(z, mu_vec, plan)[:, plan.order_slices()[k]]
-    resid = (ey - wk @ theta_k) - beta * (ed - wk @ xi_k)
-    return w.T @ (probs * resid)
+        yield np.concatenate([dgp.instrument_means(), coef[:, 0], coef[:, 1]]), moment
 
 
 @dataclass(frozen=True)
@@ -260,42 +246,19 @@ def orthogonality_check(
     """
     if step <= 0.0:
         raise ConfigError("step must be positive")
-    plan = build_plan(dgp.p, q)
-    z, probs = _lattice(dgp)
-    mu_star = dgp.instrument_means()
-    ey, ed = _conditional_means(dgp, z)
-    worst = 0.0
     by_order: dict[int, float] = {}
-    for k in range(2, q + 1):
-        wk, theta_k, xi_k = _population_projections(plan, z, probs, ey, ed, k)
+    for k, (nu, moment) in enumerate(_order_moments(dgp, q), start=2):
         order_worst = 0.0
-
-        def gk(beta: float, mu_vec: np.ndarray, th: np.ndarray, xi_: np.ndarray) -> np.ndarray:
-            return _expected_gk(plan, z, probs, ey, ed, wk, k, beta, mu_vec, th, xi_)
-
         for beta in beta_grid:
-            for j in range(dgp.p):
-                mu_plus, mu_minus = mu_star.copy(), mu_star.copy()
-                mu_plus[j] += step
-                mu_minus[j] -= step
-                diff = gk(beta, mu_plus, theta_k, xi_k) - gk(beta, mu_minus, theta_k, xi_k)
+            for j in range(nu.size):
+                plus, minus = nu.copy(), nu.copy()
+                plus[j] += step
+                minus[j] -= step
+                diff = moment(beta, plus) - moment(beta, minus)
                 order_worst = max(order_worst, float(np.max(np.abs(diff))) / (2.0 * step))
-            for vec, other, is_theta in ((theta_k, xi_k, True), (xi_k, theta_k, False)):
-                for j in range(vec.shape[0]):
-                    plus, minus = vec.copy(), vec.copy()
-                    plus[j] += step
-                    minus[j] -= step
-                    if is_theta:
-                        diff = gk(beta, mu_star, plus, xi_k) - gk(beta, mu_star, minus, xi_k)
-                    else:
-                        diff = gk(beta, mu_star, theta_k, plus) - gk(beta, mu_star, theta_k, minus)
-                    order_worst = max(
-                        order_worst, float(np.max(np.abs(diff))) / (2.0 * step)
-                    )
         by_order[k] = order_worst
-        worst = max(worst, order_worst)
     return OrthogonalityReport(
-        max_abs_derivative=worst,
+        max_abs_derivative=max(by_order.values()),
         by_order=by_order,
         beta_grid=tuple(float(b) for b in beta_grid),
         step=step,
@@ -311,23 +274,20 @@ def second_order_probe(
     coordinate perturbation moves it exactly linearly (with zero slope under
     independence); genuine second-order curvature only shows along mixed
     directions. This one shifts mu_0 together with the order-1 basis
-    coefficient on Z_1, whose cross-derivative through the first pair
-    component is Var(Z_1) != 0. Returns (change at delta, change at
-    2*delta), whose ratio is ~4 when the first-order term vanishes.
+    coefficient on Z_1 (nu[p + 2], after the p means and the coefficients
+    on 1 and Z_0), whose cross-derivative through the first pair component
+    is Var(Z_1) != 0. Returns (change at delta, change at 2*delta), whose
+    ratio is ~4 when the first-order term vanishes.
     """
-    plan = build_plan(dgp.p, q)
-    z, probs = _lattice(dgp)
-    mu_star = dgp.instrument_means()
-    ey, ed = _conditional_means(dgp, z)
-    wk, theta_k, xi_k = _population_projections(plan, z, probs, ey, ed, k)
-    base = _expected_gk(plan, z, probs, ey, ed, wk, k, beta, mu_star, theta_k, xi_k)
+    if not 2 <= k <= q:
+        raise ConfigError(f"order k must lie in 2..q={q} (got {k})")
+    nu, moment = next(islice(_order_moments(dgp, q), k - 2, None))
+    base = moment(beta, nu)
 
     def shifted(scale: float) -> float:
-        mu_vec = mu_star.copy()
-        mu_vec[0] += scale
-        th = theta_k.copy()
-        th[2] += scale  # basis columns are (1, Z_0, Z_1, ...): index 2 is Z_1
-        moved = _expected_gk(plan, z, probs, ey, ed, wk, k, beta, mu_vec, th, xi_k)
-        return float(np.linalg.norm(moved - base))
+        moved = nu.copy()
+        moved[0] += scale
+        moved[dgp.p + 2] += scale
+        return float(np.linalg.norm(moment(beta, moved) - base))
 
     return shifted(delta), shifted(2.0 * delta)

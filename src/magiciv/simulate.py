@@ -179,15 +179,12 @@ def _draw_effects(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[np.nda
         pi[:k] = 0.2
         pi[k : 2 * k] = 0.4
         pi[2 * k : 3 * k] = 0.6
-    elif cfg.scenario == "III":
-        theta = cfg.theta_mean + theta_sd * _normals(rng, p)
-        pi = cfg.pi_mean + pi_sd * _normals(rng, p)
     elif cfg.scenario == "IV":
         theta = cfg.theta_mean + theta_sd * _normals(rng, p)
         pi = np.zeros(p)
         m = _ceil_frac(7, 10, p)
         pi[:m] = theta[:m] / 2.0
-    else:  # custom
+    else:  # III and custom
         theta = cfg.theta_mean + theta_sd * _normals(rng, p)
         pi = cfg.pi_mean + pi_sd * _normals(rng, p)
     return theta, pi

@@ -3,11 +3,13 @@ import pytest
 
 from magiciv import (
     Dataset,
+    IdentificationError,
     NumericalError,
     build_components,
     build_plan,
     efficient_fixed_r,
     estimate_cue,
+    f_stat,
     fit_nuisance,
     omega,
     tsls,
@@ -47,6 +49,52 @@ def test_tsls_collinear_instruments_error():
     z = np.column_stack([ds.z, ds.z[:, 0]])  # duplicated column
     with pytest.raises(NumericalError, match=r"first-stage design \(1, z\) rank 3 < 4"):
         tsls(Dataset(y=ds.y, d=ds.d, z=z))
+
+
+def _binary_design(seed, n=500, p=4):
+    rng = np.random.default_rng(seed)
+    return (rng.random((n, p)) < 0.5).astype(float), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("level", [2.0, 0.7, 0.0])
+def test_tsls_refuses_a_constant_exposure(level):
+    # the first-stage residual of a constant is zero only to rounding, so
+    # the projected design is singular without an exactly zero pivot
+    for seed in range(1, 6):
+        z, y = _binary_design(seed)
+        with pytest.raises(NumericalError, match="no exposure variation"):
+            tsls(Dataset(y=y, d=np.full(z.shape[0], level), z=z))
+
+
+def test_tsls_on_an_exposure_linear_in_z_is_ols():
+    for seed in range(1, 6):
+        z, noise = _binary_design(seed)
+        d = 1.0 + z @ np.array([0.5, -0.3, 0.2, 0.1])
+        y = 0.8 * d + noise
+        res = tsls(Dataset(y=y, d=d, z=z))
+        dc = d - d.mean()
+        ols = float(dc @ y) / float(dc @ dc)
+        assert abs(res.beta_hat - ols) <= 1e-10 * max(1.0, abs(ols))
+        assert res.se > 0.0
+
+
+@pytest.mark.parametrize("exposure", ["2.0", "0.7", "0", "linear"])
+def test_efficient_fixed_r_refuses_an_exposure_the_first_stage_explains(exposure):
+    plan = build_plan(4, 2)
+    for seed in range(1, 6):
+        z, y = _binary_design(seed)
+        if exposure == "linear":
+            d = 1.0 + z @ np.array([0.5, -0.3, 0.2, 0.1])
+        else:
+            d = np.full(z.shape[0], float(exposure))
+        ds = Dataset(y=y + 0.5 * d, d=d, z=z)
+        # one refusal with and without a first step, as F_q and the CUE see it
+        for beta_init in (None, 0.1):
+            with pytest.raises(IdentificationError, match="linear first stage"):
+                efficient_fixed_r(ds, plan, beta_init)
+        assert f_stat(ds, plan).f_value == 0.0
+        with pytest.raises(IdentificationError):
+            estimate_cue(ds)
 
 
 def test_efficient_fixed_r_noiseless_agrees_with_cue_and_ratio():

@@ -29,7 +29,7 @@ from magiciv import (
 )
 from magiciv import cue
 from magiciv.cue import _eval_objective, _ridge_factor
-from magiciv.moments import components_from_arrays
+from magiciv.moments import MomentComponents, components_from_arrays
 
 from conftest import make_sim_dataset, pipeline_rows
 
@@ -368,6 +368,26 @@ def test_certified_grid_evaluates_everything_once_the_ladder_engages(build):
     assert evaluated.all() and ridge_used
     assert np.array_equal(values, _full_sweep(mc))
     assert minimize(mc).ridge_used
+
+
+def test_grid_points_that_exhaust_the_ladder_are_skipped():
+    # Omega(beta) = (1 - beta^2 / 20) I is negative definite for |beta| > sqrt(20);
+    # its trace is negative there too, so every rung adds only a multiple of
+    # the smallest float and none can factor it
+    mc = MomentComponents(
+        n=100, r=2, abar=np.array([0.3, -0.1]), bbar=np.array([0.2, 0.4]),
+        s0=np.eye(2), s1=np.zeros((2, 2)), s2=-0.05 * np.eye(2), c_ab=np.zeros((2, 2)),
+    )
+    values, evaluated, ridge_used = cue._scan_grid(mc, _GRID, 0.0)
+    assert evaluated.all() and not ridge_used
+    assert np.array_equal(np.isinf(values), np.abs(_GRID) > math.sqrt(20.0))
+    assert np.isinf(values).sum() == 284
+    assert np.array_equal(values, _full_sweep(mc))
+    fit = minimize(mc)
+    assert not fit.boundary_flag and not fit.ridge_used
+    assert abs(fit.beta_hat - 0.0976) <= 1e-4
+    _, dq, d2q, *_ = cue._derivatives(mc, fit.beta_hat)
+    assert d2q > 0.0 and abs(dq / d2q) <= cue.DEFAULT_TOL
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

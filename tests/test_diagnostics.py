@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from magiciv import Dataset, NumericalError, build_plan, f_stat
+from magiciv import Dataset, NumericalError, build_plan, diagnostics, f_stat
 
 from conftest import make_binary_dataset, make_sim_dataset
 
@@ -98,3 +99,27 @@ def test_zero_interaction_column_raises_rank_error():
     d = np.random.default_rng(12).standard_normal(len(z))
     with pytest.raises(NumericalError, match="rank < 2: an interaction column is zero"):
         f_stat(Dataset(y=d, d=d, z=z), build_plan(2, 2))
+
+
+@pytest.mark.parametrize(
+    "fail_on, message",
+    [
+        (1, r"design rank < 11: X'X factorization failed"),
+        (2, "robust covariance of interaction coefficients is singular"),
+    ],
+)
+def test_cholesky_failures_raise_numerical_error(monkeypatch, fail_on, message):
+    # the first factorization is X'X's, the second the robust covariance's
+    cholesky = diagnostics._cholesky
+    calls = []
+
+    def failing(a):
+        calls.append(a.shape)
+        if len(calls) == fail_on:
+            raise LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(diagnostics, "_cholesky", failing)
+    with pytest.raises(NumericalError, match=message):
+        f_stat(make_sim_dataset(p=5, n=400, seed=4), build_plan(5, 2))
+    assert calls == [(11, 11), (10, 10)][:fail_on]

@@ -11,6 +11,7 @@ from magiciv import (
     population_moment,
     population_relevance,
 )
+from magiciv import oracle
 from magiciv.oracle import _lattice, second_order_probe
 
 
@@ -106,6 +107,42 @@ def test_lattice_probabilities_sum_to_one():
     assert probs.shape == (16,)
 
 
+def test_lattice_rows_count_in_binary_with_children_last():
+    # free instruments 0 and 1 are the leading bits, the child's flip bit the
+    # last: row i holds i in binary and multiplies the weights in bit order
+    mu = np.array([0.2, 0.7, 0.5])
+    dgp = PopulationDgp(
+        p=3, mu=mu, beta_true=0.0, pi=np.zeros(3), theta=np.ones(3),
+        alpha={(0, 1): 1.0}, dependent={2: (0, 0.1)},
+    )
+    z, probs = _lattice(dgp)
+    for i, (b0, b1, flip) in enumerate(np.ndindex(2, 2, 2)):
+        assert z[i].tolist() == [b0, b1, b0 ^ flip]
+        weight = (mu[0] if b0 else 1.0 - mu[0]) * (mu[1] if b1 else 1.0 - mu[1])
+        assert probs[i] == weight * (0.1 if flip else 1.0 - 0.1)
+
+
+def test_each_public_call_enumerates_the_lattice_once(monkeypatch):
+    calls = []
+
+    def counted(dgp):
+        calls.append(dgp.p)
+        return _lattice(dgp)
+
+    monkeypatch.setattr(oracle, "_lattice", counted)
+    dgp = _simple_dgp(p=3)
+    for call in (
+        lambda: orthogonality_check(dgp, 3),
+        lambda: second_order_probe(dgp, 3, k=3),
+        lambda: population_moment(dgp, 0.2, 3),
+        lambda: population_relevance(dgp, 3),
+        lambda: population_beta(dgp, 3),
+    ):
+        calls.clear()
+        call()
+        assert calls == [3]
+
+
 def test_dependent_child_mean_derivation():
     dgp = PopulationDgp(
         p=2, mu=np.array([0.3, 0.99]), beta_true=0.0,
@@ -153,6 +190,10 @@ def test_guards():
     with pytest.raises(ConfigError, match="bad alpha key"):
         PopulationDgp(p=2, mu=np.full(2, 0.5), beta_true=0.0,
                       pi=np.zeros(2), theta=np.ones(2), alpha={(1, 0): 1.0})
+    with pytest.raises(ConfigError, match="order k must lie in 2..q=2"):
+        second_order_probe(_simple_dgp(p=3), 2, k=3)
+    with pytest.raises(ConfigError, match="order k must lie in 2..q=3"):
+        second_order_probe(_simple_dgp(p=3), 3, k=1)
     with pytest.raises(ConfigError, match="chains"):
         PopulationDgp(p=3, mu=np.full(3, 0.5), beta_true=0.0,
                       pi=np.zeros(3), theta=np.ones(3), alpha={(0, 1): 1.0},
