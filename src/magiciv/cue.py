@@ -250,9 +250,15 @@ def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
     return 0.5 * float(g @ u), u, factor, ridge
 
 
-def _derivatives(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
-    """Q, Q', Q'' and the ridge, with the solve u and the factor they share."""
-    q, u, factor, ridge = _eval_objective(mc, beta, base_ridge)
+def _derivatives(mc: MomentComponents, beta: float, base_ridge: float = 0.0, evaluated=None):
+    """Q, Q', Q'' and the ridge, with the solve u and the factor they share.
+
+    ``evaluated`` is :func:`_eval_objective`'s result at this beta and base
+    ridge when the caller already has it; it is then not evaluated again.
+    """
+    if evaluated is None:
+        evaluated = _eval_objective(mc, beta, base_ridge)
+    q, u, factor, ridge = evaluated
     dom = -mc.s1 + 2.0 * beta * mc.s2
     dom_u = dom @ u
     dq = float(-mc.bbar @ u) - 0.5 * float(u @ dom_u)
@@ -331,28 +337,34 @@ def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
     order, every point whose certified lower bound does not clear the best
     of those values by the margin. Should any evaluation need the ridge
     ladder (or exhaust it), the rest of the grid is evaluated as well.
-    Returns (values, evaluated, ridge_used): values is inf at skipped
-    points and wherever Q is non-finite or cannot be factored.
+    Returns (values, evaluated, ridge_used, best): values is inf at skipped
+    points and wherever Q is non-finite or cannot be factored, and best is
+    :func:`_eval_objective`'s result at the grid minimum, the first minimum
+    in index order, or None when no value is finite.
     """
     values = np.full(grid.size, np.inf)
     evaluated = np.zeros(grid.size, dtype=bool)
     solves = []
     ridge_used = ladder = False
+    best, i_best = None, grid.size
 
     def scan(indices):
-        nonlocal ridge_used, ladder
+        nonlocal ridge_used, ladder, best, i_best
         for i in indices:
             evaluated[i] = True
             try:
-                value, u, _, used = _eval_objective(mc, float(grid[i]), ridge)
+                result = _eval_objective(mc, float(grid[i]), ridge)
             except NumericalError:
                 ladder = True
                 continue
+            value, u, _, used = result
             ridge_used |= used > 0.0
             ladder |= used > ridge
             if np.isfinite(value):
                 values[i] = value
                 solves.append(u)
+                if best is None or value < best[0] or (value == best[0] and i < i_best):
+                    best, i_best = result, i
 
     scan(np.unique(np.append(np.arange(0, grid.size, _CERT_STRIDE), grid.size - 1)))
     rest = ~evaluated
@@ -363,7 +375,7 @@ def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
     scan(np.flatnonzero(rest))
     if ladder:
         scan(np.flatnonzero(~evaluated))
-    return values, evaluated, ridge_used
+    return values, evaluated, ridge_used, best
 
 
 @_one_blas_thread
@@ -407,7 +419,7 @@ def minimize(
         raise ConfigError("ridge must be >= 0")
 
     grid = np.linspace(lo, hi, grid_points)
-    values, _, any_ridge = _scan_grid(mc, grid, ridge)
+    values, _, any_ridge, at_grid_min = _scan_grid(mc, grid, ridge)
     if not np.any(np.isfinite(values)):
         raise NumericalError("objective is non-finite at every grid point")
     i_min = int(np.argmin(values))  # first occurrence: smallest beta wins ties
@@ -419,7 +431,9 @@ def minimize(
     # Newton on Q' safeguarded by bisection, confined to the grid bracket; the
     # bound is loose: bisection alone takes the default interval to tol in 35
     for _ in range(100):
-        val, dq, d2q, used, _, _ = _derivatives(mc, beta, ridge)
+        # the first step starts from the grid minimum's own factor and solve
+        val, dq, d2q, used, _, _ = _derivatives(mc, beta, ridge, at_grid_min)
+        at_grid_min = None
         any_ridge |= used > 0.0
         if val < best_val or (val == best_val and beta < best_beta):
             best_beta, best_val = beta, val

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import LinAlgError
 
 from .data import Dataset
 from .errors import NumericalError
 from . import interactions
 from .interactions import ROW_BLOCK, InteractionPlan
 from .nuisance import (
+    _MIN_RCOND,
     _cho_solve,
     _cholesky,
     _exposure_explained,
@@ -34,18 +35,11 @@ from .nuisance import (
     _mirror,
     _one_blas_thread,
     _syrk_add,
+    _unit_cholesky,
     estimate_means,
 )
 
 __all__ = ["FStatReport", "f_stat"]
-
-(_POCON,) = get_lapack_funcs(("pocon",), (np.empty(0),))
-
-# Smallest accepted reciprocal condition estimate (LAPACK pocon, 1-norm) of
-# the column-scaled X'X of [1, W]. Solving the normal equations loses about
-# log10(1 / rcond) digits, so below 1e-10 fewer than six of the coefficients'
-# sixteen would be left; the regression is refused instead.
-_MIN_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,25 +75,9 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     zc = ds.z - estimate_means(ds)
     m = r + 1
     gram = _gram(n, [(None, None), (slice(0, r), None), (d_bar[:, None], None)], zc, plan)
-    diag = np.diag(gram)[:m]
-    if not np.all(diag > 0.0):
-        raise NumericalError(
-            f"interaction regression design rank < {m}: an interaction column is zero"
-        )
-    s = 1.0 / np.sqrt(diag)
-    xtx = gram[:m, :m] * s[:, None] * s
-    try:
-        factor = _cholesky(xtx)
-    except LinAlgError as exc:
-        raise NumericalError(
-            f"interaction regression design rank < {m}: X'X factorization failed ({exc})"
-        ) from None
-    rcond, _ = _POCON(factor, float(np.max(np.sum(np.abs(xtx), axis=0))), uplo="L")
-    if not rcond >= _MIN_RCOND:
-        raise NumericalError(
-            f"interaction regression design is ill-conditioned: reciprocal condition "
-            f"estimate of X'X {rcond:.3e} < {_MIN_RCOND:.0e}"
-        )
+    s, factor = _unit_cholesky(
+        gram[:m, :m], _MIN_RCOND, "interaction regression design", "an interaction column"
+    )
     coef = _cho_solve(factor, gram[:m, m] * s)  # coefficients on the scaled columns
     # the meat is the Gram of [e | W e], e = d_bar - X coef, chunk by chunk
     intercept, slopes = s[0] * coef[0], s[1:] * coef[1:]

@@ -6,29 +6,34 @@ per-order residuals feed the moment construction. Only the span of that
 basis matters. The order-2 basis is (1, z); for k >= 3 it is
 (1, z - mu_hat, demeaned products of orders 2..k-1), the same span as the
 raw products, with conditioning that does not degrade as z moves away from
-0. Its product columns are written straight into the design by the same
-kernel that builds the demeaned interaction matrix W, so they equal W's
-leading columns bit for bit. Each order is projected independently; the
-q-1 regressions are not incrementally updated, which keeps them
-individually auditable.
+0. Its product columns come from the same kernel that builds the demeaned
+interaction matrix W, so they equal W's leading columns bit for bit. Each
+order is projected independently; the q-1 regressions are not
+incrementally updated, which keeps them individually auditable.
 
 The order-2 projection is also the linear first stage that TSLS, the
 interaction-strength diagnostic and the efficient-GMM baseline partial out;
 all of them call :func:`_first_stage`, the one place that requires (1, z) to
-have full column rank. The nuisance projections take the minimum-norm fit on
-a rank-deficient basis, so the main estimator still fits duplicated
-instruments. Every least-squares solve in the package goes through
-:func:`_lstsq`, and every projection refuses a NaN or inf cell. The (1, z)
-projection is made once per dataset and memoized on it, by
-:func:`_linear_projection`.
-The moment components, the diagnostic and efficient GMM never hold the
-n x r demeaned interaction matrix W. They pass the centered instruments
-z - mu and the plan to :func:`_gram`, which forms every n·r² product they
-need, a Gram of weighted W columns, and builds each row chunk of W just
-before it fills its syrk buffer; a consumer that needs W rows for anything
-else loops over the same chunks. No n x r array is made: the
-widest n-row array of a fit is the top nuisance design, whose products
-stop at order q - 1.
+have full column rank. It is a minimum-norm gelsy fit, :func:`_lstsq`, made
+once per dataset and memoized on it by :func:`_linear_projection`, and it
+refuses a NaN or inf cell. The orders k >= 3 are solved from their normal
+equations: one streamed Gram of the top basis beside y and d holds every
+order's, each order's leading block is scaled to unit diagonal and factored
+by :func:`_unit_cholesky`, the guard :func:`magiciv.diagnostics.f_stat`
+shares, and one more pass over the chunks forms the residuals. An order
+whose Gram fails that guard takes the gelsy fit on its explicit basis
+instead, so the main estimator still fits duplicated instruments, at their
+minimum norm.
+
+No fit holds the n x r demeaned interaction matrix W, and outside that
+fallback no basis of order k >= 3 either. The nuisance projections, the
+moment components, the diagnostic and efficient GMM pass the centered
+instruments z - mu and the plan to :func:`_gram`, which forms every Gram
+they need from weighted W columns and other n-row blocks, and builds each
+row chunk of W, up to the highest order it reads, just before it fills its
+syrk buffer; a consumer that needs W rows for anything else loops over the
+same chunks. The widest n-row arrays of a fit are then the first stage's
+(1, z) design and the centered instruments, about p + 1 columns each.
 
 BLAS threads: every public function of the package that calls BLAS or
 LAPACK holds each loaded BLAS at one thread while it runs, through the
@@ -171,7 +176,19 @@ def estimate_means(ds: Dataset) -> np.ndarray:
 
 
 (_SYRK,) = get_blas_funcs(("syrk",), (np.empty(0),))
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+_POTRF, _POTRS, _POCON = get_lapack_funcs(("potrf", "potrs", "pocon"), (np.empty(0),))
+
+# Smallest reciprocal condition estimates (LAPACK pocon, 1-norm) that
+# :func:`_unit_cholesky` accepts for a Gram X'X scaled to unit diagonal.
+# Solving the normal equations loses about log10(1 / rcond) of the sixteen
+# digits. F_q is descriptive, so below 1e-10, with fewer than six left, the
+# regression is refused. The nuisance residuals feed beta_hat, which should
+# move from the minimum-norm gelsy fit by rounding only, so below 1e-4,
+# where more than four digits would go, the projection is fitted by gelsy
+# instead. The demeaned basis keeps this far away: the scaled Grams of 56
+# simulated fits (Scenarios I-IV, p = 4-12, q = 3-5) measured 0.16-0.64.
+_MIN_RCOND = 1e-10
+_NUISANCE_MIN_RCOND = 1e-4
 
 
 def _syrk_add(gram: np.ndarray, chunk: np.ndarray) -> np.ndarray:
@@ -187,35 +204,39 @@ def _mirror(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _gram(
+def _widths(blocks) -> list[int]:
+    """Column count of each (x, v) block of :func:`_stacked_chunks`."""
+    return [
+        1 if x is None else x.stop - x.start if isinstance(x, slice) else x.shape[1]
+        for x, _ in blocks
+    ]
+
+
+def _stacked_chunks(
     n: int,
     blocks: Sequence[tuple[Union[np.ndarray, slice, None], Optional[np.ndarray]]],
     zc: Optional[np.ndarray] = None,
     plan: Optional[InteractionPlan] = None,
-) -> np.ndarray:
-    """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, chunk) for each ``ROW_BLOCK``-row chunk of the column stack X of ``blocks``.
 
     Each block is (x, v), scaled row by row by the n-vector v (None leaves
     it unscaled). x is an (n, m) matrix; None, for one column of ones; or a
     slice with explicit bounds, for those columns of the demeaned
     interaction matrix W at centered instruments ``zc`` under ``plan``,
-    whose rows the product kernel builds one chunk at a time. X is written
-    ``ROW_BLOCK`` rows at a time into one reused buffer, and each chunk is
-    added into the upper triangle by a BLAS syrk, so no n-row array is
-    made. A ones block puts the column sums of the others in its row.
+    whose rows the product kernel builds one chunk at a time, up to the
+    highest order the slices read. ``chunk`` holds the rows of X, C-ordered,
+    in one reused buffer that the next chunk overwrites.
     """
-    widths = [
-        1 if x is None else x.stop - x.start if isinstance(x, slice) else x.shape[1]
-        for x, _ in blocks
-    ]
-    m = sum(widths)
-    gram = np.zeros((m, m), order="F")
-    buf = np.empty((min(n, ROW_BLOCK), m))
-    if zc is None:
+    widths = _widths(blocks)
+    buf = np.empty((min(n, ROW_BLOCK), sum(widths)))
+    stop = max((x.stop for x, _ in blocks if isinstance(x, slice)), default=0)
+    if stop == 0:
         starts = range(0, n, ROW_BLOCK)
         chunks = ((slice(start, min(start + ROW_BLOCK, n)), None) for start in starts)
     else:
-        chunks = interactions._product_blocks(zc, plan, plan.q)
+        top = next(k for k, cols in plan.order_slices().items() if cols.stop >= stop)
+        chunks = interactions._product_blocks(zc, plan, top)
     for rows, wt in chunks:
         chunk = buf[: rows.stop - rows.start]
         col = 0
@@ -228,6 +249,25 @@ def _gram(
             dst[...] = wt[x].T if isinstance(x, slice) else x[rows]
             if v is not None:
                 dst *= v[rows, None]
+        yield rows, chunk
+
+
+def _gram(
+    n: int,
+    blocks: Sequence[tuple[Union[np.ndarray, slice, None], Optional[np.ndarray]]],
+    zc: Optional[np.ndarray] = None,
+    plan: Optional[InteractionPlan] = None,
+) -> np.ndarray:
+    """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``.
+
+    The blocks are those of :func:`_stacked_chunks`, which writes X
+    ``ROW_BLOCK`` rows at a time into one reused buffer; each chunk is
+    added into the upper triangle by a BLAS syrk, so no n-row array is
+    made. A ones block puts the column sums of the others in its row.
+    """
+    m = sum(_widths(blocks))
+    gram = np.zeros((m, m), order="F")
+    for _, chunk in _stacked_chunks(n, blocks, zc, plan):
         gram = _syrk_add(gram, chunk)
     return _mirror(gram)
 
@@ -242,6 +282,36 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     if info > 0:
         raise linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     return c
+
+
+def _unit_cholesky(
+    xtx: np.ndarray, min_rcond: float, what: str, column: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column scales s and the lower Cholesky factor of diag(s) xtx diag(s).
+
+    s = diag(xtx)^(-1/2) scales the Gram to unit diagonal, so the factor and
+    its condition estimate do not depend on the columns' units. Raises
+    :class:`NumericalError` naming the design ``what`` when a diagonal entry
+    is not positive (``column`` names that column), when the factorization
+    fails, or when the reciprocal condition estimate is below ``min_rcond``.
+    """
+    m = xtx.shape[0]
+    diag = np.diag(xtx)
+    if not np.all(diag > 0.0):
+        raise NumericalError(f"{what} rank < {m}: {column} is zero")
+    s = 1.0 / np.sqrt(diag)
+    scaled = xtx * s[:, None] * s
+    try:
+        factor = _cholesky(scaled)
+    except linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} rank < {m}: X'X factorization failed ({exc})") from None
+    rcond, _ = _POCON(factor, float(np.max(np.sum(np.abs(scaled), axis=0))), uplo="L")
+    if not rcond >= min_rcond:
+        raise NumericalError(
+            f"{what} is ill-conditioned: reciprocal condition "
+            f"estimate of X'X {rcond:.3e} < {min_rcond:.0e}"
+        )
+    return s, factor
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,7 +395,13 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
 
     The order-2 projection is the dataset's memoized (1, z) fit, taken at
     its minimum norm when (1, z) is rank-deficient. Each order k >= 3 is
-    projected on (1, z - mu_hat, demeaned products of orders 2..k-1).
+    projected on (1, z - mu_hat, demeaned products of orders 2..k-1) by its
+    normal equations: one streamed Gram of that basis beside y and d holds
+    them for every order, each order's leading block is factored by
+    :func:`_unit_cholesky`, and one more pass over the chunks forms the
+    residuals. An order whose Gram fails to factor, or whose reciprocal
+    condition estimate is below 1e-4, is fitted by :func:`_project` on the
+    explicit basis instead, at its minimum norm.
     """
     if ds.p != plan.p:
         raise ConfigError(f"row width {ds.p} does not match plan built for p={plan.p}")
@@ -335,13 +411,40 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     r_d: dict[int, np.ndarray] = {}
     theta[1], xi[1], r_y[1], r_d[1], _ = _linear_projection(ds)
     mu = estimate_means(ds)
-    zc = ds.z - mu if plan.q >= 3 else None  # q = 2 reads only the (1, z) fit
+    if plan.q == 2:  # q = 2 reads only the (1, z) fit
+        return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)
+
+    zc = ds.z - mu
+    lead = 1 + ds.p
+    slices = plan.order_slices()
+
+    def basis(k):  # blocks of (1, z - mu, products of orders 2..k-1)
+        return [(None, None), (zc, None), (slice(0, slices[k - 1].stop), None)]
+
+    targets = [(ds.y[:, None], None), (ds.d[:, None], None)]
+    gram = _gram(ds.n, basis(plan.q) + targets, zc, plan)
+    coefs = {}
     for k in range(3, plan.q + 1):
-        # the C-ordered [1 | z - mu | products of orders 2..k-1], filled in place
-        lead = 1 + ds.p
-        design = np.empty((ds.n, lead + plan.order_slices()[k - 1].stop))
-        design[:, 0] = 1.0
-        design[:, 1:lead] = zc
-        interactions._products(zc, plan, k - 1, design[:, lead:])
-        theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
+        m = lead + slices[k - 1].stop
+        try:
+            s, factor = _unit_cholesky(
+                gram[:m, :m], _NUISANCE_MIN_RCOND, f"order-{k} nuisance basis", "a basis column"
+            )
+        except NumericalError:
+            # the C-ordered [1 | z - mu | products of orders 2..k-1], filled in place
+            design = np.empty((ds.n, m))
+            design[:, 0] = 1.0
+            design[:, 1:lead] = zc
+            interactions._products(zc, plan, k - 1, design[:, lead:])
+            theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
+            continue
+        coefs[k] = s[:, None] * _cho_solve(factor, s[:, None] * gram[:m, -2:])
+        theta[k - 1], xi[k - 1] = np.ascontiguousarray(coefs[k].T)
+        r_y[k - 1], r_d[k - 1] = np.empty(ds.n), np.empty(ds.n)
+    if coefs:
+        for rows, chunk in _stacked_chunks(ds.n, basis(max(coefs)), zc, plan):
+            for k, coef in coefs.items():
+                fitted = chunk[:, : coef.shape[0]] @ coef
+                r_y[k - 1][rows] = ds.y[rows] - fitted[:, 0]
+                r_d[k - 1][rows] = ds.d[rows] - fitted[:, 1]
     return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)

@@ -20,7 +20,7 @@ flip) so the consequences of dependent instruments can be demonstrated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "population_relevance",
     "population_beta",
     "orthogonality_check",
-    "second_order_probe",
 ]
 
 MAX_ENUM_P = 12
@@ -263,31 +262,3 @@ def orthogonality_check(
         beta_grid=tuple(float(b) for b in beta_grid),
         step=step,
     )
-
-
-def second_order_probe(
-    dgp: PopulationDgp, q: int, k: int = 2, beta: float = 0.5, delta: float = 1e-3
-) -> tuple[float, float]:
-    """Moment change along a joint (mu, theta) nuisance direction at delta and 2*delta.
-
-    The moment is multilinear in the nuisance coordinates, so any single-
-    coordinate perturbation moves it exactly linearly (with zero slope under
-    independence); genuine second-order curvature only shows along mixed
-    directions. This one shifts mu_0 together with the order-1 basis
-    coefficient on Z_1 (nu[p + 2], after the p means and the coefficients
-    on 1 and Z_0), whose cross-derivative through the first pair component
-    is Var(Z_1) != 0. Returns (change at delta, change at 2*delta), whose
-    ratio is ~4 when the first-order term vanishes.
-    """
-    if not 2 <= k <= q:
-        raise ConfigError(f"order k must lie in 2..q={q} (got {k})")
-    nu, moment = next(islice(_order_moments(dgp, q), k - 2, None))
-    base = moment(beta, nu)
-
-    def shifted(scale: float) -> float:
-        moved = nu.copy()
-        moved[0] += scale
-        moved[dgp.p + 2] += scale
-        return float(np.linalg.norm(moment(beta, moved) - base))
-
-    return shifted(delta), shifted(2.0 * delta)

@@ -249,6 +249,26 @@ def test_search_stops_at_a_gradient_root():
     assert abs(dq / d2q) <= 1e-12 * max(1.0, abs(fit.beta_hat))
 
 
+def test_search_reuses_the_grid_minimums_factor(monkeypatch):
+    mc = _pipeline_components(make_sim_dataset(p=6, n=800, seed=30))
+    betas = []
+    evaluate = cue._eval_objective
+
+    def counting(mc, beta, base_ridge=0.0):
+        betas.append(beta)
+        return evaluate(mc, beta, base_ridge)
+
+    monkeypatch.setattr(cue, "_eval_objective", counting)
+    fit = minimize(mc)
+    assert len(betas) == len(set(betas))  # no beta is factored twice
+    # without the handover the search evaluates the grid minimum again
+    scan = cue._scan_grid
+    monkeypatch.setattr(cue, "_scan_grid", lambda *args: scan(*args)[:3] + (None,))
+    del betas[:]
+    assert minimize(mc) == fit
+    assert len(betas) == len(set(betas)) + 1
+
+
 def test_minimize_argument_guards():
     ds = make_sim_dataset(p=2, n=120, seed=27)
     mc = _pipeline_components(ds)
@@ -289,9 +309,13 @@ def _full_sweep(mc, ridge=0.0):
 def _assert_certified(mc, ridge=0.0):
     """The certified scan picks the sweep's argmin; every point it skips lies above."""
     want = _full_sweep(mc, ridge)
-    values, evaluated, _ = cue._scan_grid(mc, _GRID, ridge)
+    values, evaluated, _, best = cue._scan_grid(mc, _GRID, ridge)
     i_min = int(np.argmin(want))
     assert int(np.argmin(values)) == i_min
+    # the evaluation handed to the search is the grid minimum's, to the bit
+    again = _eval_objective(mc, float(_GRID[i_min]), ridge)
+    assert best[0] == again[0] and best[3] == again[3]
+    assert np.array_equal(best[1], again[1]) and np.array_equal(best[2], again[2])
     assert np.array_equal(values[evaluated], want[evaluated])
     assert np.all(want[~evaluated] > want[i_min])
     return want, evaluated
@@ -364,7 +388,7 @@ def _duplicated_instrument_components():
 )
 def test_certified_grid_evaluates_everything_once_the_ladder_engages(build):
     mc = build()
-    values, evaluated, ridge_used = cue._scan_grid(mc, _GRID, 0.0)
+    values, evaluated, ridge_used, _ = cue._scan_grid(mc, _GRID, 0.0)
     assert evaluated.all() and ridge_used
     assert np.array_equal(values, _full_sweep(mc))
     assert minimize(mc).ridge_used
@@ -378,7 +402,7 @@ def test_grid_points_that_exhaust_the_ladder_are_skipped():
         n=100, r=2, abar=np.array([0.3, -0.1]), bbar=np.array([0.2, 0.4]),
         s0=np.eye(2), s1=np.zeros((2, 2)), s2=-0.05 * np.eye(2), c_ab=np.zeros((2, 2)),
     )
-    values, evaluated, ridge_used = cue._scan_grid(mc, _GRID, 0.0)
+    values, evaluated, ridge_used, _ = cue._scan_grid(mc, _GRID, 0.0)
     assert evaluated.all() and not ridge_used
     assert np.array_equal(np.isinf(values), np.abs(_GRID) > math.sqrt(20.0))
     assert np.isinf(values).sum() == 284
@@ -402,7 +426,7 @@ def test_flat_objective_is_fully_scanned_and_has_no_variance(n, r, ridge, seed):
     # is skipped, the tie goes to the lower bound, and the curvature is zero
     a = np.random.default_rng(seed).standard_normal((n + r, r))
     mc = components_from_arrays(a, 0.0 * a)
-    values, evaluated, _ = cue._scan_grid(mc, _GRID, ridge)
+    values, evaluated, _, _ = cue._scan_grid(mc, _GRID, ridge)
     assert evaluated.all() and np.all(values == values[0])
     fit = minimize(mc, ridge=ridge)
     assert fit.beta_hat == cue.DEFAULT_BOUNDS[0] and fit.boundary_flag

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from magiciv import Dataset, NumericalError, build_plan, diagnostics, f_stat
+from magiciv import Dataset, NumericalError, build_plan, diagnostics, f_stat, nuisance
 
 from conftest import make_binary_dataset, make_sim_dataset
 
@@ -109,7 +109,8 @@ def test_zero_interaction_column_raises_rank_error():
     ],
 )
 def test_cholesky_failures_raise_numerical_error(monkeypatch, fail_on, message):
-    # the first factorization is X'X's, the second the robust covariance's
+    # the first factorization is X'X's, made by the shared guard in
+    # nuisance, the second the robust covariance's
     cholesky = diagnostics._cholesky
     calls = []
 
@@ -120,6 +121,7 @@ def test_cholesky_failures_raise_numerical_error(monkeypatch, fail_on, message):
         return cholesky(a)
 
     monkeypatch.setattr(diagnostics, "_cholesky", failing)
+    monkeypatch.setattr(nuisance, "_cholesky", failing)
     with pytest.raises(NumericalError, match=message):
         f_stat(make_sim_dataset(p=5, n=400, seed=4), build_plan(5, 2))
     assert calls == [(11, 11), (10, 10)][:fail_on]

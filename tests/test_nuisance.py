@@ -211,13 +211,16 @@ def test_estimate_streams_interactions_in_chunks(tmp_path, monkeypatch):
         "--q", "3", "--output", str(tmp_path / "est.json"),
     ])
     assert code == 0
-    # the order-3 nuisance design takes the order-2 products, and five
-    # passes stream W in two chunks each: the moment Grams, F_q's X'X and
-    # its residual and meat, and efficient GMM's Omega and its moment
-    # vectors. The order-2 basis is (1, z), projected once for the nuisance
-    # step, F_q, TSLS and efficient GMM. No build is of raw products.
-    assert sorted(calls) == [(2, 52), (2, ROW_BLOCK)] + [(3, 52)] * 5 + [(3, ROW_BLOCK)] * 5
-    assert sorted(widths) == [6, 16]
+    # the order-3 nuisance projection streams the order-2 products twice,
+    # for its Gram and for its residuals, and five passes stream W in two
+    # chunks each: the moment Grams, F_q's X'X and its residual and meat,
+    # and efficient GMM's Omega and its moment vectors. The one design
+    # projected is (1, z), once for the nuisance step, F_q, TSLS and
+    # efficient GMM. No build is of raw products.
+    assert sorted(calls) == (
+        [(2, 52)] * 2 + [(2, ROW_BLOCK)] * 2 + [(3, 52)] * 5 + [(3, ROW_BLOCK)] * 5
+    )
+    assert widths == [6]
 
 
 def test_replication_streams_interactions_in_chunks(monkeypatch):
@@ -232,6 +235,82 @@ def test_replication_streams_interactions_in_chunks(monkeypatch):
     # the q = 2 nuisance reads the (1, z) fit and builds no products
     assert calls == [(2, 300)] * 10
     assert widths == [5] * 2  # one (1, z) projection per replication
+
+
+def _explicit_basis(ds, plan, k):
+    """The order-k basis (1, z - mu_hat, demeaned products of orders 2..k-1), built in full."""
+    mu = estimate_means(ds)
+    products = interactions.demeaned_matrix(ds.z, mu, plan)[:, : plan.order_slices()[k - 1].stop]
+    return np.column_stack([np.ones(ds.n), ds.z - mu, products])
+
+
+@pytest.mark.parametrize("scenario", ["I", "III", "IV"])
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_normal_equations_match_gelsy_on_simulated_designs(monkeypatch, scenario, q):
+    ds = make_sim_dataset(p=6, n=1500, seed=q, scenario=scenario)
+    plan = build_plan(ds.p, q)
+    widths = _count_projections(monkeypatch)
+    nuis = fit_nuisance(ds, plan)
+    fit = estimate_cue(ds, q=q)
+    assert widths == [ds.p + 1]  # only the (1, z) fit is by gelsy
+    for k in range(3, q + 1):
+        _, _, r_y, r_d, _ = nuisance._project(ds, _explicit_basis(ds, plan, k))
+        for got, want in ((nuis.r_y[k - 1], r_y), (nuis.r_d[k - 1], r_d)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # with no Gram accepted, every order takes the gelsy fit on its design
+    monkeypatch.setattr(nuisance, "_NUISANCE_MIN_RCOND", np.inf)
+    del widths[:]
+    gelsy = estimate_cue(Dataset(y=ds.y, d=ds.d, z=ds.z), q=q)
+    assert widths == [ds.p + 1] + [_explicit_basis(ds, plan, k).shape[1] for k in range(3, q + 1)]
+    for field in ("beta_hat", "se", "j_stat"):
+        got, want = getattr(fit, field), getattr(gelsy, field)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _assert_gelsy_fallback(monkeypatch, ds, plan):
+    widths = _count_projections(monkeypatch)
+    nuis = fit_nuisance(ds, plan)
+    design = _explicit_basis(ds, plan, 3)
+    assert widths == [ds.p + 1, design.shape[1]]
+    want = nuisance._project(ds, design)
+    got = (nuis.theta[2], nuis.xi[2], nuis.r_y[2], nuis.r_d[2])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-4])
+def test_duplicated_instrument_falls_back_to_gelsy(monkeypatch, noise):
+    # an exact copy fails the factorization; a copy plus 1e-4 noise factors,
+    # but its reciprocal condition estimate (about 4e-9) is below the cutoff
+    ds = make_sim_dataset(p=5, n=400, seed=3)
+    copy = ds.z[:, 1] + noise * np.random.default_rng(0).standard_normal(ds.n)
+    z = np.column_stack([ds.z, copy])
+    _assert_gelsy_fallback(monkeypatch, Dataset(y=ds.y, d=ds.d, z=z), build_plan(6, 3))
+
+
+def test_n_just_above_basis_width_falls_back_to_gelsy(monkeypatch):
+    # the order-3 basis at p = 5 has 16 columns; 18 binary rows make it singular
+    ds = make_binary_dataset(n=18, p=5, seed=0)
+    _assert_gelsy_fallback(monkeypatch, ds, build_plan(5, 3))
+
+
+def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
+    ds = make_sim_dataset(p=5, n=ROW_BLOCK + 7, seed=5)
+    plan = build_plan(ds.p, 4)
+    zc = ds.z - estimate_means(ds)
+    w = interactions.demeaned_matrix(ds.z, estimate_means(ds), plan)
+    slices = plan.order_slices()
+    calls = _count_builds(monkeypatch)
+    for cols, top in (
+        (slice(0, slices[2].stop), 2),
+        (slice(1, slices[2].stop - 1), 2),
+        (slice(slices[2].stop - 1, slices[3].start + 1), 3),
+        (slice(slices[3].stop, slices[4].stop), 4),
+    ):
+        del calls[:]
+        gram = nuisance._gram(ds.n, [(None, None), (cols, ds.y)], zc, plan)
+        assert sorted(calls) == [(top, 7), (top, ROW_BLOCK)]
+        x = np.column_stack([np.ones(ds.n), w[:, cols] * ds.y[:, None]])
+        assert np.allclose(gram, x.T @ x, rtol=1e-12, atol=0.0)
 
 
 def test_first_stage_is_memoized_read_only():

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from magiciv import (
     population_relevance,
 )
 from magiciv import oracle
-from magiciv.oracle import _lattice, second_order_probe
+from magiciv.oracle import _lattice, _order_moments
 
 
 def _simple_dgp(p=2, beta=0.5, phi=None, dependent=None, alpha=None):
@@ -133,7 +135,6 @@ def test_each_public_call_enumerates_the_lattice_once(monkeypatch):
     dgp = _simple_dgp(p=3)
     for call in (
         lambda: orthogonality_check(dgp, 3),
-        lambda: second_order_probe(dgp, 3, k=3),
         lambda: population_moment(dgp, 0.2, 3),
         lambda: population_relevance(dgp, 3),
         lambda: population_beta(dgp, 3),
@@ -172,9 +173,35 @@ def test_exact_duplicate_makes_projection_singular():
         orthogonality_check(dgp, 2)
 
 
+def _second_order_probe(dgp, q, k=2, beta=0.5, delta=1e-3):
+    """Moment change along a joint (mu, theta) nuisance direction at delta and 2*delta.
+
+    The moment is multilinear in the nuisance coordinates, so any single-
+    coordinate perturbation moves it exactly linearly (with zero slope under
+    independence); genuine second-order curvature only shows along mixed
+    directions. This one shifts mu_0 together with the order-1 basis
+    coefficient on Z_1 (nu[p + 2], after the p means and the coefficients
+    on 1 and Z_0), whose cross-derivative through the first pair component
+    is Var(Z_1) != 0. Returns (change at delta, change at 2*delta), whose
+    ratio is ~4 when the first-order term vanishes.
+    """
+    if not 2 <= k <= q:
+        raise ConfigError(f"order k must lie in 2..q={q} (got {k})")
+    nu, moment = next(islice(_order_moments(dgp, q), k - 2, None))
+    base = moment(beta, nu)
+
+    def shifted(scale):
+        moved = nu.copy()
+        moved[0] += scale
+        moved[dgp.p + 2] += scale
+        return float(np.linalg.norm(moment(beta, moved) - base))
+
+    return shifted(delta), shifted(2.0 * delta)
+
+
 def test_second_order_probe_ratio_near_four():
     for p in (2, 3):
-        small, double = second_order_probe(_simple_dgp(p=p), 2)
+        small, double = _second_order_probe(_simple_dgp(p=p), 2)
         assert small > 0.0
         assert 3.5 <= double / small <= 4.5
 
@@ -191,9 +218,9 @@ def test_guards():
         PopulationDgp(p=2, mu=np.full(2, 0.5), beta_true=0.0,
                       pi=np.zeros(2), theta=np.ones(2), alpha={(1, 0): 1.0})
     with pytest.raises(ConfigError, match="order k must lie in 2..q=2"):
-        second_order_probe(_simple_dgp(p=3), 2, k=3)
+        _second_order_probe(_simple_dgp(p=3), 2, k=3)
     with pytest.raises(ConfigError, match="order k must lie in 2..q=3"):
-        second_order_probe(_simple_dgp(p=3), 3, k=1)
+        _second_order_probe(_simple_dgp(p=3), 3, k=1)
     with pytest.raises(ConfigError, match="chains"):
         PopulationDgp(p=3, mu=np.full(3, 0.5), beta_true=0.0,
                       pi=np.zeros(3), theta=np.ones(3), alpha={(0, 1): 1.0},
