@@ -11,10 +11,10 @@ their own tuning stacks and are available in their authors' packages.
 
 TSLS and the efficient-GMM direct-effect regression share one linear first
 stage, the residuals of y and d on (1, z); it is the same projection as the
-order-2 nuisance step of the main estimator. Efficient GMM's weighting
-matrix is a Gram of the demeaned interactions with residual row weights,
-accumulated in row chunks like the main estimator's moments; its two
-moment vectors are summed over the same chunks.
+order-2 nuisance step of the main estimator. Efficient GMM makes one pass
+over the demeaned interactions in row chunks, like the main estimator's
+moments: each chunk's rows give its two moment vectors, and then, scaled
+in place by the residual row weights, the Gram of its weighting matrix.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ import numpy as np
 from .cue import _ridge_factor
 from .data import Dataset
 from .errors import IdentificationError, NumericalError
-from . import interactions
 from .interactions import InteractionPlan
 from .nuisance import (
     _cho_solve,
     _exposure_explained,
     _first_stage,
-    _gram,
+    _mirror,
     _one_blas_thread,
+    _stacked_chunks,
+    _syrk_add,
     estimate_means,
 )
 
@@ -58,15 +59,19 @@ def tsls(ds: Dataset) -> BaselineResult:
     A fitted exposure d - r_d that does not vary beyond rounding, by the
     rule max(d - r_d) - min(d - r_d) <= 1e-12 * max(max|d|, 1), leaves the
     projected design singular and raises :class:`NumericalError`; an
-    exposure linear in z still fits (TSLS is then OLS).
+    exposure linear in z still fits (TSLS is then OLS). The exposure and
+    its fitted values are centered at the fitted values' mean before the
+    solve, so a fitted exposure that varies little against its level does
+    not drown in the rounding of the uncentered normal equations.
     """
     n = ds.n
     _, r_d = _first_stage(ds)
     d_hat = ds.d - r_d
     if float(np.ptp(d_hat)) <= 1e-12 * max(float(np.max(np.abs(ds.d))), 1.0):
         raise NumericalError("projected design is singular (no exposure variation)")
-    x = np.column_stack([np.ones(n), ds.d])
-    x_hat = np.column_stack([np.ones(n), d_hat])
+    center = float(np.mean(d_hat))
+    x = np.column_stack([np.ones(n), ds.d - center])
+    x_hat = np.column_stack([np.ones(n), d_hat - center])
     xtx = x_hat.T @ x_hat
     try:
         coef = np.linalg.solve(xtx, x_hat.T @ ds.y)
@@ -80,7 +85,7 @@ def tsls(ds: Dataset) -> BaselineResult:
         method="tsls",
         beta_hat=float(coef[1]),
         se=math.sqrt(max(vcov[1, 1], 0.0)),
-        extra={"intercept": float(coef[0])},
+        extra={"intercept": float(coef[0] - coef[1] * center)},
     )
 
 
@@ -116,13 +121,18 @@ def efficient_fixed_r(
     n = ds.n
     zc = ds.z - estimate_means(ds)
     resid0 = r_y - beta_init * r_d
-    om = _gram(n, [(slice(0, plan.r), resid0)], zc, plan) / n
-    # moment is affine in beta: E_n[w (resid0 + beta_init d)] - beta E_n[w d]
+    # one pass over W: the moment is affine in beta,
+    # E_n[w (resid0 + beta_init d)] - beta E_n[w d], and both sums are taken
+    # from W's rows before they are scaled by resid0 for Omega's Gram
     level = resid0 + beta_init * ds.d
     a_sum, b_sum = np.zeros(plan.r), np.zeros(plan.r)
-    for rows, wt in interactions._product_blocks(zc, plan, plan.q):
-        a_sum += wt @ level[rows]
-        b_sum += wt @ ds.d[rows]
+    gram = np.zeros((plan.r, plan.r), order="F")
+    for rows, w in _stacked_chunks(n, [(slice(0, plan.r), None)], zc, plan):
+        a_sum += w @ level[rows]
+        b_sum += w @ ds.d[rows]
+        w *= resid0[rows]
+        gram = _syrk_add(gram, w)
+    om = _mirror(gram) / n
     a_vec, b_vec = a_sum / n, b_sum / n
     m_vec = -b_vec
     if float(np.max(np.abs(m_vec))) == 0.0:

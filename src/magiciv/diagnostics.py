@@ -10,8 +10,8 @@ step is the linear first stage that TSLS and the order-2 nuisance step share.
 
 The regression is solved from its normal equations, whose Grams are
 accumulated in row chunks, each chunk of the demeaned interactions built
-from the centered instruments just before it is used, so no n x (r + 1)
-design is formed; see :func:`f_stat`.
+from the centered instruments into the transposed stack its syrk reads, so
+no n x (r + 1) design is formed; see :func:`f_stat`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from scipy.linalg import LinAlgError
 
 from .data import Dataset
 from .errors import NumericalError
-from . import interactions
-from .interactions import ROW_BLOCK, InteractionPlan
+from .interactions import InteractionPlan
 from .nuisance import (
     _MIN_RCOND,
     _cho_solve,
@@ -34,6 +33,7 @@ from .nuisance import (
     _gram,
     _mirror,
     _one_blas_thread,
+    _stacked_chunks,
     _syrk_add,
     _unit_cholesky,
     estimate_means,
@@ -61,9 +61,10 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     :func:`magiciv.nuisance._gram` accumulates X'X and X'd in row chunks of
     W, and one Cholesky factor of X'X, with its columns scaled to unit
     diagonal, gives the coefficients and the sandwich's bread. A second
-    pass over the chunks forms the residual e and accumulates the meat
-    X' diag(e^2) X. The statistic does not depend on the column scaling. A
-    rank-deficient or badly conditioned X'X raises :class:`NumericalError`.
+    pass over the chunks forms the residual e from W's rows, scales them by
+    e in place and accumulates the meat X' diag(e^2) X. The statistic does
+    not depend on the column scaling. A rank-deficient or badly conditioned
+    X'X raises :class:`NumericalError`.
     """
     n, r = ds.n, plan.r
     if n <= r + 1:
@@ -79,18 +80,16 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
         gram[:m, :m], _MIN_RCOND, "interaction regression design", "an interaction column"
     )
     coef = _cho_solve(factor, gram[:m, m] * s)  # coefficients on the scaled columns
-    # the meat is the Gram of [e | W e], e = d_bar - X coef, chunk by chunk
+    # the meat is the Gram of [e | W e], e = d_bar - X coef, chunk by chunk:
+    # e is formed from the W rows of the stack, which are then scaled by it
     intercept, slopes = s[0] * coef[0], s[1:] * coef[1:]
     meat = np.zeros((m, m), order="F")
-    buf = np.empty((min(n, ROW_BLOCK), m))
-    for rows, wt in interactions._product_blocks(zc, plan, plan.q):
-        chunk = buf[: rows.stop - rows.start]
-        w = chunk[:, 1:]
-        w[...] = wt.T  # C-ordered rows: W @ slopes rounds as on the dense W
-        resid = d_bar[rows] - intercept - w @ slopes
-        chunk[:, 0] = resid
-        w *= resid[:, None]
-        meat = _syrk_add(meat, chunk)
+    for rows, xt in _stacked_chunks(n, [(None, None), (slice(0, r), None)], zc, plan):
+        w = xt[1:]
+        resid = d_bar[rows] - intercept - w.T @ slopes
+        xt[0] = resid
+        w *= resid
+        meat = _syrk_add(meat, xt)
     meat = _mirror(meat) * s[:, None] * s
     bread = _cho_solve(factor, np.eye(m))
     vcov = bread @ meat @ bread

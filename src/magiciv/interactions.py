@@ -12,16 +12,18 @@ Column (i_1, ..., i_k) is therefore ((x_{i_1} x_{i_2}) ...) x_{i_k}, the
 same left-to-right product ``np.prod`` forms over the gathered factors, and
 bit-identical to it, without the (n, m, k) gather.
 
-:func:`_product_blocks` is the one product kernel. It works through the
-rows in blocks of ``ROW_BLOCK`` and builds each block transposed, so every
-multiply runs along a contiguous block-length row instead of writing a few
-strided columns. :func:`_products` copies the blocks into a C-ordered
-destination, and the Gram kernel streams them without one. A result with
-equal values in another memory layout sends later BLAS calls down other
-kernels and moves downstream estimates in the last bits, so whatever is
-handed to BLAS is C-ordered rows. All orders are written side by side, so
-:func:`demeaned_matrix` returns all orders and a caller slices order k out
-with ``plan.order_slices()[k]``.
+:func:`_fill_products` is the one product kernel. It works on a block of
+at most ``ROW_BLOCK`` rows held transposed, one instrument per row, and
+writes each product as one contiguous row, so every multiply runs along a
+block-length row instead of writing a few strided columns. The Gram kernel
+of :mod:`magiciv.nuisance` has it write straight into the rows of the
+transposed column stack that its syrk reads, and :func:`_products` copies
+the rows into a C-ordered n-row destination. Equal values in another
+memory layout can send later BLAS calls down other kernels and move
+downstream results in the last bits: a syrk gives the same bits on the
+transposed stack as on C-ordered rows, a matrix-vector product does not.
+All orders are written side by side, so :func:`demeaned_matrix` returns
+all orders and a caller slices order k out with ``plan.order_slices()[k]``.
 """
 
 from __future__ import annotations
@@ -109,40 +111,42 @@ def _check_width(z: np.ndarray, plan: InteractionPlan) -> np.ndarray:
     return z
 
 
-def _product_blocks(
-    x: np.ndarray, plan: InteractionPlan, top: int
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, prod) for each ``ROW_BLOCK``-row block of ``x``, in order.
+def _transposed_blocks(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, xt) for each ``ROW_BLOCK``-row block of ``x``, in order.
 
-    ``prod`` is (r_top, m) for the block's m rows: the transpose of the
-    block's rows of the products of :func:`_products`, each product one
-    contiguous row, built by one multiply per order-(k-1) column. It is a
-    view of one reused buffer, overwritten by the next block.
+    ``xt`` is the block's rows transposed, C-ordered (p, m) for m rows, in
+    one reused buffer that the next block overwrites.
     """
     n, p = x.shape
-    rows = min(n, ROW_BLOCK)
-    width = sum(len(plan.subsets_by_order[k]) for k in range(2, top + 1))
-    xt = np.empty((p, rows))
-    # The padding keeps the row stride off a multiple of 4 KiB: a copy of
-    # ``prod.T`` reads down its columns, and at a power-of-two stride every
-    # row of a column falls in the same cache set; unpadded, that copy ran
-    # three times slower at r = 286.
-    buf = np.empty((width, rows + 8))
+    buf = np.empty((p, min(n, ROW_BLOCK)))
     for start in range(0, n, ROW_BLOCK):
-        block = slice(start, min(start + ROW_BLOCK, n))
-        xt_b = xt[:, : block.stop - start]
-        xt_b[...] = x[block].T
-        prod = buf[:, : block.stop - start]
-        prev, col = xt_b, 0
-        for k in range(2, top + 1):
-            first = col
-            for h, head in enumerate(plan.subsets_by_order[k - 1]):
-                tail = p - 1 - head[-1]  # order-k subsets extending this head
-                if tail:
-                    np.multiply(prev[h:h + 1], xt_b[p - tail:], out=prod[col:col + tail])
-                    col += tail
-            prev = prod[first:col]
-        yield block, prod
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        xt = buf[:, : rows.stop - start]
+        xt[...] = x[rows].T
+        yield rows, xt
+
+
+def _fill_products(xt: np.ndarray, plan: InteractionPlan, top: int, dst: np.ndarray) -> None:
+    """Write the products of orders 2..top of the transposed block ``xt`` into ``dst``.
+
+    ``xt`` is a block from :func:`_transposed_blocks`; row c of ``dst``,
+    whose rows are each contiguous, gets product column c of
+    :func:`_products` for the block's rows, built by one multiply per
+    order-(k-1) row. ``dst`` holds at most the r_top products of orders
+    2..top and gets as many of the leading ones as it has rows.
+    """
+    p = xt.shape[0]
+    stop = dst.shape[0]
+    prev, col = xt, 0
+    for k in range(2, top + 1):
+        first = col
+        for h, head in enumerate(plan.subsets_by_order[k - 1]):
+            tail = p - 1 - head[-1]  # order-k subsets extending this head
+            take = min(tail, stop - col)
+            if take > 0:
+                np.multiply(prev[h:h + 1], xt[p - tail:p - tail + take], out=dst[col:col + take])
+                col += take
+        prev = dst[first:col]
 
 
 def _products(x: np.ndarray, plan: InteractionPlan, top: int, out: np.ndarray) -> None:
@@ -154,7 +158,15 @@ def _products(x: np.ndarray, plan: InteractionPlan, top: int, out: np.ndarray) -
     a lower ``top`` gives the leading columns of a higher one bit for bit.
     ``out`` may be a strided view, such as some columns of a wider array.
     """
-    for block, prod in _product_blocks(x, plan, top):
+    rows = min(x.shape[0], ROW_BLOCK)
+    # The padding keeps the row stride off a multiple of 4 KiB: the copy
+    # into ``out`` reads down the columns of the product rows, and at a
+    # power-of-two stride every row of a column falls in the same cache
+    # set; unpadded, that copy ran three times slower at r = 286.
+    buf = np.empty((out.shape[1], rows + 8))
+    for block, xt in _transposed_blocks(x):
+        prod = buf[:, : xt.shape[1]]
+        _fill_products(xt, plan, top, prod)
         out[block] = prod.T
 
 

@@ -19,9 +19,11 @@ which is what the overidentification statistic is defined with.
 The rows a_i and b_i are never stored. All five aggregates are blocks of
 one Gram matrix, that of [1 | a | b], which the row-chunked kernel
 :func:`magiciv.nuisance._gram` accumulates from the centered instruments
-and the per-order residuals, building each row chunk of the demeaned
-interaction matrix as it goes: the ones column gives the means, and one
-syrk per chunk gives s0, E_n[a b'] and s2.
+and the per-order residuals: the ones column gives the means, and one syrk
+per chunk gives s0, E_n[a b'] and s2. Each chunk of the demeaned
+interaction matrix is built once, in place of b's rows; a's rows are those
+rows times the outcome residuals, and then b's are scaled in place by the
+exposure residuals.
 """
 
 from __future__ import annotations

@@ -29,11 +29,15 @@ No fit holds the n x r demeaned interaction matrix W, and outside that
 fallback no basis of order k >= 3 either. The nuisance projections, the
 moment components, the diagnostic and efficient GMM pass the centered
 instruments z - mu and the plan to :func:`_gram`, which forms every Gram
-they need from weighted W columns and other n-row blocks, and builds each
-row chunk of W, up to the highest order it reads, just before it fills its
-syrk buffer; a consumer that needs W rows for anything else loops over the
-same chunks. The widest n-row arrays of a fit are then the first stage's
-(1, z) design and the centered instruments, about p + 1 columns each.
+they need from weighted W columns and other n-row blocks. It holds one row
+chunk of that column stack X transposed, X' C-ordered, in one buffer: the
+product kernel writes the chunk's rows of W, up to the highest order read,
+straight into it, the other blocks are written beside them, and a syrk
+reads it in place. A consumer that needs W's rows for anything else, the
+diagnostic's residual and efficient GMM's moment vectors, reads them from
+the same buffer in :func:`_stacked_chunks` before it scales them. The
+widest n-row arrays of a fit are then the first stage's (1, z) design and
+the centered instruments, about p + 1 columns each.
 
 BLAS threads: every public function of the package that calls BLAS or
 LAPACK holds each loaded BLAS at one thread while it runs, through the
@@ -53,7 +57,7 @@ import ctypes
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -191,10 +195,16 @@ _MIN_RCOND = 1e-10
 _NUISANCE_MIN_RCOND = 1e-4
 
 
-def _syrk_add(gram: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """Add chunk' chunk into the upper triangle of the Fortran-ordered ``gram``."""
-    # chunk.T is Fortran-ordered, so BLAS reads the C-ordered chunk in place
-    return _SYRK(1.0, chunk.T, beta=1.0, c=gram, overwrite_c=1)
+def _syrk_add(gram: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Add X'X into the upper triangle of the Fortran-ordered ``gram``; ``xt`` is X'.
+
+    ``xt`` is C-ordered, so its transpose X is Fortran-ordered and BLAS
+    reads it in place. On OpenBLAS this syrk, trans='T' on X, gives the
+    same bits as trans='N' on X' held Fortran-ordered (C-ordered rows of
+    X), so a Gram does not depend on which of the two layouts holds its
+    rows; tests/test_moments.py checks it at widths 3-573.
+    """
+    return _SYRK(1.0, xt.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
 
 
 def _mirror(gram: np.ndarray) -> np.ndarray:
@@ -212,44 +222,82 @@ def _widths(blocks) -> list[int]:
     ]
 
 
+def _home_run(blocks) -> list[int]:
+    """Indices of the run of slice blocks that the product kernel writes into.
+
+    Slice blocks come in runs over W's leading columns: a run is
+    consecutive blocks whose first slice starts at column 0 and whose
+    every next slice starts where the one before it stopped. The home run
+    is the last of those reading the most columns; every other run reads a
+    prefix of it. Empty when no block is a slice.
+    """
+    runs: list[list[int]] = []
+    for i, (x, _) in enumerate(blocks):
+        if not isinstance(x, slice):
+            continue
+        if x.start == 0:
+            runs.append([i])
+        elif runs and runs[-1][-1] == i - 1 and blocks[i - 1][0].stop == x.start:
+            runs[-1].append(i)
+        else:
+            raise ValueError(f"slice block {i} ({x}) does not continue a run from column 0")
+    return max(reversed(runs), key=lambda run: blocks[run[-1]][0].stop, default=[])
+
+
 def _stacked_chunks(
     n: int,
     blocks: Sequence[tuple[Union[np.ndarray, slice, None], Optional[np.ndarray]]],
     zc: Optional[np.ndarray] = None,
     plan: Optional[InteractionPlan] = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, chunk) for each ``ROW_BLOCK``-row chunk of the column stack X of ``blocks``.
+    """(rows, xt) for each ``ROW_BLOCK``-row chunk of the column stack X of ``blocks``.
 
     Each block is (x, v), scaled row by row by the n-vector v (None leaves
     it unscaled). x is an (n, m) matrix; None, for one column of ones; or a
     slice with explicit bounds, for those columns of the demeaned
-    interaction matrix W at centered instruments ``zc`` under ``plan``,
-    whose rows the product kernel builds one chunk at a time, up to the
-    highest order the slices read. ``chunk`` holds the rows of X, C-ordered,
-    in one reused buffer that the next chunk overwrites.
+    interaction matrix W at centered instruments ``zc`` under ``plan``.
+    Slice blocks come in runs that read W's leading columns (see
+    :func:`_home_run`). The product kernel writes the chunk's rows of W,
+    up to the highest column the slices read, straight into the rows of
+    the home run; the other runs are scaled copies of them, and then the
+    home run's blocks are scaled in place. ``xt`` is X' for the chunk:
+    C-ordered (width, m), a view of one flat buffer that the next chunk
+    overwrites, reshaped per chunk so that a short last chunk is
+    contiguous too.
     """
     widths = _widths(blocks)
-    buf = np.empty((min(n, ROW_BLOCK), sum(widths)))
-    stop = max((x.stop for x, _ in blocks if isinstance(x, slice)), default=0)
-    if stop == 0:
-        starts = range(0, n, ROW_BLOCK)
-        chunks = ((slice(start, min(start + ROW_BLOCK, n)), None) for start in starts)
-    else:
+    *offsets, width = accumulate(widths, initial=0)
+    flat = np.empty(width * min(n, ROW_BLOCK))
+    home = _home_run(blocks)
+    if home:
+        stop = blocks[home[-1]][0].stop
         top = next(k for k, cols in plan.order_slices().items() if cols.stop >= stop)
-        chunks = interactions._product_blocks(zc, plan, top)
-    for rows, wt in chunks:
-        chunk = buf[: rows.stop - rows.start]
-        col = 0
-        for (x, v), width in zip(blocks, widths):
-            dst = chunk[:, col:col + width]
-            col += width
-            if x is None:
-                dst[:, 0] = 1.0 if v is None else v[rows]
+        w_rows = slice(offsets[home[0]], offsets[home[0]] + stop)
+        chunks = interactions._transposed_blocks(zc)
+    else:
+        chunks = ((slice(s, min(s + ROW_BLOCK, n)), None) for s in range(0, n, ROW_BLOCK))
+    for rows, zt in chunks:
+        xt = flat[: width * (rows.stop - rows.start)].reshape(width, -1)
+        if home:
+            w = xt[w_rows]
+            interactions._fill_products(zt, plan, top, w)
+        for i, ((x, v), off, wid) in enumerate(zip(blocks, offsets, widths)):
+            if i in home:
                 continue
-            dst[...] = wt[x].T if isinstance(x, slice) else x[rows]
+            dst = xt[off:off + wid]
+            if x is None:
+                dst[0] = 1.0 if v is None else v[rows]
+                continue
+            src = w[x] if isinstance(x, slice) else x[rows].T
+            if v is None:
+                dst[...] = src
+            else:
+                np.multiply(src, v[rows], out=dst)
+        for i in home:
+            x, v = blocks[i]
             if v is not None:
-                dst *= v[rows, None]
-        yield rows, chunk
+                w[x] *= v[rows]
+        yield rows, xt
 
 
 def _gram(
@@ -260,15 +308,15 @@ def _gram(
 ) -> np.ndarray:
     """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``.
 
-    The blocks are those of :func:`_stacked_chunks`, which writes X
-    ``ROW_BLOCK`` rows at a time into one reused buffer; each chunk is
+    The blocks are those of :func:`_stacked_chunks`, which writes X'
+    ``ROW_BLOCK`` columns at a time into one reused buffer; each chunk is
     added into the upper triangle by a BLAS syrk, so no n-row array is
     made. A ones block puts the column sums of the others in its row.
     """
     m = sum(_widths(blocks))
     gram = np.zeros((m, m), order="F")
-    for _, chunk in _stacked_chunks(n, blocks, zc, plan):
-        gram = _syrk_add(gram, chunk)
+    for _, xt in _stacked_chunks(n, blocks, zc, plan):
+        gram = _syrk_add(gram, xt)
     return _mirror(gram)
 
 
@@ -442,9 +490,9 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
         theta[k - 1], xi[k - 1] = np.ascontiguousarray(coefs[k].T)
         r_y[k - 1], r_d[k - 1] = np.empty(ds.n), np.empty(ds.n)
     if coefs:
-        for rows, chunk in _stacked_chunks(ds.n, basis(max(coefs)), zc, plan):
+        for rows, xt in _stacked_chunks(ds.n, basis(max(coefs)), zc, plan):
             for k, coef in coefs.items():
-                fitted = chunk[:, : coef.shape[0]] @ coef
+                fitted = xt[: coef.shape[0]].T @ coef
                 r_y[k - 1][rows] = ds.y[rows] - fitted[:, 0]
                 r_d[k - 1][rows] = ds.d[rows] - fitted[:, 1]
     return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,25 @@ def test_tsls_on_an_exposure_linear_in_z_is_ols():
         ols = float(dc @ y) / float(dc @ dc)
         assert abs(res.beta_hat - ols) <= 1e-10 * max(1.0, abs(ols))
         assert res.se > 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_tsls_on_a_nearly_constant_exposure_is_the_centered_ratio(eps):
+    # d = 2 + eps z_1 is linear in z, so TSLS is OLS: the centered ratio
+    # below. The fitted exposure is known to about an ulp of its level 2,
+    # so beta_hat and se are known to about 2 * 2.2e-16 / eps relative;
+    # uncentered normal equations give rounding noise there (se 0)
+    z, y = _binary_design(1)
+    d = 2.0 + eps * z[:, 0]
+    res = tsls(Dataset(y=y, d=d, z=z))
+    dc, yc = d - d.mean(), y - y.mean()
+    ratio = float(dc @ yc) / float(dc @ dc)
+    e = yc - ratio * dc
+    se = math.sqrt(float((dc * dc) @ (e * e))) / float(dc @ dc)
+    tol = 32 * np.finfo(float).eps * 2.0 / eps
+    assert abs(res.beta_hat - ratio) <= tol * abs(ratio)
+    assert abs(res.se - se) <= tol * se
+    assert abs(res.extra["intercept"] - (y.mean() - ratio * d.mean())) <= tol * abs(ratio) * 2.0
 
 
 @pytest.mark.parametrize("exposure", ["2.0", "0.7", "0", "linear"])

@@ -22,7 +22,15 @@ from magiciv import (
 from magiciv.cue import _ridge_factor
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
 from magiciv.moments import components_from_arrays
-from magiciv.nuisance import _blas_threads, _cho_solve, _cholesky, _first_stage, _gram
+from magiciv.nuisance import (
+    _SYRK,
+    _blas_threads,
+    _cho_solve,
+    _cholesky,
+    _first_stage,
+    _gram,
+    _syrk_add,
+)
 from magiciv.simulate import _normals, _rep_rng
 
 from conftest import component_rows, make_binary_dataset, make_sim_dataset, pipeline_rows
@@ -270,3 +278,47 @@ def test_kernel_allocates_far_less_than_one_interaction_matrix():
         finally:
             tracemalloc.stop()
         assert peak < one_matrix
+
+
+def test_each_pass_holds_one_chunk_sized_buffer():
+    # a pass over W holds the transposed stack X' of one chunk and nothing
+    # else chunk-sized beyond the transposed instruments it is built from:
+    # no product buffer beside the stack, no C-ordered copy of it
+    ds = make_sim_dataset(p=8, n=2 * ROW_BLOCK + 3, seed=7)
+    plan = build_plan(ds.p, 3)  # r = 84
+    nuis = fit_nuisance(ds, plan)
+    beta_init = tsls(ds).beta_hat  # also memoizes the (1, z) fit
+    r, chunk, slack = plan.r, ROW_BLOCK * 8, 256 * 1024
+    centered, zt = ds.z.nbytes, ds.p * chunk
+    for run, width in (
+        (lambda: build_components(ds, nuis, plan), 1 + 2 * r),
+        (lambda: f_stat(ds, plan), r + 2),
+        (lambda: efficient_fixed_r(ds, plan, beta_init), r),
+    ):
+        # the Gram and at most three more matrices of its size at once
+        bound = width * chunk + centered + zt + 4 * width * width * 8 + slack
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+@pytest.mark.parametrize("width", [3, 47, 91, 288, 573])
+@pytest.mark.parametrize("rows", [1, 7, 1000, 2048])
+def test_transposed_stack_syrk_matches_row_layout(width, rows):
+    # every Gram is a syrk with trans='T' on the stack X' held C-ordered;
+    # it must give the bits of trans='N' on C-ordered rows of X, so that no
+    # Gram depends on which layout holds its chunk. OpenBLAS's packing gives
+    # that equality, no BLAS contract does, so it is checked at every thread
+    # count
+    rng = np.random.default_rng(10 * width + rows)
+    got = np.zeros((width, width), order="F")
+    want = np.zeros((width, width), order="F")
+    for _ in range(3):
+        x = rng.standard_normal((rows, width))
+        got = _syrk_add(got, np.ascontiguousarray(x.T))
+        want = _SYRK(1.0, x.T, beta=1.0, c=want, overwrite_c=1)
+    assert np.array_equal(got, want)

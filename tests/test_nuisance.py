@@ -176,14 +176,13 @@ def test_design_wider_than_n_reports_requirement():
 def _count_builds(monkeypatch):
     """Record (top order, rows) of every block of interaction products built."""
     calls = []
-    build = interactions._product_blocks
+    fill = interactions._fill_products
 
-    def counting(x, plan, top):
-        for rows, prod in build(x, plan, top):
-            calls.append((top, rows.stop - rows.start))
-            yield rows, prod
+    def counting(xt, plan, top, dst):
+        calls.append((top, xt.shape[1]))
+        fill(xt, plan, top, dst)
 
-    monkeypatch.setattr(interactions, "_product_blocks", counting)
+    monkeypatch.setattr(interactions, "_fill_products", counting)
     return calls
 
 
@@ -212,13 +211,13 @@ def test_estimate_streams_interactions_in_chunks(tmp_path, monkeypatch):
     ])
     assert code == 0
     # the order-3 nuisance projection streams the order-2 products twice,
-    # for its Gram and for its residuals, and five passes stream W in two
-    # chunks each: the moment Grams, F_q's X'X and its residual and meat,
-    # and efficient GMM's Omega and its moment vectors. The one design
+    # for its Gram and for its residuals, and four passes stream W in two
+    # chunks each: the moment Grams, F_q's X'X, F_q's residual and meat,
+    # and efficient GMM's moment vectors with its Omega. The one design
     # projected is (1, z), once for the nuisance step, F_q, TSLS and
     # efficient GMM. No build is of raw products.
     assert sorted(calls) == (
-        [(2, 52)] * 2 + [(2, ROW_BLOCK)] * 2 + [(3, 52)] * 5 + [(3, ROW_BLOCK)] * 5
+        [(2, 52)] * 2 + [(2, ROW_BLOCK)] * 2 + [(3, 52)] * 4 + [(3, ROW_BLOCK)] * 4
     )
     assert widths == [6]
 
@@ -231,9 +230,9 @@ def test_replication_streams_interactions_in_chunks(monkeypatch):
         methods=("magic", "tsls", "efficient_fixed_r"), workers=1,
     )
     assert summary.n_excluded == 0
-    # per replication: F_q twice, the moment Grams and efficient GMM twice;
+    # per replication: F_q twice, the moment Grams and efficient GMM once;
     # the q = 2 nuisance reads the (1, z) fit and builds no products
-    assert calls == [(2, 300)] * 10
+    assert calls == [(2, 300)] * 8
     assert widths == [5] * 2  # one (1, z) projection per replication
 
 
@@ -298,19 +297,28 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
     plan = build_plan(ds.p, 4)
     zc = ds.z - estimate_means(ds)
     w = interactions.demeaned_matrix(ds.z, estimate_means(ds), plan)
-    slices = plan.order_slices()
+    s2, s3, s4 = (plan.order_slices()[k] for k in (2, 3, 4))
     calls = _count_builds(monkeypatch)
-    for cols, top in (
-        (slice(0, slices[2].stop), 2),
-        (slice(1, slices[2].stop - 1), 2),
-        (slice(slices[2].stop - 1, slices[3].start + 1), 3),
-        (slice(slices[3].stop, slices[4].stop), 4),
+    for runs, top in (
+        ([(slice(0, s2.stop), ds.y)], 2),
+        ([(slice(0, 1), None), (slice(1, s2.stop - 1), ds.y)], 2),
+        ([(slice(0, s2.stop - 1), None), (slice(s2.stop - 1, s3.start + 1), ds.y)], 3),
+        ([(slice(0, s3.stop), ds.d), (slice(s3.stop, s4.stop), ds.y)], 4),
+        # the longest run is the one built; the others are copies of its prefix
+        ([(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)], 3),
+        ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
     ):
         del calls[:]
-        gram = nuisance._gram(ds.n, [(None, None), (cols, ds.y)], zc, plan)
+        gram = nuisance._gram(ds.n, [(None, None)] + runs, zc, plan)
         assert sorted(calls) == [(top, 7), (top, ROW_BLOCK)]
-        x = np.column_stack([np.ones(ds.n), w[:, cols] * ds.y[:, None]])
+        x = np.column_stack(
+            [np.ones(ds.n)] + [w[:, cols] * (1.0 if v is None else v[:, None]) for cols, v in runs]
+        )
         assert np.allclose(gram, x.T @ x, rtol=1e-12, atol=0.0)
+    # a slice that neither starts at column 0 nor continues the block before it
+    for blocks in ([(slice(1, 3), None)], [(slice(0, 2), None), (None, None), (slice(2, 3), None)]):
+        with pytest.raises(ValueError, match="does not continue a run from column 0"):
+            nuisance._gram(ds.n, blocks, zc, plan)
 
 
 def test_first_stage_is_memoized_read_only():
