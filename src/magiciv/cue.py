@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from .data import Dataset
 from .errors import ConfigError, IdentificationError, NumericalError
@@ -84,9 +84,10 @@ _CERT_REL = 1e-8
 # ---------------------------------------------------------------------------
 # chi-square special functions
 # ---------------------------------------------------------------------------
-# Hand-rolled rather than scipy.special: importing scipy.special after the
-# package took 64-68 ms over 5 runs and raised peak RSS by 2.7-2.9 MiB
-# (2 cores, scipy 1.17.1), a set-up cost that every CLI call would pay.
+# Hand-rolled rather than scipy.special: the package imports no scipy, and
+# importing scipy.special after it took 297-319 ms over 5 runs and raised
+# peak RSS by 17.7-17.8 MiB (2 cores, scipy 1.17.1), a set-up cost that
+# every CLI call would pay.
 
 _GAMMA_MAX_ITER = 500
 
@@ -366,7 +367,9 @@ def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
                 if best is None or value < best[0] or (value == best[0] and i < i_best):
                     best, i_best = result, i
 
-    scan(np.unique(np.append(np.arange(0, grid.size, _CERT_STRIDE), grid.size - 1)))
+    # every _CERT_STRIDE-th point and the last, in order and once each; not
+    # by np.unique, which imports numpy.ma on a process's first fit
+    scan(np.append(np.arange(0, grid.size - 1, _CERT_STRIDE), grid.size - 1))
     rest = ~evaluated
     if solves and not ladder:
         q_best = float(values.min())

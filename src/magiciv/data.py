@@ -2,8 +2,7 @@
 
 Estimation runs on a fixed triple: outcome vector y, exposure vector d,
 and an n x p instrument matrix z. Instruments are stored as reals even
-when they are 0/1 coded, since nothing downstream requires binarity;
-an optional strict flag in :func:`validate` checks binary coding.
+when they are 0/1 coded, since nothing downstream requires binarity.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class Dataset:
         return tuple(f"z{j + 1}" for j in range(self.p))
 
 
-def validate(ds: Dataset, require_binary: bool = False) -> list[str]:
+def validate(ds: Dataset) -> list[str]:
     """Return a list of invariant violations; empty means the dataset is clean.
 
     Violations are data, not failures: this never raises. Each entry names
@@ -99,8 +98,6 @@ def validate(ds: Dataset, require_binary: bool = False) -> list[str]:
             continue
         if ds.n >= 2 and np.var(col) == 0.0:
             report.append(f"constant instrument: column '{name}'")
-        if require_binary and not np.all((col == 0.0) | (col == 1.0)):
-            report.append(f"non-binary coding: column '{name}'")
     return report
 
 

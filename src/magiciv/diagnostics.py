@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from .data import Dataset
 from .errors import NumericalError

@@ -44,11 +44,19 @@ LAPACK holds each loaded BLAS at one thread while it runs, through the
 :func:`_one_blas_thread` decorator over :func:`_blas_threads`. Results then
 do not depend on the machine's thread count, and threads that only spin
 between the many small solves cost no CPU. The libraries are found on the
-first pin and kept for the life of the process (the package loads numpy's
-and scipy's BLAS at import): through threadpoolctl when it imports, which
-also covers MKL and BLIS, and otherwise each OpenBLAS in /proc/self/maps
-through ctypes. The thread count is process-global, so concurrent callers
-in one process can race on it.
+first pin and kept for the life of the process: through threadpoolctl
+when it imports, which also covers MKL and BLIS, and otherwise each
+OpenBLAS in /proc/self/maps through ctypes. The thread count is
+process-global, so concurrent callers in one process can race on it.
+
+BLAS and LAPACK: syrk, potrf, potrs, pocon and gelsy come from the
+OpenBLAS that numpy's linear-algebra extension loads, bound through
+ctypes by :mod:`magiciv._lapack`, so no scipy is imported and numpy's is
+the only BLAS in the process. Where numpy's library does not export them
+(Accelerate, MKL or conda builds), scipy's wrappers stand in; they are
+chosen at import, before the first pin, so the scan above finds scipy's
+BLAS too. :func:`_syrk_add`, :func:`_cholesky`, :func:`_cho_solve`,
+:func:`_unit_cholesky` and :func:`_lstsq` are the only callers.
 """
 
 from __future__ import annotations
@@ -61,9 +69,9 @@ from itertools import accumulate, product
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
+from . import _lapack
 from .data import Dataset, _require_finite
 from .errors import ConfigError, NumericalError
 from . import interactions
@@ -87,8 +95,9 @@ _BLAS_CONTROLS: Optional[list[tuple[Callable[[], int], Callable[[int], None]]]] 
 def _scan_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
     """(get, set) thread-count functions of each OpenBLAS in /proc/self/maps.
 
-    numpy and scipy each bundle one; a library without the functions is
-    skipped, and where /proc is missing the list is empty.
+    numpy bundles one, and so does scipy where its wrappers stand in for
+    numpy's LAPACK; a library without the functions is skipped, and where
+    /proc is missing the list is empty.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -179,8 +188,9 @@ def estimate_means(ds: Dataset) -> np.ndarray:
     return ds.z.mean(axis=0)
 
 
-(_SYRK,) = get_blas_funcs(("syrk",), (np.empty(0),))
-_POTRF, _POTRS, _POCON = get_lapack_funcs(("potrf", "potrs", "pocon"), (np.empty(0),))
+# syrk, potrf, potrs, pocon and gelsy: from numpy's OpenBLAS, or scipy's
+# wrappers where numpy's library does not export them
+_LAPACK = _lapack.ROUTINES
 
 # Smallest reciprocal condition estimates (LAPACK pocon, 1-norm) that
 # :func:`_unit_cholesky` accepts for a Gram X'X scaled to unit diagonal.
@@ -204,7 +214,7 @@ def _syrk_add(gram: np.ndarray, xt: np.ndarray) -> np.ndarray:
     X), so a Gram does not depend on which of the two layouts holds its
     rows; tests/test_moments.py checks it at widths 3-573.
     """
-    return _SYRK(1.0, xt.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
+    return _LAPACK.syrk(gram, xt.T, True)
 
 
 def _mirror(gram: np.ndarray) -> np.ndarray:
@@ -323,12 +333,15 @@ def _gram(
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``a``, as ``cho_factor(a, lower=True)`` gives it.
 
-    Raises :class:`scipy.linalg.LinAlgError` when ``a`` is not positive
-    definite.
+    LAPACK potrf on a Fortran-ordered copy: the lower triangle holds the
+    factor, bit for bit ``np.linalg.cholesky(a)``'s on numpy's own library,
+    and the upper one keeps a's entries. Raises
+    :class:`numpy.linalg.LinAlgError`, naming the first leading minor that
+    is not positive definite, when ``a`` is not.
     """
-    c, info = _POTRF(a, lower=1, clean=0)
+    c, info = _LAPACK.potrf(a)
     if info > 0:
-        raise linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+        raise LinAlgError(f"{info}-th leading minor is not positive definite")
     return c
 
 
@@ -351,9 +364,9 @@ def _unit_cholesky(
     scaled = xtx * s[:, None] * s
     try:
         factor = _cholesky(scaled)
-    except linalg.LinAlgError as exc:
+    except LinAlgError as exc:
         raise NumericalError(f"{what} rank < {m}: X'X factorization failed ({exc})") from None
-    rcond, _ = _POCON(factor, float(np.max(np.sum(np.abs(scaled), axis=0))), uplo="L")
+    rcond = _LAPACK.pocon(factor, float(np.max(np.sum(np.abs(scaled), axis=0))))
     if not rcond >= min_rcond:
         raise NumericalError(
             f"{what} is ill-conditioned: reciprocal condition "
@@ -364,7 +377,7 @@ def _unit_cholesky(
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b from the lower Cholesky factor ``c`` of a."""
-    return _POTRS(c, b, lower=1)[0]
+    return _LAPACK.potrs(c, b)
 
 
 def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -379,13 +392,7 @@ def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         raise NumericalError(
             f"design has {m} columns but only {n} rows; need n >= {m}"
         )
-    coef, _, rank, _ = linalg.lstsq(
-        design,
-        rhs,
-        cond=np.finfo(float).eps * max(design.shape),
-        lapack_driver="gelsy",
-        check_finite=False,
-    )
+    coef, rank = _LAPACK.gelsy(design, rhs, np.finfo(float).eps * max(design.shape))
     if rank == 0:
         raise NumericalError("numerically rank-zero design")
     return coef, int(rank)

@@ -36,6 +36,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+import numpy.random  # at import, so forked pool workers inherit it loaded
 
 from .baselines import efficient_fixed_r, tsls
 from .cue import chisq_quantile, estimate_cue

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_solve
 
 from magiciv import (
     ConfigError,
@@ -146,20 +147,22 @@ def test_ridge_ladder_factors_singular_psd_matrix():
     assert np.allclose((om + ridge * np.eye(5)) @ sol, rhs, rtol=1e-6, atol=1e-6)
 
 
-def _scipy_ridge_factor(om, base_ridge=0.0):
-    # the ladder written on cho_factor, trace taken before the first rung
+def _reference_ridge_factor(om, base_ridge=0.0):
+    # the ladder written on np.linalg.cholesky, trace taken before the first
+    # rung: numpy's potrf is the library the package calls, while scipy's
+    # cho_factor runs a second OpenBLAS whose potrf can round differently
     scale = max(float(np.trace(om)) / max(om.shape[0], 1), np.finfo(float).tiny)
     for mult in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
         ridge = base_ridge + mult * scale
         a = om + ridge * np.eye(om.shape[0]) if ridge > 0.0 else om
         try:
-            return cho_factor(a, lower=True, check_finite=False)[0], ridge
+            return np.linalg.cholesky(a), ridge
         except LinAlgError:
             continue
     raise NumericalError("ladder exhausted")
 
 
-def _scipy_cho_solve(c, b):
+def _reference_cho_solve(c, b):
     return cho_solve((c, True), b, check_finite=False)
 
 
@@ -186,20 +189,22 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
 
     evals, fit, var = run()
     assert any(ridge > 0.0 for *_, ridge in evals) == singular
-    for beta, (value, u, _, ridge) in zip(grid, evals):
-        # the grid values, straight from omega(mc, beta)
-        want_c, want_ridge = _scipy_ridge_factor(omega(mc, float(beta)))
+    for beta, (value, u, c, ridge) in zip(grid, evals):
+        # the grid values, straight from omega(mc, beta); the package's
+        # factor keeps the matrix in its upper triangle, numpy's zeroes it
+        want_c, want_ridge = _reference_ridge_factor(omega(mc, float(beta)))
         g = mc.abar - beta * mc.bbar
-        want_u = _scipy_cho_solve(want_c, g)
+        want_u = _reference_cho_solve(want_c, g)
         assert ridge == want_ridge
+        assert np.array_equal(np.tril(c), want_c)
         assert np.array_equal(u, want_u)
         assert value == 0.5 * float(g @ want_u)
-    monkeypatch.setattr(cue, "_ridge_factor", _scipy_ridge_factor)
-    monkeypatch.setattr(cue, "_cho_solve", _scipy_cho_solve)
+    monkeypatch.setattr(cue, "_ridge_factor", _reference_ridge_factor)
+    monkeypatch.setattr(cue, "_cho_solve", _reference_cho_solve)
     want_evals, want_fit, want_var = run()
     for (value, u, c, ridge), (w_value, w_u, w_c, w_ridge) in zip(evals, want_evals):
         assert (value, ridge) == (w_value, w_ridge)
-        assert np.array_equal(u, w_u) and np.array_equal(c, w_c)
+        assert np.array_equal(u, w_u) and np.array_equal(np.tril(c), w_c)
     assert fit == want_fit
     assert var == want_var
 

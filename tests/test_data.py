@@ -119,13 +119,6 @@ def test_validate_too_few_rows():
     assert any("n >= 2" in entry for entry in validate(ds))
 
 
-def test_validate_require_binary():
-    z = np.array([[0.0, 0.5], [1.0, 1.5], [0.0, 0.5]])
-    ds = Dataset(y=np.arange(3.0), d=np.arange(3.0), z=z)
-    assert validate(ds) == []
-    assert any("non-binary" in entry for entry in validate(ds, require_binary=True))
-
-
 def test_write_read_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(11)
     z = (rng.random((8, 3)) < 0.5).astype(float)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from magiciv import Dataset, NumericalError, build_plan, diagnostics, f_stat, nuisance
 
