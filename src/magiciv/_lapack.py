@@ -1,6 +1,6 @@
-"""The five BLAS and LAPACK routines of the estimator, bound to numpy's own OpenBLAS.
+"""The six BLAS and LAPACK routines of the estimator, bound to numpy's own OpenBLAS.
 
-The package calls dsyrk, dpotrf, dpotrs, dpocon and dgelsy, all in double
+The package calls dsyrk, dpotrf, dpotrs, dposv, dpocon and dgelsy, all in double
 precision and all through :mod:`magiciv.nuisance`. numpy's linear-algebra
 extension already loads an OpenBLAS that exports them: numpy >= 2 wheels
 as ``scipy_<name>_64_``, numpy 1.2x wheels as ``<name>_64_``, both with
@@ -32,13 +32,13 @@ import numpy.linalg
 
 __all__ = ["Routines", "resolve", "ROUTINES"]
 
-_NAMES = ("dsyrk", "dpotrf", "dpotrs", "dpocon", "dgelsy")
+_NAMES = ("dsyrk", "dpotrf", "dpotrs", "dposv", "dpocon", "dgelsy")
 # numpy >= 2 wheels (scipy-openblas64) and numpy 1.2x wheels (openblas64_)
 _SYMBOL_FORMATS = ("scipy_{}_64_", "{}_64_")
 
 
 class Routines(NamedTuple):
-    """The five routines, with the same signatures whichever library holds them.
+    """The six routines, with the same signatures whichever library holds them.
 
     - ``syrk(gram, a, transpose)``: add A'A (``transpose`` true) or AA' into the
       upper triangle of ``gram``, in place when ``gram`` is Fortran-ordered
@@ -47,6 +47,8 @@ class Routines(NamedTuple):
       triangle holds the Cholesky factor and whose upper one is a's.
     - ``potrs(c, b)``: x solving a x = b from the lower factor ``c`` of a, a
       fresh array shaped like ``b``.
+    - ``posv(a, b)``: (c, x, info), potrf's (c, info) and potrs's x in one
+      call; x is meaningless when info is not 0.
     - ``pocon(c, anorm)``: the reciprocal 1-norm condition estimate of a
       from its lower factor ``c`` and its 1-norm.
     - ``gelsy(a, b, cond)``: (x, rank), the minimum-norm least-squares
@@ -58,6 +60,7 @@ class Routines(NamedTuple):
     syrk: Callable
     potrf: Callable
     potrs: Callable
+    posv: Callable
     pocon: Callable
     gelsy: Callable
 
@@ -69,7 +72,7 @@ def _square(a, what: str) -> int:
     return a.shape[0]
 
 
-def _bind(syrk, potrf, potrs, pocon, gelsy) -> Routines:
+def _bind(syrk, potrf, potrs, posv, pocon, gelsy) -> Routines:
     """:class:`Routines` over the ctypes functions of an ILP64 BLAS/LAPACK."""
     # Fortran calling convention: every argument by reference, plus
     # gfortran's hidden length (size_t) of each character argument
@@ -78,9 +81,10 @@ def _bind(syrk, potrf, potrs, pocon, gelsy) -> Routines:
     syrk.argtypes = [ch, ch, i64, i64, f64, f64, i64, f64, f64, i64, strlen, strlen]
     potrf.argtypes = [ch, i64, f64, i64, i64, strlen]
     potrs.argtypes = [ch, i64, i64, f64, i64, f64, i64, i64, strlen]
+    posv.argtypes = [ch, i64, i64, f64, i64, f64, i64, i64, strlen]
     pocon.argtypes = [ch, i64, f64, i64, f64, f64, f64, i64, i64, strlen]
     gelsy.argtypes = [i64, i64, i64, f64, i64, f64, i64, i64, f64, i64, f64, i64, i64]
-    for fn in (syrk, potrf, potrs, pocon, gelsy):
+    for fn in (syrk, potrf, potrs, posv, pocon, gelsy):
         fn.restype = None
     local = threading.local()
     one = ctypes.c_double(1.0)
@@ -134,6 +138,17 @@ def _bind(syrk, potrf, potrs, pocon, gelsy) -> Routines:
         potrs(b"L", n, nrhs, fortran(c), n, fortran(x), n, info, 1)
         return x
 
+    def cho_factor_solve(a, b):
+        c = np.array(a, dtype=double, order="F")
+        x = np.array(b, dtype=double, order="F")
+        n, nrhs, info = cells()
+        n.value = _square(c, "a")
+        if x.ndim not in (1, 2) or x.shape[0] != n.value:
+            raise ValueError(f"b of shape {x.shape} for a matrix of order {n.value}")
+        nrhs.value = 1 if x.ndim == 1 else x.shape[1]
+        posv(b"L", n, nrhs, fortran(c), n, fortran(x), n, info, 1)
+        return c, x, info.value
+
     def rcond(c, anorm):
         c = np.asfortranarray(c, dtype=double)
         order = _square(c, "c")
@@ -171,7 +186,7 @@ def _bind(syrk, potrf, potrs, pocon, gelsy) -> Routines:
             raise ValueError(f"illegal value in argument {-info.value} of gelsy")
         return x[:cols], rank.value
 
-    return Routines(syrk_add, cholesky, cho_solve, rcond, lstsq)
+    return Routines(syrk_add, cholesky, cho_solve, cho_factor_solve, rcond, lstsq)
 
 
 def _scipy_routines() -> Routines:
@@ -180,7 +195,9 @@ def _scipy_routines() -> Routines:
     from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
     (syrk,) = get_blas_funcs(("syrk",), (np.empty(0),))
-    potrf, potrs, pocon = get_lapack_funcs(("potrf", "potrs", "pocon"), (np.empty(0),))
+    potrf, potrs, posv, pocon = get_lapack_funcs(
+        ("potrf", "potrs", "posv", "pocon"), (np.empty(0),)
+    )
 
     def lstsq(a, b, cond):
         coef, _, rank, _ = linalg.lstsq(
@@ -194,13 +211,14 @@ def _scipy_routines() -> Routines:
         ),
         potrf=lambda a: potrf(a, lower=1, clean=0),
         potrs=lambda c, b: potrs(c, b, lower=1)[0],
+        posv=lambda a, b: posv(a, b, lower=1),
         pocon=lambda c, anorm: pocon(c, anorm, uplo="L")[0],
         gelsy=lstsq,
     )
 
 
 def resolve(lib: Optional[ctypes.CDLL]) -> Routines:
-    """The routines from ``lib`` when it exports all five by one ILP64 name, else scipy's.
+    """The routines from ``lib`` when it exports all six by one ILP64 name, else scipy's.
 
     ``lib`` None, or a library without those names, gives scipy's wrappers.
     """

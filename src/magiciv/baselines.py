@@ -12,9 +12,11 @@ their own tuning stacks and are available in their authors' packages.
 TSLS and the efficient-GMM direct-effect regression share one linear first
 stage, the residuals of y and d on (1, z); it is the same projection as the
 order-2 nuisance step of the main estimator. Efficient GMM makes one pass
-over the demeaned interactions in row chunks, like the main estimator's
-moments: each chunk's rows give its two moment vectors, and then, scaled
-in place by the residual row weights, the Gram of its weighting matrix.
+over the demeaned interactions of the distinct instrument rows, in chunks,
+like the main estimator's moments: each chunk's rows, against the
+per-group sums of the two moment weights, give its two moment vectors, and
+then, scaled in place by the root of each group's summed squared residual,
+the Gram of its weighting matrix.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .nuisance import (
     _first_stage,
     _mirror,
     _one_blas_thread,
+    _row_groups,
     _stacked_chunks,
     _syrk_add,
-    estimate_means,
 )
 
 __all__ = ["BaselineResult", "tsls", "efficient_fixed_r"]
@@ -119,18 +121,21 @@ def efficient_fixed_r(
     if beta_init is None:
         beta_init = tsls(ds).beta_hat
     n = ds.n
-    zc = ds.z - estimate_means(ds)
+    groups = _row_groups(ds)
     resid0 = r_y - beta_init * r_d
     # one pass over W: the moment is affine in beta,
     # E_n[w (resid0 + beta_init d)] - beta E_n[w d], and both sums are taken
-    # from W's rows before they are scaled by resid0 for Omega's Gram
-    level = resid0 + beta_init * ds.d
+    # from W's rows, against each group's sums of the two, before the rows
+    # are scaled by the root of each group's sum of resid0^2 for Omega's Gram
+    level = groups.sums(resid0 + beta_init * ds.d)
+    exposure = groups.sums(ds.d)
+    root = np.sqrt(groups.sums(resid0 * resid0))
     a_sum, b_sum = np.zeros(plan.r), np.zeros(plan.r)
     gram = np.zeros((plan.r, plan.r), order="F")
-    for rows, w in _stacked_chunks(n, [(slice(0, plan.r), None)], zc, plan):
+    for rows, w in _stacked_chunks(groups, [slice(0, plan.r)], groups.centered, plan):
         a_sum += w @ level[rows]
-        b_sum += w @ ds.d[rows]
-        w *= resid0[rows]
+        b_sum += w @ exposure[rows]
+        w *= root[rows]
         gram = _syrk_add(gram, w)
     om = _mirror(gram) / n
     a_vec, b_vec = a_sum / n, b_sum / n

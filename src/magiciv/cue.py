@@ -41,6 +41,7 @@ from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import build_plan
 from .moments import MomentComponents, build_components, gbar, omega
 from .nuisance import (
+    _cho_factor_solve,
     _cho_solve,
     _cholesky,
     _exposure_explained,
@@ -206,35 +207,30 @@ def chisq_quantile(alpha: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _factor(om: np.ndarray, ridge: float) -> np.ndarray:
-    """Lower Cholesky factor of om + ridge I; LinAlgError if not positive definite.
+def _ridge_ladder(om: np.ndarray, base_ridge: float, attempt):
+    """``attempt`` of om + ridge I on the ridge ladder. Returns (its result, ridge).
 
-    LAPACK is called directly: an objective evaluation at small r costs
-    little more than the factorization, and ``cho_factor``'s checks and
-    batching layers would double it. The factor is the same to the bit.
+    ``attempt`` factors its matrix through LAPACK, raising LinAlgError
+    when it is not positive definite. ``base_ridge`` is the user's ridge
+    policy: it is always applied, and the ladder escalates on top of it, in
+    steps of trace(om)/r, only when the attempt still fails. The first rung
+    adds nothing to base_ridge, so the trace is computed only once it has
+    failed. LAPACK is called directly: an objective evaluation at small r
+    costs little more than the factorization, and ``cho_factor``'s checks
+    and batching layers would double it.
     """
-    if ridge > 0.0:
-        om = om + ridge * np.eye(om.shape[0])
-    return _cholesky(om)
+    def ridged(ridge):
+        return om + ridge * np.eye(om.shape[0]) if ridge > 0.0 else om
 
-
-def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
-    """Cholesky factor of om + ridge I on the ridge ladder. Returns (factor, ridge).
-
-    ``base_ridge`` is the user's ridge policy: it is always applied, and the
-    ladder escalates on top of it, in steps of trace(om)/r, only when
-    factorization still fails. The first rung adds nothing to base_ridge,
-    so the trace is computed only once it has failed.
-    """
     try:
-        return _factor(om, base_ridge), base_ridge
+        return attempt(ridged(base_ridge)), base_ridge
     except LinAlgError:
         pass
     scale = max(float(np.trace(om)) / max(om.shape[0], 1), float(np.finfo(float).tiny))
     for mult in _RIDGE_MULTIPLIERS:
         ridge = base_ridge + mult * scale
         try:
-            return _factor(om, ridge), ridge
+            return attempt(ridged(ridge)), ridge
         except LinAlgError:
             continue
     raise NumericalError(
@@ -243,11 +239,20 @@ def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
     )
 
 
+def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
+    """Cholesky factor of om + ridge I on the ridge ladder. Returns (factor, ridge)."""
+    return _ridge_ladder(om, base_ridge, _cholesky)
+
+
 def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
-    """Objective via the ridge ladder. Returns (value, solve u, factor, ridge)."""
+    """Objective via the ridge ladder. Returns (value, solve u, factor, ridge).
+
+    Each rung factors Omega and solves for u in one LAPACK posv call.
+    """
     g = gbar(mc, beta)
-    factor, ridge = _ridge_factor(omega(mc, beta), base_ridge)
-    u = _cho_solve(factor, g)
+    (factor, u), ridge = _ridge_ladder(
+        omega(mc, beta), base_ridge, lambda om: _cho_factor_solve(om, g)
+    )
     return 0.5 * float(g @ u), u, factor, ridge
 
 

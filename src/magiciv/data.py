@@ -30,16 +30,18 @@ class Dataset:
     non-constant instruments) are reported by :func:`validate` so that
     questionable data can still be inspected rather than refused outright;
     the estimators refuse a non-finite cell with :class:`DataError`.
-    The estimators memoize one derived result on the instance, the
-    read-only (1, z) projection of ``nuisance._linear_projection``; the
-    data arrays never change.
+    The estimators memoize two derived results in one cache on the
+    instance: the read-only (1, z) projection of
+    ``nuisance._linear_projection`` and the grouping of the instrument rows
+    into distinct rows of ``nuisance._row_groups``; the data arrays never
+    change.
     """
 
     y: np.ndarray
     d: np.ndarray
     z: np.ndarray
     instrument_names: Optional[tuple[str, ...]] = None
-    _first_stage: list = field(default_factory=list, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = np.ascontiguousarray(self.y, dtype=float)

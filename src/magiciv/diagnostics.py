@@ -9,9 +9,10 @@ no small-sample or degrees-of-freedom correction is applied. The partialling
 step is the linear first stage that TSLS and the order-2 nuisance step share.
 
 The regression is solved from its normal equations, whose Grams are
-accumulated in row chunks, each chunk of the demeaned interactions built
-from the centered instruments into the transposed stack its syrk reads, so
-no n x (r + 1) design is formed; see :func:`f_stat`.
+formed over the distinct instrument rows in chunks, each chunk of the
+demeaned interactions built from the centered distinct rows into the
+transposed stack its syrk reads, so no n x (r + 1) design is formed; see
+:func:`f_stat`.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .nuisance import (
     _gram,
     _mirror,
     _one_blas_thread,
+    _row_groups,
     _stacked_chunks,
     _syrk_add,
     _unit_cholesky,
-    estimate_means,
 )
 
 __all__ = ["FStatReport", "f_stat"]
@@ -58,12 +59,14 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     sandwich Wald statistic for the r interaction coefficients, divided by r.
 
     Step (2) solves the normal equations: the kernel
-    :func:`magiciv.nuisance._gram` accumulates X'X and X'd in row chunks of
-    W, and one Cholesky factor of X'X, with its columns scaled to unit
-    diagonal, gives the coefficients and the sandwich's bread. A second
-    pass over the chunks forms the residual e from W's rows, scales them by
-    e in place and accumulates the meat X' diag(e^2) X. The statistic does
-    not depend on the column scaling. A rank-deficient or badly conditioned
+    :func:`magiciv.nuisance._gram` forms X'X and X'd over the distinct
+    instrument rows, and one Cholesky factor of X'X, with its columns
+    scaled to unit diagonal, gives the coefficients and the sandwich's
+    bread. A second pass over the chunks forms the fitted value of each
+    distinct row from W's rows, the residual e of each row from its
+    group's, and scales the rows in place by the root of each group's sum
+    of e^2 to accumulate the meat X' diag(e^2) X. The statistic does not
+    depend on the column scaling. A rank-deficient or badly conditioned
     X'X raises :class:`NumericalError`.
     """
     n, r = ds.n, plan.r
@@ -73,22 +76,28 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     if _exposure_explained(d_bar, ds.d):  # exposure exactly linear in z
         return FStatReport(f_value=0.0, num_restrictions=r, n_effective=n)
 
-    zc = ds.z - estimate_means(ds)
+    groups = _row_groups(ds)
+    zc = groups.centered
     m = r + 1
-    gram = _gram(n, [(None, None), (slice(0, r), None), (d_bar[:, None], None)], zc, plan)
+    gram = _gram(groups, [(None, None), (slice(0, r), None), (None, d_bar)], zc, plan)
     s, factor = _unit_cholesky(
         gram[:m, :m], _MIN_RCOND, "interaction regression design", "an interaction column"
     )
     coef = _cho_solve(factor, gram[:m, m] * s)  # coefficients on the scaled columns
-    # the meat is the Gram of [e | W e], e = d_bar - X coef, chunk by chunk:
-    # e is formed from the W rows of the stack, which are then scaled by it
+    # the meat is the Gram of [1 | W] with row weights e^2, e = d_bar - X coef,
+    # chunk by chunk: the fitted values of the chunk's distinct rows come
+    # from the W rows of the stack, which are then scaled by the root of
+    # each group's sum of e^2
     intercept, slopes = s[0] * coef[0], s[1:] * coef[1:]
     meat = np.zeros((m, m), order="F")
-    for rows, xt in _stacked_chunks(n, [(None, None), (slice(0, r), None)], zc, plan):
-        w = xt[1:]
-        resid = d_bar[rows] - intercept - w.T @ slopes
-        xt[0] = resid
-        w *= resid
+    for rows, xt in _stacked_chunks(groups, [None, slice(0, r)], zc, plan):
+        fitted = xt[1:].T @ slopes
+
+        def squares(members, local):
+            e = d_bar[members] - intercept - fitted[local]
+            return e * e
+
+        xt *= np.sqrt(groups.chunk_sums(rows, squares))
         meat = _syrk_add(meat, xt)
     meat = _mirror(meat) * s[:, None] * s
     bread = _cho_solve(factor, np.eye(m))

@@ -17,13 +17,12 @@ instead of O(n r^2). The weighting matrix uses uncentered second moments,
 which is what the overidentification statistic is defined with.
 
 The rows a_i and b_i are never stored. All five aggregates are blocks of
-one Gram matrix, that of [1 | a | b], which the row-chunked kernel
-:func:`magiciv.nuisance._gram` accumulates from the centered instruments
-and the per-order residuals: the ones column gives the means, and one syrk
-per chunk gives s0, E_n[a b'] and s2. Each chunk of the demeaned
-interaction matrix is built once, in place of b's rows; a's rows are those
-rows times the outcome residuals, and then b's are scaled in place by the
-exposure residuals.
+one Gram matrix, that of [1 | a | b], which the chunked kernel
+:func:`magiciv.nuisance._gram` forms over the distinct instrument rows,
+from the centered distinct rows and per-group sums of the residual
+products: the ones column gives the means, a's and b's blocks are W's
+columns weighted by the outcome and exposure residuals. Each chunk of the
+demeaned interaction matrix is built once, for its distinct rows.
 """
 
 from __future__ import annotations
@@ -35,7 +34,13 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
-from .nuisance import NuisanceEstimate, _gram, _one_blas_thread
+from .nuisance import (
+    NuisanceEstimate,
+    _gram,
+    _identity_groups,
+    _one_blas_thread,
+    _row_groups,
+)
 
 __all__ = [
     "MomentComponents",
@@ -82,13 +87,14 @@ def _from_gram(gram: np.ndarray, n: int, r: int) -> MomentComponents:
 
 @_one_blas_thread
 def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
-    """Aggregates of raw (n, r) component matrices."""
+    """Aggregates of raw (n, r) component matrices, each row its own group."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ConfigError("component matrices must share an (n, r) shape")
     n, r = a.shape
-    return _from_gram(_gram(n, [(None, None), (a, None), (b, None)]), n, r)
+    blocks = [(None, None), (a, None), (b, None)]
+    return _from_gram(_gram(_identity_groups(n), blocks), n, r)
 
 
 @_one_blas_thread
@@ -99,7 +105,9 @@ def build_components(
 
     Column block k of a (of b) is the order-k block of the demeaned
     interaction matrix, at the nuisance means, times the order-k outcome
-    (exposure) residual.
+    (exposure) residual. The interactions are built once per distinct
+    instrument row of the dataset's grouping, centered at ``nuis.mu_hat``,
+    which need not be the sample means.
     """
     if nuis.mu_hat.shape != (plan.p,):
         raise ConfigError("nuisance means do not match the plan's p")
@@ -110,7 +118,12 @@ def build_components(
     blocks = [(None, None)]
     blocks += [(cols, nuis.r_y[k - 1]) for k, cols in slices.items()]
     blocks += [(cols, nuis.r_d[k - 1]) for k, cols in slices.items()]
-    gram = _gram(ds.n, blocks, ds.z - nuis.mu_hat, plan)
+    groups = _row_groups(ds)
+    if np.array_equal(nuis.mu_hat, groups.mu):
+        zc = groups.centered
+    else:
+        zc = groups.rows - nuis.mu_hat
+    gram = _gram(groups, blocks, zc, plan)
     return _from_gram(gram, ds.n, plan.r)
 
 

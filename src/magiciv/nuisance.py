@@ -26,18 +26,34 @@ instead, so the main estimator still fits duplicated instruments, at their
 minimum norm.
 
 No fit holds the n x r demeaned interaction matrix W, and outside that
-fallback no basis of order k >= 3 either. The nuisance projections, the
-moment components, the diagnostic and efficient GMM pass the centered
-instruments z - mu and the plan to :func:`_gram`, which forms every Gram
-they need from weighted W columns and other n-row blocks. It holds one row
-chunk of that column stack X transposed, X' C-ordered, in one buffer: the
-product kernel writes the chunk's rows of W, up to the highest order read,
-straight into it, the other blocks are written beside them, and a syrk
-reads it in place. A consumer that needs W's rows for anything else, the
-diagnostic's residual and efficient GMM's moment vectors, reads them from
-the same buffer in :func:`_stacked_chunks` before it scales them. The
-widest n-row arrays of a fit are then the first stage's (1, z) design and
-the centered instruments, about p + 1 columns each.
+fallback no basis of order k >= 3 either. Every Gram of a fit is a sum over
+the rows i of x(z_i) x(z_i)' times row weights, where x, the ones, the
+centered instruments or columns of W, depends on the instrument row z_i
+only. Instrument rows repeat (genetic variants, Bernoulli instruments), so
+each Gram is formed over the distinct rows u instead, with the weight
+products summed within each group: sum_u x(u) x(u)' sum_{i in u} v_i w_i.
+:func:`_row_groups` groups the rows once per dataset and memoizes the
+:class:`RowGroups` record beside the (1, z) fit: the distinct rows, each
+row's group, mu_hat and the centered distinct rows, so no consumer forms
+an n x p centered copy. Rows that never repeat give the identity grouping,
+U = n, and the same arithmetic as over the rows.
+
+The nuisance projections, the moment components, the diagnostic and
+efficient GMM pass the groups, the centered distinct rows and the plan to
+:func:`_gram`, which forms every Gram they need from weighted W columns
+and other row functions. It holds ``ROW_BLOCK`` distinct rows of the stack
+F of those functions transposed, F' C-ordered, in one buffer: the product
+kernel writes the chunk's rows of W, up to the highest order read,
+straight into it, and the other functions are written beside them. Blocks
+that share a weight form a class; a syrk reads each class scaled in place
+or from scratch rows below F, and classes meet in gemms over the repeated
+rows (see :func:`_gram`). A consumer that needs W's rows for anything
+else, the nuisance residuals, the diagnostic's residual and efficient
+GMM's moment vectors, reads them from the same buffer in
+:func:`_stacked_chunks` before it scales them, and its per-row values
+come from per-group ones by the group index. The widest n-row arrays of a
+fit are then the first stage's (1, z) design and the instrument matrix
+itself, about p + 1 columns each.
 
 BLAS threads: every public function of the package that calls BLAS or
 LAPACK holds each loaded BLAS at one thread while it runs, through the
@@ -49,14 +65,16 @@ when it imports, which also covers MKL and BLIS, and otherwise each
 OpenBLAS in /proc/self/maps through ctypes. The thread count is
 process-global, so concurrent callers in one process can race on it.
 
-BLAS and LAPACK: syrk, potrf, potrs, pocon and gelsy come from the
+BLAS and LAPACK: syrk, potrf, potrs, posv, pocon and gelsy come from the
 OpenBLAS that numpy's linear-algebra extension loads, bound through
 ctypes by :mod:`magiciv._lapack`, so no scipy is imported and numpy's is
 the only BLAS in the process. Where numpy's library does not export them
 (Accelerate, MKL or conda builds), scipy's wrappers stand in; they are
 chosen at import, before the first pin, so the scan above finds scipy's
 BLAS too. :func:`_syrk_add`, :func:`_cholesky`, :func:`_cho_solve`,
-:func:`_unit_cholesky` and :func:`_lstsq` are the only callers.
+:func:`_cho_factor_solve`, :func:`_unit_cholesky` and :func:`_lstsq` are
+the only callers; the cross-class products of :func:`_gram` are numpy
+matrix products on the same library.
 """
 
 from __future__ import annotations
@@ -188,7 +206,188 @@ def estimate_means(ds: Dataset) -> np.ndarray:
     return ds.z.mean(axis=0)
 
 
-# syrk, potrf, potrs, pocon and gelsy: from numpy's OpenBLAS, or scipy's
+@dataclass(frozen=True, eq=False)
+class RowGroups:
+    """The distinct instrument rows of a dataset and the group of each row.
+
+    ``rows`` holds the U distinct rows of z: first the ``repeated`` ones
+    that stand for two rows or more, then those that stand for one, each
+    part in a fixed order set by the values. ``index`` is the group of
+    each of the n rows, ``counts`` the group sizes, ``mu`` the sample means
+    and ``centered`` the distinct rows minus them. When no row repeats, the
+    grouping is the identity: ``index`` is None, U = n, ``repeated`` is 0
+    and group i is row i, so ``rows`` is z itself. Arrays are read-only.
+    """
+
+    rows: Optional[np.ndarray]
+    index: Optional[np.ndarray]
+    counts: np.ndarray
+    repeated: int
+    mu: Optional[np.ndarray]
+    centered: Optional[np.ndarray]
+
+    def __post_init__(self) -> None:
+        for arr in (self.rows, self.index, self.counts, self.mu, self.centered):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        """U, the number of distinct rows."""
+        return self.counts.shape[0]
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-group sums of the n-vector ``v``, in row order; ``v`` itself under the identity."""
+        if self.index is None:
+            return v
+        return np.bincount(self.index, weights=v, minlength=self.size)
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Each row's entry of the per-group ``values``."""
+        return values if self.index is None else values[self.index]
+
+    def chunk_sums(self, groups: slice, values: Callable) -> np.ndarray:
+        """Per-group sums, over the groups ``groups``, of a value for each member row.
+
+        ``values(members, local)`` gets the rows in those groups and each
+        one's group as a position within ``groups``, and returns the rows'
+        values; they are summed in row order.
+        """
+        if self.index is None:
+            return values(groups, slice(None))
+        count = groups.stop - groups.start
+        if count == self.size:
+            members, local = slice(None), self.index
+        else:
+            members = np.flatnonzero((self.index >= groups.start) & (self.index < groups.stop))
+            local = self.index[members] - groups.start
+        return np.bincount(local, weights=values(members, local), minlength=count)
+
+
+def _identity_groups(n: int) -> RowGroups:
+    """The identity grouping of n rows with no instrument values: each row its own group."""
+    return RowGroups(rows=None, index=None, counts=np.ones(n), repeated=0, mu=None, centered=None)
+
+
+def _distinct_ranks(values: np.ndarray) -> tuple[Optional[np.ndarray], int]:
+    """(ranks, k): each entry's rank among the k distinct numbers in ``values``.
+
+    -0.0 and 0.0 are one number. The ranks are None when every entry is
+    distinct.
+    """
+    ordered = np.sort(values)
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    if distinct.size == values.size:
+        return None, values.size
+    return np.searchsorted(distinct, values), distinct.size
+
+
+def _dense_codes(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of ``code``, and their count.
+
+    Every code is below ``radix``: up to 4n the ranks are counted, above it sorted.
+    """
+    n = code.size
+    if radix <= 4 * n:
+        rank = np.cumsum(np.bincount(code, minlength=radix) > 0) - 1
+        return rank[code], int(rank[-1]) + 1
+    order = np.argsort(code)
+    ordered = code[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.cumsum(new) - 1
+    out = np.empty(n, dtype=np.intp)
+    out[order] = rank
+    return out, int(rank[-1]) + 1
+
+
+# Largest mixed-radix row code: past it the code is renumbered densely first
+_MAX_CODE = 2**62
+# Two-valued columns per word of bits, summed exactly in a double
+_WORD_BITS = 52
+
+
+def _row_codes(z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+    """(code, radix): an integer code for each row of the finite ``z``, equal for equal rows.
+
+    The code reads digits as mixed radix: the rank of each entry among its
+    column's values, for the columns with three values or more, and then
+    words of up to 52 bits, one for each two-valued column, which tells
+    its values apart without sorting. It is renumbered densely whenever
+    the next digit would overflow it; every code is below ``radix``. None
+    when a column has a distinct value in every row.
+    """
+    zt = z.T.copy()  # one contiguous row per column
+    lo = zt.min(axis=1, keepdims=True)
+    hi = zt.max(axis=1, keepdims=True)
+    top = zt == hi
+    varies = lo[:, 0] != hi[:, 0]
+    two = varies & (top | (zt == lo)).all(axis=1)
+    digits = []
+    for j in np.flatnonzero(varies & ~two):
+        ranks, k = _distinct_ranks(zt[j])
+        if ranks is None:
+            return None
+        digits.append((ranks, k))
+    bits = top[two]
+    for start in range(0, bits.shape[0], _WORD_BITS):
+        word = bits[start:start + _WORD_BITS]
+        value = (2.0 ** np.arange(word.shape[0])) @ word  # exact below 2**53
+        digits.append((value.astype(np.intp), 2 ** word.shape[0]))
+    code, radix = np.zeros(z.shape[0], dtype=np.intp), 1
+    for digit, k in digits:
+        if radix > _MAX_CODE // k:
+            code, radix = _dense_codes(code, radix)
+        code = code * k + digit
+        radix *= k
+    return code, radix
+
+
+def _group_rows(z: np.ndarray, mu: np.ndarray) -> RowGroups:
+    """Group the rows of the finite ``z`` by value, with sample means ``mu``.
+
+    The groups are the distinct codes of :func:`_row_codes`, repeated rows
+    first, each part in increasing code order. A column with a distinct
+    value in every row, or codes that never repeat, give the identity.
+    """
+    n = z.shape[0]
+    codes = _row_codes(z) if n > 1 else None
+    if codes is not None:
+        index, size = _dense_codes(*codes)
+        if size < n:
+            counts = np.bincount(index, minlength=size)
+            order = np.argsort(counts == 1, kind="stable")
+            rank = np.empty(size, dtype=np.intp)
+            rank[order] = np.arange(size)
+            index = rank[index]
+            member = np.empty(size, dtype=np.intp)
+            member[index] = np.arange(n)  # one row of each group
+            rows = z[member]
+            return RowGroups(
+                rows=rows,
+                index=index,
+                counts=counts[order].astype(float),
+                repeated=int(np.count_nonzero(counts > 1)),
+                mu=mu,
+                centered=rows - mu,
+            )
+    return RowGroups(rows=z, index=None, counts=np.ones(n), repeated=0, mu=mu, centered=z - mu)
+
+
+def _row_groups(ds: Dataset) -> RowGroups:
+    """The dataset's :class:`RowGroups`, memoized on it; a NaN or inf cell raises DataError."""
+    groups = ds._memo.get("groups")
+    if groups is None:
+        _require_finite(ds)
+        groups = ds._memo["groups"] = _group_rows(ds.z, estimate_means(ds))
+    return groups
+
+
+# syrk, potrf, potrs, posv, pocon and gelsy: from numpy's OpenBLAS, or scipy's
 # wrappers where numpy's library does not export them
 _LAPACK = _lapack.ROUTINES
 
@@ -224,110 +423,214 @@ def _mirror(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _widths(blocks) -> list[int]:
-    """Column count of each (x, v) block of :func:`_stacked_chunks`."""
-    return [
-        1 if x is None else x.stop - x.start if isinstance(x, slice) else x.shape[1]
-        for x, _ in blocks
-    ]
+# A row function: None for a column of ones, a (U, m) array over the
+# distinct rows, or a slice of the columns of W. With an optional n-vector
+# row weight it is a block of :func:`_gram`.
+RowFunction = Union[np.ndarray, slice, None]
 
 
-def _home_run(blocks) -> list[int]:
-    """Indices of the run of slice blocks that the product kernel writes into.
-
-    Slice blocks come in runs over W's leading columns: a run is
-    consecutive blocks whose first slice starts at column 0 and whose
-    every next slice starts where the one before it stopped. The home run
-    is the last of those reading the most columns; every other run reads a
-    prefix of it. Empty when no block is a slice.
-    """
-    runs: list[list[int]] = []
-    for i, (x, _) in enumerate(blocks):
-        if not isinstance(x, slice):
-            continue
-        if x.start == 0:
-            runs.append([i])
-        elif runs and runs[-1][-1] == i - 1 and blocks[i - 1][0].stop == x.start:
-            runs[-1].append(i)
-        else:
-            raise ValueError(f"slice block {i} ({x}) does not continue a run from column 0")
-    return max(reversed(runs), key=lambda run: blocks[run[-1]][0].stop, default=[])
+def _chunk_ranges(groups: RowGroups) -> Iterator[slice]:
+    """Runs of at most ``ROW_BLOCK`` groups; no run mixes repeated and single rows."""
+    for lo, hi in ((0, groups.repeated), (groups.repeated, groups.size)):
+        for start in range(lo, hi, ROW_BLOCK):
+            yield slice(start, min(start + ROW_BLOCK, hi))
 
 
 def _stacked_chunks(
-    n: int,
-    blocks: Sequence[tuple[Union[np.ndarray, slice, None], Optional[np.ndarray]]],
+    groups: RowGroups,
+    xs: Sequence[RowFunction],
     zc: Optional[np.ndarray] = None,
     plan: Optional[InteractionPlan] = None,
+    spare: int = 0,
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, xt) for each ``ROW_BLOCK``-row chunk of the column stack X of ``blocks``.
+    """(groups, xt) for each run of :func:`_chunk_ranges` over the stack F of the functions ``xs``.
 
-    Each block is (x, v), scaled row by row by the n-vector v (None leaves
-    it unscaled). x is an (n, m) matrix; None, for one column of ones; or a
-    slice with explicit bounds, for those columns of the demeaned
-    interaction matrix W at centered instruments ``zc`` under ``plan``.
-    Slice blocks come in runs that read W's leading columns (see
-    :func:`_home_run`). The product kernel writes the chunk's rows of W,
-    up to the highest column the slices read, straight into the rows of
-    the home run; the other runs are scaled copies of them, and then the
-    home run's blocks are scaled in place. ``xt`` is X' for the chunk:
-    C-ordered (width, m), a view of one flat buffer that the next chunk
-    overwrites, reshaped per chunk so that a short last chunk is
-    contiguous too.
+    F has a row for each distinct instrument row of ``groups`` and the
+    columns of each x in ``xs``, unweighted. A slice must start at column
+    0: it reads W's leading columns at the centered distinct rows ``zc``
+    under ``plan``, and the product kernel writes them straight into F.
+    ``xt`` is F' for the run's groups above ``spare`` rows of scratch:
+    C-ordered (width + spare, c), a view of one flat buffer that the next
+    run overwrites, reshaped per run so that a short run is contiguous too.
     """
-    widths = _widths(blocks)
+    widths = []
+    for x in xs:
+        if isinstance(x, slice) and x.start != 0:
+            raise ValueError(f"a slice of the stack must start at column 0, not {x}")
+        widths.append(1 if x is None else x.stop if isinstance(x, slice) else x.shape[1])
     *offsets, width = accumulate(widths, initial=0)
-    flat = np.empty(width * min(n, ROW_BLOCK))
-    home = _home_run(blocks)
-    if home:
-        stop = blocks[home[-1]][0].stop
+    width += spare
+    most = min(groups.size, ROW_BLOCK)
+    flat = np.empty(width * most)
+    stop = max((x.stop for x in xs if isinstance(x, slice)), default=0)
+    if stop:
         top = next(k for k, cols in plan.order_slices().items() if cols.stop >= stop)
-        w_rows = slice(offsets[home[0]], offsets[home[0]] + stop)
-        chunks = interactions._transposed_blocks(zc)
-    else:
-        chunks = ((slice(s, min(s + ROW_BLOCK, n)), None) for s in range(0, n, ROW_BLOCK))
-    for rows, zt in chunks:
-        xt = flat[: width * (rows.stop - rows.start)].reshape(width, -1)
-        if home:
-            w = xt[w_rows]
-            interactions._fill_products(zt, plan, top, w)
-        for i, ((x, v), off, wid) in enumerate(zip(blocks, offsets, widths)):
-            if i in home:
-                continue
-            dst = xt[off:off + wid]
+        zt_flat = np.empty(zc.shape[1] * most)
+    for rows in _chunk_ranges(groups):
+        count = rows.stop - rows.start
+        xt = flat[: width * count].reshape(width, count)
+        if stop:
+            zt = zt_flat[: zc.shape[1] * count].reshape(-1, count)
+            zt[...] = zc[rows].T
+        for x, off, wid in zip(xs, offsets, widths):
             if x is None:
-                dst[0] = 1.0 if v is None else v[rows]
-                continue
-            src = w[x] if isinstance(x, slice) else x[rows].T
-            if v is None:
-                dst[...] = src
+                xt[off] = 1.0
+            elif isinstance(x, slice):
+                interactions._fill_products(zt, plan, top, xt[off:off + wid])
             else:
-                np.multiply(src, v[rows], out=dst)
-        for i in home:
-            x, v = blocks[i]
-            if v is not None:
-                w[x] *= v[rows]
+                xt[off:off + wid] = x[rows].T
         yield rows, xt
 
 
+class _WeightClass:
+    """The blocks of :func:`_gram` that share one row weight."""
+
+    def __init__(self, weight: Optional[np.ndarray]):
+        self.weight = weight
+        self.runs: list[range] = []  # the rows of F each block reads
+        self.columns: list[int] = []  # the first Gram column of each block
+        self.width = 0
+
+    def rows(self) -> Union[slice, np.ndarray]:
+        """The rows of F the class reads: a slice when its runs are contiguous."""
+        runs = self.runs
+        if all(a.stop == b.start for a, b in zip(runs, runs[1:])):
+            return slice(runs[0].start, runs[-1].stop)
+        return np.concatenate([np.arange(r.start, r.stop) for r in runs])
+
+
 def _gram(
-    n: int,
-    blocks: Sequence[tuple[Union[np.ndarray, slice, None], Optional[np.ndarray]]],
+    groups: RowGroups,
+    blocks: Sequence[tuple[RowFunction, Optional[np.ndarray]]],
     zc: Optional[np.ndarray] = None,
     plan: Optional[InteractionPlan] = None,
 ) -> np.ndarray:
-    """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``.
+    """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``, over distinct rows.
 
-    The blocks are those of :func:`_stacked_chunks`, which writes X'
-    ``ROW_BLOCK`` columns at a time into one reused buffer; each chunk is
-    added into the upper triangle by a BLAS syrk, so no n-row array is
-    made. A ones block puts the column sums of the others in its row.
+    Each block is (x, v): a row function x, as in :func:`_stacked_chunks`
+    but with any slice of W's columns, times the n-vector row weight v
+    (None leaves it unweighted). Every x depends on the instrument row
+    only, so the Gram block of blocks with weights v and w is the sum over
+    the groups u of x(u) x'(u)' times sum_{i in u} v_i w_i. Blocks that
+    share a weight form one class, and F holds each row function once.
+
+    A class is scaled in place in F when its rows there are contiguous and
+    no class before it, in block order, read them; every other class is
+    written, scaled, into the scratch rows below F, so the stack is no
+    wider than X, and it is X in block order when the blocks of each
+    class come in block order. On a run of single rows
+    every weight product factors, v_i w_i, so each class is scaled by its
+    weight and one syrk takes the whole stack, as it would over rows. On a
+    run of repeated rows each pair of classes first meets in one gemm over
+    F unscaled, the narrower side scaled by the pair's signed weight sums
+    in the scratch rows; then each class is scaled by the root of its
+    summed squared weight (of the group size when unweighted) and is one
+    syrk.
     """
-    m = sum(_widths(blocks))
-    gram = np.zeros((m, m), order="F")
-    for _, xt in _stacked_chunks(n, blocks, zc, plan):
-        gram = _syrk_add(gram, xt)
-    return _mirror(gram)
+    # F: ones, each array once, then W up to the last column a slice reads
+    arrays = list({id(x): x for x, _ in blocks if isinstance(x, np.ndarray)}.values())
+    has_ones = any(x is None for x, _ in blocks)
+    stop = max((x.stop for x, _ in blocks if isinstance(x, slice)), default=0)
+    xs = [None] * has_ones + arrays + ([slice(0, stop)] if stop else [])
+    offset, w_at = {}, int(has_ones)
+    for a in arrays:
+        offset[id(a)] = w_at
+        w_at += a.shape[1]
+
+    by_weight: dict[int, _WeightClass] = {}
+    width = 0
+    for x, v in blocks:
+        if x is None:
+            run = range(0, 1)
+        elif isinstance(x, slice):
+            run = range(w_at + x.start, w_at + x.stop)
+        else:
+            run = range(offset[id(x)], offset[id(x)] + x.shape[1])
+        cls = by_weight.setdefault(id(v), _WeightClass(v))
+        cls.runs.append(run)
+        cls.columns.append(width)
+        cls.width += len(run)
+        width += len(run)
+    classes = list(by_weight.values())
+    rows = [cls.rows() for cls in classes]
+
+    # the stack: F, then scratch rows holding the copied classes
+    rows_f = w_at + stop
+    owned = np.zeros(rows_f, dtype=bool)
+    place = {}
+    for g in range(len(classes)):  # in block order, the first class to claim F's rows
+        if isinstance(rows[g], slice) and not owned[rows[g]].any():
+            owned[rows[g]] = True
+            place[g] = rows[g]
+    copied = [g for g in range(len(classes)) if g not in place]
+    used = rows_f
+    for g in copied:
+        place[g] = slice(used, used + classes[g].width)
+        used += classes[g].width
+    pairs = [(g, h) for g in range(len(classes)) for h in range(g + 1, len(classes))]
+    spare = max([used - rows_f] + [min(classes[g].width, classes[h].width) for g, h in pairs])
+    in_place = [g for g in range(len(classes)) if g not in copied]
+
+    scales = [None if cls.weight is None else groups.sums(cls.weight) for cls in classes]
+    if groups.repeated:
+        roots = [
+            np.sqrt(groups.counts if cls.weight is None else groups.sums(cls.weight * cls.weight))
+            for cls in classes
+        ]
+        cross = {}
+        for g, h in pairs:
+            v, w = classes[g].weight, classes[h].weight
+            cross[g, h] = groups.sums(w if v is None else v if w is None else v * w)
+        grams = [np.zeros((cls.width, cls.width), order="F") for cls in classes]
+
+    stacked = np.zeros((used, used), order="F")
+    for chunk, xt in _stacked_chunks(groups, xs, zc, plan, spare):
+        f = xt[:rows_f]
+        if chunk.start >= groups.repeated:  # single rows: the weight products factor
+            for g in copied:
+                if scales[g] is None:
+                    xt[place[g]] = f[rows[g]]
+                else:
+                    np.multiply(f[rows[g]], scales[g][chunk], out=xt[place[g]])
+            for g in in_place:
+                if scales[g] is not None:
+                    f[rows[g]] *= scales[g][chunk]
+            stacked = _syrk_add(stacked, xt[:used])
+            continue
+        for g, h in pairs:
+            narrow, other = (g, h) if classes[g].width <= classes[h].width else (h, g)
+            scaled = np.multiply(
+                f[rows[narrow]], cross[g, h][chunk], out=xt[rows_f:rows_f + classes[narrow].width]
+            )
+            product = scaled @ f[rows[other]].T
+            if place[narrow].start > place[other].start:
+                narrow, other, product = other, narrow, product.T
+            stacked[place[narrow], place[other]] += product
+        for g in copied:
+            np.multiply(f[rows[g]], roots[g][chunk], out=xt[place[g]])
+        for g in in_place:
+            f[rows[g]] *= roots[g][chunk]
+        for g in range(len(classes)):
+            grams[g] = _syrk_add(grams[g], xt[place[g]])
+    if groups.repeated:
+        for g, part in enumerate(grams):
+            stacked[place[g], place[g]] += part
+
+    # the stacked Gram in block order, one block of columns at a time
+    stacked = _mirror(stacked)
+    spans = []  # (Gram columns, stack rows) of each block
+    for g, cls in enumerate(classes):
+        at = place[g].start
+        for run, col in zip(cls.runs, cls.columns):
+            spans.append((slice(col, col + len(run)), slice(at, at + len(run))))
+            at += len(run)
+    if width == used and all(cols == at for cols, at in spans):
+        return stacked
+    gram = np.empty((width, width), order="F")
+    for cols, at in spans:
+        for cols2, at2 in spans:
+            gram[cols, cols2] = stacked[at, at2]
+    return gram
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -380,6 +683,19 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _LAPACK.potrs(c, b)
 
 
+def _cho_factor_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cholesky` of ``a`` and the solve of a x = b, in one LAPACK posv call.
+
+    posv is potrf then potrs, so the factor and x are theirs to the bit.
+    Raises :class:`numpy.linalg.LinAlgError` when ``a`` is not positive
+    definite.
+    """
+    c, x, info = _LAPACK.posv(a, b)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor is not positive definite")
+    return c, x
+
+
 def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least squares via complete orthogonal factorization.
 
@@ -417,12 +733,13 @@ def _linear_projection(ds: Dataset):
     TSLS, the interaction-strength diagnostic, efficient GMM and the
     order-2 nuisance step all read this one fit.
     """
-    if not ds._first_stage:
+    fit = ds._memo.get("first_stage")
+    if fit is None:
         fit = _project(ds, np.column_stack([np.ones(ds.n), ds.z]))
         for arr in fit[:4]:
             arr.setflags(write=False)
-        ds._first_stage.append(fit)
-    return ds._first_stage[0]
+        ds._memo["first_stage"] = fit
+    return fit
 
 
 def _first_stage(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -451,10 +768,12 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     The order-2 projection is the dataset's memoized (1, z) fit, taken at
     its minimum norm when (1, z) is rank-deficient. Each order k >= 3 is
     projected on (1, z - mu_hat, demeaned products of orders 2..k-1) by its
-    normal equations: one streamed Gram of that basis beside y and d holds
-    them for every order, each order's leading block is factored by
+    normal equations: one streamed Gram of that basis beside y and d (ones
+    weighted by y and by d) over the distinct instrument rows holds them
+    for every order, each order's leading block is factored by
     :func:`_unit_cholesky`, and one more pass over the chunks forms the
-    residuals. An order whose Gram fails to factor, or whose reciprocal
+    fitted values of each distinct row, which the residuals gather by
+    group. An order whose Gram fails to factor, or whose reciprocal
     condition estimate is below 1e-4, is fitted by :func:`_project` on the
     explicit basis instead, at its minimum norm.
     """
@@ -469,15 +788,16 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     if plan.q == 2:  # q = 2 reads only the (1, z) fit
         return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)
 
-    zc = ds.z - mu
+    groups = _row_groups(ds)
+    zc = groups.centered
     lead = 1 + ds.p
     slices = plan.order_slices()
 
-    def basis(k):  # blocks of (1, z - mu, products of orders 2..k-1)
-        return [(None, None), (zc, None), (slice(0, slices[k - 1].stop), None)]
+    def basis(k):  # row functions (1, z - mu, products of orders 2..k-1)
+        return [None, zc, slice(0, slices[k - 1].stop)]
 
-    targets = [(ds.y[:, None], None), (ds.d[:, None], None)]
-    gram = _gram(ds.n, basis(plan.q) + targets, zc, plan)
+    blocks = [(x, None) for x in basis(plan.q)] + [(None, ds.y), (None, ds.d)]
+    gram = _gram(groups, blocks, zc, plan)
     coefs = {}
     for k in range(3, plan.q + 1):
         m = lead + slices[k - 1].stop
@@ -489,17 +809,19 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
             # the C-ordered [1 | z - mu | products of orders 2..k-1], filled in place
             design = np.empty((ds.n, m))
             design[:, 0] = 1.0
-            design[:, 1:lead] = zc
-            interactions._products(zc, plan, k - 1, design[:, lead:])
+            np.subtract(ds.z, mu, out=design[:, 1:lead])
+            interactions._products(design[:, 1:lead], plan, k - 1, design[:, lead:])
             theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
             continue
         coefs[k] = s[:, None] * _cho_solve(factor, s[:, None] * gram[:m, -2:])
         theta[k - 1], xi[k - 1] = np.ascontiguousarray(coefs[k].T)
-        r_y[k - 1], r_d[k - 1] = np.empty(ds.n), np.empty(ds.n)
     if coefs:
-        for rows, xt in _stacked_chunks(ds.n, basis(max(coefs)), zc, plan):
+        # fitted values per distinct row, gathered to the rows they stand for
+        fitted = {k: np.empty((groups.size, 2)) for k in coefs}
+        for rows, xt in _stacked_chunks(groups, basis(max(coefs)), zc, plan):
             for k, coef in coefs.items():
-                fitted = xt[: coef.shape[0]].T @ coef
-                r_y[k - 1][rows] = ds.y[rows] - fitted[:, 0]
-                r_d[k - 1][rows] = ds.d[rows] - fitted[:, 1]
+                fitted[k][rows] = xt[: coef.shape[0]].T @ coef
+        for k, fit in fitted.items():
+            r_y[k - 1] = ds.y - groups.gather(fit[:, 0])
+            r_d[k - 1] = ds.d - groups.gather(fit[:, 1])
     return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)

@@ -166,6 +166,11 @@ def _reference_cho_solve(c, b):
     return cho_solve((c, True), b, check_finite=False)
 
 
+def _reference_factor_solve(a, b):
+    c = np.linalg.cholesky(a)
+    return c, _reference_cho_solve(c, b)
+
+
 def _duplicated_column_components():
     rng = np.random.default_rng(27)
     a = rng.standard_normal((60, 3))
@@ -201,6 +206,7 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
         assert value == 0.5 * float(g @ want_u)
     monkeypatch.setattr(cue, "_ridge_factor", _reference_ridge_factor)
     monkeypatch.setattr(cue, "_cho_solve", _reference_cho_solve)
+    monkeypatch.setattr(cue, "_cho_factor_solve", _reference_factor_solve)
     want_evals, want_fit, want_var = run()
     for (value, u, c, ridge), (w_value, w_u, w_c, w_ridge) in zip(evals, want_evals):
         assert (value, ridge) == (w_value, w_ridge)

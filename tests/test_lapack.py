@@ -12,7 +12,7 @@ from scipy import linalg as sp_linalg
 import magiciv
 from magiciv import NumericalError, estimate_cue, write_csv
 from magiciv import _lapack, nuisance
-from magiciv.nuisance import _cho_solve, _cholesky, _lstsq, _syrk_add
+from magiciv.nuisance import _cho_factor_solve, _cho_solve, _cholesky, _lstsq, _syrk_add
 
 from conftest import make_sim_dataset
 
@@ -60,6 +60,29 @@ def test_potrs_matches_scipy_cho_solve_bit_for_bit(width):
         x = _cho_solve(c, b)
         assert x.shape == b.shape
         assert np.array_equal(x, sp_linalg.cho_solve((c, True), b, check_finite=False))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_posv_is_potrf_then_potrs_bit_for_bit(width):
+    # the CUE objective factors and solves in one call; it must give the
+    # factor and the solve of the two calls it replaces, to the bit
+    rng = np.random.default_rng(width + 3)
+    for lapack in (nuisance._LAPACK, _lapack.resolve(None)):  # numpy's library, scipy's
+        for seed in range(3):
+            a = _spd(width, 10 * width + seed)
+            for b in (rng.standard_normal(width), rng.standard_normal((width, 3))):
+                c, x, info = lapack.posv(a, b)
+                want_c, want_info = lapack.potrf(a)
+                assert info == want_info == 0
+                assert np.array_equal(c, want_c)
+                assert np.array_equal(x, lapack.potrs(want_c, b))
+
+
+def test_factor_solve_of_an_indefinite_matrix_names_the_minor():
+    with pytest.raises(LinAlgError, match="2-th leading minor is not positive definite"):
+        _cho_factor_solve(np.diag([1.0, -1.0, 1.0]), np.ones(3))
+    c, x = _cho_factor_solve(np.diag([4.0, 1.0]), np.array([2.0, 3.0]))
+    assert np.array_equal(np.tril(c), np.diag([2.0, 1.0])) and np.array_equal(x, [0.5, 3.0])
 
 
 @pytest.mark.parametrize("width", WIDTHS)

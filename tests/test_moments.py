@@ -22,13 +22,14 @@ from magiciv import (
 from magiciv import nuisance
 from magiciv.cue import _ridge_factor
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
-from magiciv.moments import components_from_arrays
+from magiciv.moments import _from_gram, components_from_arrays
 from magiciv.nuisance import (
     _blas_threads,
     _cho_solve,
     _cholesky,
     _first_stage,
     _gram,
+    _row_groups,
     _syrk_add,
 )
 from magiciv.simulate import _normals, _rep_rng
@@ -157,16 +158,29 @@ def _assert_close_to_sum(got, want, abs_sum):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(float(np.max(abs_sum)), 1e-300)
 
 
+def _dense_components(ds, plan, nuis):
+    """build_components' aggregates by the same kernel, from the dense W over the distinct rows."""
+    groups = _row_groups(ds)
+    w = demeaned_matrix(groups.rows, nuis.mu_hat, plan)
+    slices = plan.order_slices().items()
+    blocks = [(None, None)]
+    blocks += [(w[:, cols], nuis.r_y[k - 1]) for k, cols in slices]
+    blocks += [(w[:, cols], nuis.r_d[k - 1]) for k, cols in slices]
+    return _from_gram(_gram(groups, blocks), ds.n, plan.r)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     n=st.sampled_from([1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]),
     q=st.sampled_from([2, 3]),
+    binary=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chunked_grams_match_dense_products(n, q, seed):
+def test_chunked_grams_match_dense_products(n, q, binary, seed):
     rng = np.random.default_rng(seed)
     p = 4
-    ds = Dataset(y=rng.standard_normal(n), d=rng.standard_normal(n), z=rng.random((n, p)))
+    z = (rng.random((n, p)) < 0.5).astype(float) if binary else rng.random((n, p))
+    ds = Dataset(y=rng.standard_normal(n), d=rng.standard_normal(n), z=z)
     plan = build_plan(p, q)
     orders = range(1, q)
     nuis = NuisanceEstimate(
@@ -185,24 +199,32 @@ def test_chunked_grams_match_dense_products(n, q, seed):
     _assert_close_to_sum(mc.s2, b.T @ b / n, ab.T @ ab / n)
     _assert_close_to_sum(mc.abar, a.mean(axis=0), aa.mean(axis=0))
     _assert_close_to_sum(mc.bbar, b.mean(axis=0), ab.mean(axis=0))
-    # raw rows go through the same kernel: the same chunks, the same bits
+    # the dense W over the distinct rows goes through the same kernel: the
+    # same chunks, the same bits; where no row repeats, that is the raw
+    # rows' kernel too
+    dense = _dense_components(ds, plan, nuis)
     raw = components_from_arrays(a, b)
     for field in ("abar", "bbar", "s0", "s1", "s2", "c_ab"):
-        assert np.array_equal(getattr(raw, field), getattr(mc, field))
+        assert np.array_equal(getattr(dense, field), getattr(mc, field))
+        if _row_groups(ds).index is None:
+            assert np.array_equal(getattr(raw, field), getattr(mc, field))
     assert np.array_equal(mc.s0, mc.s0.T) and np.array_equal(mc.s2, mc.s2.T)
 
 
 def _dense_f_stat(ds, plan):
-    """F_q by its formula from the dense W, through the same Gram kernel."""
+    """F_q by its formula from the dense W over the distinct rows, through the same Gram kernel."""
     n, r, m = ds.n, plan.r, plan.r + 1
     _, d_bar = _first_stage(ds)
-    w = demeaned_matrix(ds.z, estimate_means(ds), plan)
-    gram = _gram(n, [(None, None), (w, None), (d_bar[:, None], None)])
+    groups = _row_groups(ds)
+    w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
+    gram = _gram(groups, [(None, None), (w, None), (None, d_bar)])
     s = 1.0 / np.sqrt(np.diag(gram)[:m])
     factor = _cholesky(gram[:m, :m] * s[:, None] * s)
     coef = _cho_solve(factor, gram[:m, m] * s)
-    resid = d_bar - s[0] * coef[0] - w @ (s[1:] * coef[1:])
-    meat = _gram(n, [(None, resid), (w, resid)]) * s[:, None] * s
+    # the fitted values as f_stat forms them, from W's rows held transposed
+    fitted = np.asfortranarray(w) @ (s[1:] * coef[1:])
+    resid = d_bar - s[0] * coef[0] - groups.gather(fitted)
+    meat = _gram(groups, [(None, resid), (w, resid)]) * s[:, None] * s
     bread = _cho_solve(factor, np.eye(m))
     vcov = bread @ meat @ bread
     gamma = coef[1:]
@@ -210,51 +232,58 @@ def _dense_f_stat(ds, plan):
 
 
 def _dense_efficient(ds, plan, beta_init):
-    """Efficient GMM's (beta_hat, bound) by their formulas from the dense W."""
+    """Efficient GMM's (beta_hat, bound) by their formulas from the dense W over distinct rows."""
     n = ds.n
     r_y, r_d = _first_stage(ds)
-    w = demeaned_matrix(ds.z, estimate_means(ds), plan)
+    groups = _row_groups(ds)
+    w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
     resid0 = r_y - beta_init * r_d
-    theta = _cho_solve(_ridge_factor(_gram(n, [(w, resid0)]) / n)[0], -(w.T @ ds.d / n))
-    a_vec = w.T @ (resid0 + beta_init * ds.d) / n
-    b_vec = w.T @ ds.d / n
+    theta = _cho_solve(
+        _ridge_factor(_gram(groups, [(w, resid0)]) / n)[0], -(w.T @ groups.sums(ds.d) / n)
+    )
+    a_vec = w.T @ groups.sums(resid0 + beta_init * ds.d) / n
+    b_vec = w.T @ groups.sums(ds.d) / n
     return float(theta @ a_vec) / float(theta @ b_vec), 1.0 / float(-b_vec @ theta) / n
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
 def test_streamed_interactions_match_dense_formulas(n, q):
-    # the Grams build W chunk by chunk; on either side of a chunk boundary
-    # they must give the bits of the same formulas over the dense W
-    rng = np.random.default_rng(1000 * n + q)
-    p = 4
-    z = (rng.random((n, p)) < 0.5) + 0.1 * rng.random((n, p))
-    inter = demeaned_matrix(z, z.mean(axis=0), build_plan(p, 2))
-    d = inter @ np.full(inter.shape[1], 2.0) + z @ np.ones(p) + rng.standard_normal(n)
-    ds = Dataset(y=0.8 * d + z[:, 0] + rng.standard_normal(n), d=d, z=z)
-    plan = build_plan(p, q)
-    nuis = NuisanceEstimate(
-        mu_hat=rng.random(p),
-        theta={},
-        xi={},
-        r_y={k: rng.standard_normal(n) for k in range(1, q)},
-        r_d={k: rng.standard_normal(n) for k in range(1, q)},
-    )
-    mc = build_components(ds, nuis, plan)
-    dense = components_from_arrays(*component_rows(ds, plan, nuis))
-    for field in ("abar", "bbar", "s0", "s1", "s2", "c_ab"):
-        assert np.array_equal(getattr(mc, field), getattr(dense, field))
-    if n <= plan.r + 1:
-        return
-    with _blas_threads(1):  # the library pins its own calls the same way
-        want_f = _dense_f_stat(ds, plan)
-        beta_init = tsls(ds).beta_hat
-        want_beta, want_bound = _dense_efficient(ds, plan, beta_init)
-    assert f_stat(ds, plan).f_value == want_f
-    # efficient GMM sums W'd chunk by chunk: rounding may move, by little
-    eff = efficient_fixed_r(ds, plan, beta_init)
-    assert abs(eff.beta_hat - want_beta) <= 1e-14 * abs(want_beta)
-    assert abs(eff.extra["bound"] - want_bound) <= 1e-14 * abs(want_bound)
+    # the Grams build W chunk by chunk over the distinct rows, 2048 of them
+    # at a time; on either side of a chunk boundary (rows that never
+    # repeat) and over a few repeated rows (binary ones) they must give the
+    # bits of the same formulas over the dense W
+    for binary in (False, True):
+        rng = np.random.default_rng(1000 * n + q)
+        p = 4
+        z = (rng.random((n, p)) < 0.5) + (0.0 if binary else 0.1 * rng.random((n, p)))
+        inter = demeaned_matrix(z, z.mean(axis=0), build_plan(p, 2))
+        d = inter @ np.full(inter.shape[1], 2.0) + z @ np.ones(p) + rng.standard_normal(n)
+        ds = Dataset(y=0.8 * d + z[:, 0] + rng.standard_normal(n), d=d, z=z)
+        plan = build_plan(p, q)
+        nuis = NuisanceEstimate(
+            mu_hat=rng.random(p),
+            theta={},
+            xi={},
+            r_y={k: rng.standard_normal(n) for k in range(1, q)},
+            r_d={k: rng.standard_normal(n) for k in range(1, q)},
+        )
+        assert (_row_groups(ds).index is None) == (not binary or n == 1)
+        mc = build_components(ds, nuis, plan)
+        dense = _dense_components(ds, plan, nuis)
+        for field in ("abar", "bbar", "s0", "s1", "s2", "c_ab"):
+            assert np.array_equal(getattr(mc, field), getattr(dense, field))
+        if n <= plan.r + 1:
+            continue
+        with _blas_threads(1):  # the library pins its own calls the same way
+            want_f = _dense_f_stat(ds, plan)
+            beta_init = tsls(ds).beta_hat
+            want_beta, want_bound = _dense_efficient(ds, plan, beta_init)
+        assert f_stat(ds, plan).f_value == want_f
+        # efficient GMM sums W'd chunk by chunk: rounding may move, by little
+        eff = efficient_fixed_r(ds, plan, beta_init)
+        assert abs(eff.beta_hat - want_beta) <= 1e-14 * abs(want_beta)
+        assert abs(eff.extra["bound"] - want_bound) <= 1e-14 * abs(want_bound)
 
 
 def test_kernel_allocates_far_less_than_one_interaction_matrix():

@@ -17,6 +17,7 @@ from magiciv import (
     estimate_means,
     f_stat,
     fit_nuisance,
+    gen_dataset,
     run_monte_carlo,
     tsls,
 )
@@ -199,40 +200,54 @@ def _count_projections(monkeypatch):
     return widths
 
 
+def _distinct_rows(z):
+    return len(np.unique(z, axis=0))
+
+
 def test_estimate_streams_interactions_in_chunks(tmp_path, monkeypatch):
-    ds = make_sim_dataset(p=5, n=ROW_BLOCK + 52, seed=21)
-    path = tmp_path / "sim.csv"
-    write_csv(ds, path)
     calls = _count_builds(monkeypatch)
     widths = _count_projections(monkeypatch)
-    code = main([
-        "estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
-        "--q", "3", "--output", str(tmp_path / "est.json"),
-    ])
-    assert code == 0
-    # the order-3 nuisance projection streams the order-2 products twice,
-    # for its Gram and for its residuals, and four passes stream W in two
-    # chunks each: the moment Grams, F_q's X'X, F_q's residual and meat,
-    # and efficient GMM's moment vectors with its Omega. The one design
-    # projected is (1, z), once for the nuisance step, F_q, TSLS and
-    # efficient GMM. No build is of raw products.
-    assert sorted(calls) == (
-        [(2, 52)] * 2 + [(2, ROW_BLOCK)] * 2 + [(3, 52)] * 4 + [(3, ROW_BLOCK)] * 4
-    )
-    assert widths == [6]
+    binary = make_sim_dataset(p=5, n=ROW_BLOCK + 52, seed=21)
+    noise = 1e-3 * np.random.default_rng(21).standard_normal(binary.z.shape)
+    # the passes stream the distinct rows in chunks of ROW_BLOCK: the 32
+    # binary rows in one chunk, or, where every row is distinct, all n rows
+    # in two
+    for ds, chunks in (
+        (binary, [_distinct_rows(binary.z)]),
+        (Dataset(y=binary.y, d=binary.d, z=binary.z + noise), [52, ROW_BLOCK]),
+    ):
+        path = tmp_path / "sim.csv"
+        write_csv(ds, path)
+        del calls[:], widths[:]
+        code = main([
+            "estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
+            "--q", "3", "--output", str(tmp_path / "est.json"),
+        ])
+        assert code == 0
+        # the order-3 nuisance projection streams the order-2 products
+        # twice, for its Gram and for its residuals, and four passes stream
+        # W: the moment Grams, F_q's X'X, F_q's residual and meat, and
+        # efficient GMM's moment vectors with its Omega. The one design
+        # projected is (1, z), once for the nuisance step, F_q, TSLS and
+        # efficient GMM. No build is of raw products.
+        want = [(2, c) for c in chunks] * 2 + [(3, c) for c in chunks] * 4
+        assert sorted(calls) == sorted(want)
+        assert widths == [6]
 
 
 def test_replication_streams_interactions_in_chunks(monkeypatch):
     calls = _count_builds(monkeypatch)
     widths = _count_projections(monkeypatch)
+    cfg = ScenarioConfig(p=4, n=300, seed=3)
     summary = run_monte_carlo(
-        ScenarioConfig(p=4, n=300, seed=3), reps=2,
-        methods=("magic", "tsls", "efficient_fixed_r"), workers=1,
+        cfg, reps=2, methods=("magic", "tsls", "efficient_fixed_r"), workers=1
     )
     assert summary.n_excluded == 0
-    # per replication: F_q twice, the moment Grams and efficient GMM once;
+    # per replication: F_q twice, the moment Grams and efficient GMM once,
+    # each over the replication's distinct rows (at most 16 of the 300);
     # the q = 2 nuisance reads the (1, z) fit and builds no products
-    assert calls == [(2, 300)] * 8
+    distinct = [_distinct_rows(gen_dataset(cfg, rep)[0].z) for rep in range(2)]
+    assert calls == [(2, distinct[0])] * 4 + [(2, distinct[1])] * 4
     assert widths == [5] * 2  # one (1, z) projection per replication
 
 
@@ -293,32 +308,44 @@ def test_n_just_above_basis_width_falls_back_to_gelsy(monkeypatch):
 
 
 def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
-    ds = make_sim_dataset(p=5, n=ROW_BLOCK + 7, seed=5)
-    plan = build_plan(ds.p, 4)
-    zc = ds.z - estimate_means(ds)
-    w = interactions.demeaned_matrix(ds.z, estimate_means(ds), plan)
+    binary = make_sim_dataset(p=5, n=ROW_BLOCK + 7, seed=5)
+    noise = 1e-3 * np.random.default_rng(5).standard_normal(binary.z.shape)
+    plan = build_plan(binary.p, 4)
     s2, s3, s4 = (plan.order_slices()[k] for k in (2, 3, 4))
     calls = _count_builds(monkeypatch)
-    for runs, top in (
-        ([(slice(0, s2.stop), ds.y)], 2),
-        ([(slice(0, 1), None), (slice(1, s2.stop - 1), ds.y)], 2),
-        ([(slice(0, s2.stop - 1), None), (slice(s2.stop - 1, s3.start + 1), ds.y)], 3),
-        ([(slice(0, s3.stop), ds.d), (slice(s3.stop, s4.stop), ds.y)], 4),
-        # the longest run is the one built; the others are copies of its prefix
-        ([(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)], 3),
-        ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
+    # the distinct rows of the binary instruments in one chunk; rows that
+    # never repeat in two
+    for ds, chunks in (
+        (binary, [_distinct_rows(binary.z)]),
+        (Dataset(y=binary.y, d=binary.d, z=binary.z + noise), [7, ROW_BLOCK]),
     ):
-        del calls[:]
-        gram = nuisance._gram(ds.n, [(None, None)] + runs, zc, plan)
-        assert sorted(calls) == [(top, 7), (top, ROW_BLOCK)]
-        x = np.column_stack(
-            [np.ones(ds.n)] + [w[:, cols] * (1.0 if v is None else v[:, None]) for cols, v in runs]
-        )
-        assert np.allclose(gram, x.T @ x, rtol=1e-12, atol=0.0)
-    # a slice that neither starts at column 0 nor continues the block before it
-    for blocks in ([(slice(1, 3), None)], [(slice(0, 2), None), (None, None), (slice(2, 3), None)]):
-        with pytest.raises(ValueError, match="does not continue a run from column 0"):
-            nuisance._gram(ds.n, blocks, zc, plan)
+        groups = nuisance._row_groups(ds)
+        w = interactions.demeaned_matrix(ds.z, estimate_means(ds), plan)
+        for slices, top in (
+            ([(slice(0, s2.stop), ds.y)], 2),
+            ([(slice(0, 1), None), (slice(1, s2.stop - 1), ds.y)], 2),
+            ([(slice(0, s2.stop - 1), None), (slice(s2.stop - 1, s3.start + 1), ds.y)], 3),
+            ([(slice(0, s3.stop), ds.d), (slice(s3.stop, s4.stop), ds.y)], 4),
+            ([(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)], 3),
+            ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
+            # any slice of W's columns, in any order: the products are built once
+            ([(slice(1, 3), None)], 2),
+            ([(slice(0, 2), ds.d), (slice(s3.start, s3.start + 2), ds.y), (slice(2, 3), ds.d)], 3),
+            # one weight on columns apart: the class is gathered from F
+            ([(slice(0, 2), ds.d), (slice(3, 5), ds.y), (slice(5, 6), ds.d)], 2),
+        ):
+            del calls[:]
+            gram = nuisance._gram(groups, [(None, None)] + slices, groups.centered, plan)
+            assert sorted(calls) == [(top, c) for c in chunks]
+            x = np.column_stack(
+                [np.ones(ds.n)]
+                + [w[:, cols] * (1.0 if v is None else v[:, None]) for cols, v in slices]
+            )
+            assert np.allclose(gram, x.T @ x, rtol=1e-12, atol=0.0)
+            assert np.array_equal(gram, gram.T)
+        # the stack of row functions reads W's leading columns only
+        with pytest.raises(ValueError, match="must start at column 0"):
+            next(nuisance._stacked_chunks(groups, [slice(1, 3)], groups.centered, plan))
 
 
 def test_first_stage_is_memoized_read_only():
