@@ -119,11 +119,7 @@ def build_components(
     blocks += [(cols, nuis.r_y[k - 1]) for k, cols in slices.items()]
     blocks += [(cols, nuis.r_d[k - 1]) for k, cols in slices.items()]
     groups = _row_groups(ds)
-    if np.array_equal(nuis.mu_hat, groups.mu):
-        zc = groups.centered
-    else:
-        zc = groups.rows - nuis.mu_hat
-    gram = _gram(groups, blocks, zc, plan)
+    gram = _gram(groups, blocks, groups.rows - nuis.mu_hat, plan)
     return _from_gram(gram, ds.n, plan.r)
 
 

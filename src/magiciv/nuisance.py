@@ -307,7 +307,7 @@ def _dense_codes(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
 
 # Largest mixed-radix row code: past it the code is renumbered densely first
 _MAX_CODE = 2**62
-# Two-valued columns per word of bits, summed exactly in a double
+# Most two-valued columns per word of bits, summed exactly in a double
 _WORD_BITS = 52
 
 
@@ -316,11 +316,15 @@ def _row_codes(z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
 
     The code reads digits as mixed radix: the rank of each entry among its
     column's values, for the columns with three values or more, and then
-    words of up to 52 bits, one for each two-valued column, which tells
-    its values apart without sorting. It is renumbered densely whenever
-    the next digit would overflow it; every code is below ``radix``. None
-    when a column has a distinct value in every row.
+    words of bits, one for each two-valued column, which tells its values
+    apart without sorting. It is renumbered densely whenever the next digit
+    would overflow it. A renumbered code is below n, and each digit below
+    n or 2**(62 - n.bit_length()), so the next digit then fits (for n <
+    2**31). Every code is below ``radix``. None when a column has a
+    distinct value in every row.
     """
+    n = z.shape[0]
+    word_bits = min(_WORD_BITS, _MAX_CODE.bit_length() - 1 - n.bit_length())
     zt = z.T.copy()  # one contiguous row per column
     lo = zt.min(axis=1, keepdims=True)
     hi = zt.max(axis=1, keepdims=True)
@@ -334,11 +338,11 @@ def _row_codes(z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
             return None
         digits.append((ranks, k))
     bits = top[two]
-    for start in range(0, bits.shape[0], _WORD_BITS):
-        word = bits[start:start + _WORD_BITS]
+    for start in range(0, bits.shape[0], word_bits):
+        word = bits[start:start + word_bits]
         value = (2.0 ** np.arange(word.shape[0])) @ word  # exact below 2**53
-        digits.append((value.astype(np.intp), 2 ** word.shape[0]))
-    code, radix = np.zeros(z.shape[0], dtype=np.intp), 1
+        digits.append((value.astype(np.int64), 2 ** word.shape[0]))
+    code, radix = np.zeros(n, dtype=np.int64), 1
     for digit, k in digits:
         if radix > _MAX_CODE // k:
             code, radix = _dense_codes(code, radix)

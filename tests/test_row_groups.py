@@ -46,12 +46,28 @@ def _assert_same_grouping(groups, z):
 
 
 @pytest.mark.parametrize(
-    "kind", ["binary", "genotype", "wide binary", "many values", "distinct", "constant", "one row"]
+    "kind",
+    [
+        "binary",
+        "genotype",
+        "wide binary",
+        "many values",
+        "values and rare bits",
+        "rare bits",
+        "distinct",
+        "constant",
+        "one row",
+    ],
 )
 def test_grouping_partitions_rows_by_value(kind):
     rng = np.random.default_rng(7)
-    n = 3000
-    if kind == "binary":
+    n = 10000 if "rare" in kind else 3000
+    if kind == "values and rare bits":  # 5000 values, then a word of rare bits
+        values = rng.permutation(np.repeat(np.arange(n // 2), 2)) * 0.1
+        z = np.column_stack([values, rng.random((n, 52)) < 0.01]).astype(float)
+    elif kind == "rare bits":  # 104 two-valued columns: over 4096 codes before the last word
+        z = (rng.random((n, 104)) < 0.05).astype(float)
+    elif kind == "binary":
         z = (rng.random((n, 10)) < 0.3).astype(float)
     elif kind == "genotype":  # 0/1/2 columns are ranked; one two-valued column
         z = np.column_stack([rng.integers(0, 3, (n, 6)), rng.random(n) < 0.5]).astype(float)
