@@ -1,16 +1,17 @@
-"""The six BLAS and LAPACK routines of the estimator, bound to numpy's own OpenBLAS.
+"""The five BLAS and LAPACK routines of the estimator, bound to numpy's own OpenBLAS.
 
-The package calls dsyrk, dpotrf, dpotrs, dposv, dpocon and dgelsy, all in double
-precision and all through :mod:`magiciv.nuisance`. numpy's linear-algebra
-extension already loads an OpenBLAS that exports them: numpy >= 2 wheels
-as ``scipy_<name>_64_``, numpy 1.2x wheels as ``<name>_64_``, both with
-64-bit integers. :func:`resolve` binds them there through ctypes, so the
-package needs neither ``scipy.linalg`` (0.22-0.25 s of set-up and 22 MiB
-of peak RSS per process, measured on 2 cores with scipy 1.17.1) nor a
-second OpenBLAS. Where numpy's library exports neither name (Accelerate,
-MKL or conda builds), it returns scipy's wrappers instead, with the same
-call signatures; the choice is made once, at import, by what numpy's
-library exports.
+The package calls dsyrk, dpotrs, dposv, dpocon and dgelsy, all in double
+precision and all through :mod:`magiciv.nuisance`; every Cholesky factor
+comes from dposv. numpy's linear-algebra extension already loads an
+OpenBLAS that exports them: numpy >= 2 wheels as ``scipy_<name>_64_``,
+numpy 1.2x wheels as ``<name>_64_``, both with 64-bit integers.
+:func:`resolve` binds them there through ctypes, so the package needs
+neither ``scipy.linalg`` (0.22-0.25 s of set-up and 22 MiB of peak RSS per
+process, measured on 2 cores with scipy 1.17.1) nor a second OpenBLAS.
+Where numpy's library exports neither name (Accelerate, MKL or conda
+builds), it returns scipy's wrappers instead, with the same call
+signatures; the choice is made once, at import, by what numpy's library
+exports.
 
 The ctypes calls are made through :class:`ctypes.PyDLL`, so they hold the
 GIL like the scipy wrappers do. The integer arguments of the hot routines
@@ -32,23 +33,23 @@ import numpy.linalg
 
 __all__ = ["Routines", "resolve", "ROUTINES"]
 
-_NAMES = ("dsyrk", "dpotrf", "dpotrs", "dposv", "dpocon", "dgelsy")
+_NAMES = ("dsyrk", "dpotrs", "dposv", "dpocon", "dgelsy")
 # numpy >= 2 wheels (scipy-openblas64) and numpy 1.2x wheels (openblas64_)
 _SYMBOL_FORMATS = ("scipy_{}_64_", "{}_64_")
 
 
 class Routines(NamedTuple):
-    """The six routines, with the same signatures whichever library holds them.
+    """The five routines, with the same signatures whichever library holds them.
 
     - ``syrk(gram, a, transpose)``: add A'A (``transpose`` true) or AA' into the
       upper triangle of ``gram``, in place when ``gram`` is Fortran-ordered
       float64; returns gram. ``a`` is Fortran-ordered.
-    - ``potrf(a)``: (c, info), c a Fortran-ordered copy of ``a`` whose lower
-      triangle holds the Cholesky factor and whose upper one is a's.
     - ``potrs(c, b)``: x solving a x = b from the lower factor ``c`` of a, a
       fresh array shaped like ``b``.
-    - ``posv(a, b)``: (c, x, info), potrf's (c, info) and potrs's x in one
-      call; x is meaningless when info is not 0.
+    - ``posv(a, b)``: (c, x, info): c a Fortran-ordered copy of ``a`` whose
+      lower triangle holds the Cholesky factor and whose upper one is a's,
+      x solving a x = b with potrs's bits on that factor, and info; c and
+      x are meaningless when info is not 0.
     - ``pocon(c, anorm)``: the reciprocal 1-norm condition estimate of a
       from its lower factor ``c`` and its 1-norm.
     - ``gelsy(a, b, cond)``: (x, rank), the minimum-norm least-squares
@@ -58,7 +59,6 @@ class Routines(NamedTuple):
     """
 
     syrk: Callable
-    potrf: Callable
     potrs: Callable
     posv: Callable
     pocon: Callable
@@ -72,19 +72,18 @@ def _square(a, what: str) -> int:
     return a.shape[0]
 
 
-def _bind(syrk, potrf, potrs, posv, pocon, gelsy) -> Routines:
+def _bind(syrk, potrs, posv, pocon, gelsy) -> Routines:
     """:class:`Routines` over the ctypes functions of an ILP64 BLAS/LAPACK."""
     # Fortran calling convention: every argument by reference, plus
     # gfortran's hidden length (size_t) of each character argument
     ch, strlen = ctypes.c_char_p, ctypes.c_size_t
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     syrk.argtypes = [ch, ch, i64, i64, f64, f64, i64, f64, f64, i64, strlen, strlen]
-    potrf.argtypes = [ch, i64, f64, i64, i64, strlen]
     potrs.argtypes = [ch, i64, i64, f64, i64, f64, i64, i64, strlen]
     posv.argtypes = [ch, i64, i64, f64, i64, f64, i64, i64, strlen]
     pocon.argtypes = [ch, i64, f64, i64, f64, f64, f64, i64, i64, strlen]
     gelsy.argtypes = [i64, i64, i64, f64, i64, f64, i64, i64, f64, i64, f64, i64, i64]
-    for fn in (syrk, potrf, potrs, posv, pocon, gelsy):
+    for fn in (syrk, potrs, posv, pocon, gelsy):
         fn.restype = None
     local = threading.local()
     one = ctypes.c_double(1.0)
@@ -118,13 +117,6 @@ def _bind(syrk, potrf, potrs, posv, pocon, gelsy) -> Routines:
             one, fortran(gram), n, 1, 1,
         )
         return gram
-
-    def cholesky(a):
-        c = np.array(a, dtype=double, order="F")
-        n, _, info = cells()
-        n.value = _square(c, "a")
-        potrf(b"L", n, fortran(c), n, info, 1)
-        return c, info.value
 
     def cho_solve(c, b):
         if c.dtype != double or not c.flags.f_contiguous:
@@ -186,7 +178,7 @@ def _bind(syrk, potrf, potrs, posv, pocon, gelsy) -> Routines:
             raise ValueError(f"illegal value in argument {-info.value} of gelsy")
         return x[:cols], rank.value
 
-    return Routines(syrk_add, cholesky, cho_solve, cho_factor_solve, rcond, lstsq)
+    return Routines(syrk_add, cho_solve, cho_factor_solve, rcond, lstsq)
 
 
 def _scipy_routines() -> Routines:
@@ -195,9 +187,7 @@ def _scipy_routines() -> Routines:
     from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
     (syrk,) = get_blas_funcs(("syrk",), (np.empty(0),))
-    potrf, potrs, posv, pocon = get_lapack_funcs(
-        ("potrf", "potrs", "posv", "pocon"), (np.empty(0),)
-    )
+    potrs, posv, pocon = get_lapack_funcs(("potrs", "posv", "pocon"), (np.empty(0),))
 
     def lstsq(a, b, cond):
         coef, _, rank, _ = linalg.lstsq(
@@ -209,7 +199,6 @@ def _scipy_routines() -> Routines:
         syrk=lambda gram, a, transpose: syrk(
             1.0, a, beta=1.0, c=gram, trans=int(transpose), overwrite_c=1
         ),
-        potrf=lambda a: potrf(a, lower=1, clean=0),
         potrs=lambda c, b: potrs(c, b, lower=1)[0],
         posv=lambda a, b: posv(a, b, lower=1),
         pocon=lambda c, anorm: pocon(c, anorm, uplo="L")[0],
@@ -218,7 +207,7 @@ def _scipy_routines() -> Routines:
 
 
 def resolve(lib: Optional[ctypes.CDLL]) -> Routines:
-    """The routines from ``lib`` when it exports all six by one ILP64 name, else scipy's.
+    """The routines from ``lib`` when it exports all five by one ILP64 name, else scipy's.
 
     ``lib`` None, or a library without those names, gives scipy's wrappers.
     """

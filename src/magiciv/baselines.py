@@ -27,16 +27,16 @@ from typing import Optional
 
 import numpy as np
 
-from .cue import _ridge_factor
+from .cue import _ridge_ladder
 from .data import Dataset
 from .errors import IdentificationError, NumericalError
 from .interactions import InteractionPlan
 from .nuisance import (
-    _cho_solve,
+    _blas_threads,
+    _cho_factor_solve,
     _exposure_explained,
     _first_stage,
     _mirror,
-    _one_blas_thread,
     _row_groups,
     _stacked_chunks,
     _syrk_add,
@@ -53,7 +53,7 @@ class BaselineResult:
     extra: dict = field(default_factory=dict)
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def tsls(ds: Dataset) -> BaselineResult:
     """Two-stage least squares of y on d instrumented by all of z, with
     intercept and heteroskedasticity-robust (HC0) standard error.
@@ -91,7 +91,7 @@ def tsls(ds: Dataset) -> BaselineResult:
     )
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def efficient_fixed_r(
     ds: Dataset, plan: InteractionPlan, beta_init: Optional[float] = None
 ) -> BaselineResult:
@@ -145,7 +145,9 @@ def efficient_fixed_r(
     # every residual moment vanished at beta_init (noiseless exact fit): the
     # weighting is immaterial and the bound degenerates to zero
     noisy = om.any()
-    theta_opt = _cho_solve(_ridge_factor(om)[0], m_vec) if noisy else m_vec
+    theta_opt = m_vec
+    if noisy:
+        (_, theta_opt), _ = _ridge_ladder(om, 0.0, lambda a: _cho_factor_solve(a, m_vec))
     denom = float(theta_opt @ b_vec)
     if denom == 0.0:
         raise NumericalError("weighted moment has zero slope in beta")

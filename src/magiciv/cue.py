@@ -41,11 +41,10 @@ from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import build_plan
 from .moments import MomentComponents, build_components, gbar, omega
 from .nuisance import (
+    _blas_threads,
     _cho_factor_solve,
     _cho_solve,
-    _cholesky,
     _exposure_explained,
-    _one_blas_thread,
     fit_nuisance,
 )
 
@@ -210,14 +209,13 @@ def chisq_quantile(alpha: float, df: int) -> float:
 def _ridge_ladder(om: np.ndarray, base_ridge: float, attempt):
     """``attempt`` of om + ridge I on the ridge ladder. Returns (its result, ridge).
 
-    ``attempt`` factors its matrix through LAPACK, raising LinAlgError
+    ``attempt`` factors its matrix and solves with it in one
+    :func:`magiciv.nuisance._cho_factor_solve` call, raising LinAlgError
     when it is not positive definite. ``base_ridge`` is the user's ridge
     policy: it is always applied, and the ladder escalates on top of it, in
     steps of trace(om)/r, only when the attempt still fails. The first rung
     adds nothing to base_ridge, so the trace is computed only once it has
-    failed. LAPACK is called directly: an objective evaluation at small r
-    costs little more than the factorization, and ``cho_factor``'s checks
-    and batching layers would double it.
+    failed.
     """
     def ridged(ridge):
         return om + ridge * np.eye(om.shape[0]) if ridge > 0.0 else om
@@ -237,11 +235,6 @@ def _ridge_ladder(om: np.ndarray, base_ridge: float, attempt):
         "weighting matrix factorization failed even after ridge escalation "
         f"(condition estimate {np.linalg.cond(om):.3e})"
     )
-
-
-def _ridge_factor(om: np.ndarray, base_ridge: float = 0.0):
-    """Cholesky factor of om + ridge I on the ridge ladder. Returns (factor, ridge)."""
-    return _ridge_ladder(om, base_ridge, _cholesky)
 
 
 def _eval_objective(mc: MomentComponents, beta: float, base_ridge: float = 0.0):
@@ -273,7 +266,7 @@ def _derivatives(mc: MomentComponents, beta: float, base_ridge: float = 0.0, eva
     return q, dq, d2q, ridge, u, factor
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def objective_derivatives(
     mc: MomentComponents, beta: float, base_ridge: float = 0.0
 ) -> tuple[float, float, float, float]:
@@ -386,7 +379,7 @@ def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
     return values, evaluated, ridge_used, best
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def minimize(
     mc: MomentComponents,
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
@@ -487,7 +480,7 @@ def minimize(
 # ---------------------------------------------------------------------------
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def variance(
     mc: MomentComponents, beta_hat: float, ridge: float = 0.0
 ) -> tuple[float, float]:
@@ -551,7 +544,7 @@ class CueResult:
     ridge_used: bool
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def estimate_cue(
     ds: Dataset,
     q: int = 2,

@@ -27,13 +27,13 @@ from .errors import NumericalError
 from .interactions import InteractionPlan
 from .nuisance import (
     _MIN_RCOND,
+    _blas_threads,
+    _cho_factor_solve,
     _cho_solve,
-    _cholesky,
     _exposure_explained,
     _first_stage,
     _gram,
     _mirror,
-    _one_blas_thread,
     _row_groups,
     _stacked_chunks,
     _syrk_add,
@@ -50,7 +50,7 @@ class FStatReport:
     n_effective: int
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     """Robust Wald / r for the interaction coefficients explaining exposure.
 
@@ -80,10 +80,10 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     zc = groups.centered
     m = r + 1
     gram = _gram(groups, [(None, None), (slice(0, r), None), (None, d_bar)], zc, plan)
-    s, factor = _unit_cholesky(
-        gram[:m, :m], _MIN_RCOND, "interaction regression design", "an interaction column"
+    s, factor, coef = _unit_cholesky(  # coef: the coefficients on the scaled columns
+        gram[:m, :m], gram[:m, m], _MIN_RCOND,
+        "interaction regression design", "an interaction column",
     )
-    coef = _cho_solve(factor, gram[:m, m] * s)  # coefficients on the scaled columns
     # the meat is the Gram of [1 | W] with row weights e^2, e = d_bar - X coef,
     # chunk by chunk: the fitted values of the chunk's distinct rows come
     # from the W rows of the stack, which are then scaled by the root of
@@ -104,7 +104,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     vcov = bread @ meat @ bread
     gamma = coef[1:]
     try:
-        wald = float(gamma @ _cho_solve(_cholesky(vcov[1:, 1:]), gamma))
+        wald = float(gamma @ _cho_factor_solve(vcov[1:, 1:], gamma)[1])
     except LinAlgError:
         raise NumericalError("robust covariance of interaction coefficients is singular") from None
     return FStatReport(f_value=wald / r, num_restrictions=r, n_effective=n)

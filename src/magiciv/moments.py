@@ -36,9 +36,9 @@ from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan
 from .nuisance import (
     NuisanceEstimate,
+    _blas_threads,
     _gram,
     _identity_groups,
-    _one_blas_thread,
     _row_groups,
 )
 
@@ -85,7 +85,7 @@ def _from_gram(gram: np.ndarray, n: int, r: int) -> MomentComponents:
     )
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
     """Aggregates of raw (n, r) component matrices, each row its own group."""
     a = np.asarray(a, dtype=float)
@@ -97,7 +97,7 @@ def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
     return _from_gram(_gram(_identity_groups(n), blocks), n, r)
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def build_components(
     ds: Dataset, nuis: NuisanceEstimate, plan: InteractionPlan
 ) -> MomentComponents:

@@ -18,12 +18,12 @@ have full column rank. It is a minimum-norm gelsy fit, :func:`_lstsq`, made
 once per dataset and memoized on it by :func:`_linear_projection`, and it
 refuses a NaN or inf cell. The orders k >= 3 are solved from their normal
 equations: one streamed Gram of the top basis beside y and d holds every
-order's, each order's leading block is scaled to unit diagonal and factored
-by :func:`_unit_cholesky`, the guard :func:`magiciv.diagnostics.f_stat`
-shares, and one more pass over the chunks forms the residuals. An order
-whose Gram fails that guard takes the gelsy fit on its explicit basis
-instead, so the main estimator still fits duplicated instruments, at their
-minimum norm.
+order's, each order's leading block is scaled to unit diagonal, factored
+and solved by :func:`_unit_cholesky`, the guard
+:func:`magiciv.diagnostics.f_stat` shares, and one more pass over the
+chunks forms the residuals. An order whose Gram fails that guard takes the
+gelsy fit on its explicit basis instead, so the main estimator still fits
+duplicated instruments, at their minimum norm.
 
 No fit holds the n x r demeaned interaction matrix W, and outside that
 fallback no basis of order k >= 3 either. Every Gram of a fit is a sum over
@@ -34,7 +34,7 @@ each Gram is formed over the distinct rows u instead, with the weight
 products summed within each group: sum_u x(u) x(u)' sum_{i in u} v_i w_i.
 :func:`_row_groups` groups the rows once per dataset and memoizes the
 :class:`RowGroups` record beside the (1, z) fit: the distinct rows, each
-row's group, mu_hat and the centered distinct rows, so no consumer forms
+row's group and the distinct rows centered at mu_hat, so no consumer forms
 an n x p centered copy. Rows that never repeat give the identity grouping,
 U = n, and the same arithmetic as over the rows.
 
@@ -45,42 +45,41 @@ and other row functions. It holds ``ROW_BLOCK`` distinct rows of the stack
 F of those functions transposed, F' C-ordered, in one buffer: the product
 kernel writes the chunk's rows of W, up to the highest order read,
 straight into it, and the other functions are written beside them. Blocks
-that share a weight form a class; a syrk reads each class scaled in place
-or from scratch rows below F, and classes meet in gemms over the repeated
-rows (see :func:`_gram`). A consumer that needs W's rows for anything
-else, the nuisance residuals, the diagnostic's residual and efficient
-GMM's moment vectors, reads them from the same buffer in
-:func:`_stacked_chunks` before it scales them, and its per-row values
-come from per-group ones by the group index. The widest n-row arrays of a
+that share a weight form a class, scaled in place in F or copied, scaled,
+into scratch rows below it, so that a syrk reads X in block order; classes
+meet in gemms over the repeated rows (see :func:`_gram`). A consumer that
+needs W's rows for anything else, the nuisance residuals, the diagnostic's
+residual and efficient GMM's moment vectors, reads them from the same
+buffer in :func:`_stacked_chunks` before it scales them, and its per-row
+values come from per-group ones by the group index. The widest n-row arrays of a
 fit are then the first stage's (1, z) design and the instrument matrix
 itself, about p + 1 columns each.
 
 BLAS threads: every public function of the package that calls BLAS or
-LAPACK holds each loaded BLAS at one thread while it runs, through the
-:func:`_one_blas_thread` decorator over :func:`_blas_threads`. Results then
-do not depend on the machine's thread count, and threads that only spin
-between the many small solves cost no CPU. The libraries are found on the
-first pin and kept for the life of the process: through threadpoolctl
-when it imports, which also covers MKL and BLIS, and otherwise each
-OpenBLAS in /proc/self/maps through ctypes. The thread count is
+LAPACK holds each loaded BLAS at one thread while it runs, under the
+decorator ``@_blas_threads(1)``. Results then do not depend on the
+machine's thread count, and threads that only spin between the many small
+solves cost no CPU. The libraries are found on the first pin and kept for
+the life of the process: through threadpoolctl when it imports, which
+also covers MKL and BLIS, and otherwise each OpenBLAS in /proc/self/maps
+through ctypes. The thread count is
 process-global, so concurrent callers in one process can race on it.
 
-BLAS and LAPACK: syrk, potrf, potrs, posv, pocon and gelsy come from the
-OpenBLAS that numpy's linear-algebra extension loads, bound through
-ctypes by :mod:`magiciv._lapack`, so no scipy is imported and numpy's is
-the only BLAS in the process. Where numpy's library does not export them
+BLAS and LAPACK: syrk, potrs, posv, pocon and gelsy come from the OpenBLAS
+that numpy's linear-algebra extension loads, bound through ctypes by
+:mod:`magiciv._lapack`, so no scipy is imported and numpy's is the only
+BLAS in the process. Where numpy's library does not export them
 (Accelerate, MKL or conda builds), scipy's wrappers stand in; they are
 chosen at import, before the first pin, so the scan above finds scipy's
-BLAS too. :func:`_syrk_add`, :func:`_cholesky`, :func:`_cho_solve`,
-:func:`_cho_factor_solve`, :func:`_unit_cholesky` and :func:`_lstsq` are
-the only callers; the cross-class products of :func:`_gram` are numpy
-matrix products on the same library.
+BLAS too. :func:`_syrk_add`, :func:`_cho_solve`, :func:`_cho_factor_solve`
+(every Cholesky factor, by posv) and :func:`_lstsq` are the only callers;
+the cross-class products of :func:`_gram` are numpy matrix products on the
+same library.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, product
@@ -114,17 +113,22 @@ def _scan_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
     """(get, set) thread-count functions of each OpenBLAS in /proc/self/maps.
 
     numpy bundles one, and so does scipy where its wrappers stand in for
-    numpy's LAPACK; a library without the functions is skipped, and where
-    /proc is missing the list is empty.
+    numpy's LAPACK. The path is each line's sixth field, which may hold
+    spaces. A deleted file, a library that cannot be opened and one without
+    the functions are skipped, and where /proc is missing the list is empty.
     """
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh if "openblas" in line]
     except OSError:
         return []
+    paths = sorted({f[5] for f in fields if len(f) == 6 and not f[5].endswith(" (deleted)")})
     controls = []
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
@@ -161,6 +165,7 @@ def _blas_threads(count: int) -> Iterator[None]:
     A library already at ``count`` is only read, so a pin nested inside
     another at the same count sets nothing. A BLAS that neither
     threadpoolctl nor the OpenBLAS scan recognises stays as it is.
+    ``@_blas_threads(1)`` pins each call of the function it decorates.
     """
     changed = [(set_, old) for get, set_ in _blas_controls() if (old := get()) != count]
     try:
@@ -170,17 +175,6 @@ def _blas_threads(count: int) -> Iterator[None]:
     finally:
         for set_, old in changed:
             set_(old)
-
-
-def _one_blas_thread(fn):
-    """Decorator: run ``fn`` with every loaded BLAS held at one thread."""
-
-    @functools.wraps(fn)
-    def pinned(*args, **kwargs):
-        with _blas_threads(1):
-            return fn(*args, **kwargs)
-
-    return pinned
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +207,8 @@ class RowGroups:
     ``rows`` holds the U distinct rows of z: first the ``repeated`` ones
     that stand for two rows or more, then those that stand for one, each
     part in a fixed order set by the values. ``index`` is the group of
-    each of the n rows, ``counts`` the group sizes, ``mu`` the sample means
-    and ``centered`` the distinct rows minus them. When no row repeats, the
+    each of the n rows, ``counts`` the group sizes and ``centered`` the
+    distinct rows minus the sample means. When no row repeats, the
     grouping is the identity: ``index`` is None, U = n, ``repeated`` is 0
     and group i is row i, so ``rows`` is z itself. Arrays are read-only.
     """
@@ -223,11 +217,10 @@ class RowGroups:
     index: Optional[np.ndarray]
     counts: np.ndarray
     repeated: int
-    mu: Optional[np.ndarray]
     centered: Optional[np.ndarray]
 
     def __post_init__(self) -> None:
-        for arr in (self.rows, self.index, self.counts, self.mu, self.centered):
+        for arr in (self.rows, self.index, self.counts, self.centered):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -266,7 +259,7 @@ class RowGroups:
 
 def _identity_groups(n: int) -> RowGroups:
     """The identity grouping of n rows with no instrument values: each row its own group."""
-    return RowGroups(rows=None, index=None, counts=np.ones(n), repeated=0, mu=None, centered=None)
+    return RowGroups(rows=None, index=None, counts=np.ones(n), repeated=0, centered=None)
 
 
 def _distinct_ranks(values: np.ndarray) -> tuple[Optional[np.ndarray], int]:
@@ -376,10 +369,9 @@ def _group_rows(z: np.ndarray, mu: np.ndarray) -> RowGroups:
                 index=index,
                 counts=counts[order].astype(float),
                 repeated=int(np.count_nonzero(counts > 1)),
-                mu=mu,
                 centered=rows - mu,
             )
-    return RowGroups(rows=z, index=None, counts=np.ones(n), repeated=0, mu=mu, centered=z - mu)
+    return RowGroups(rows=z, index=None, counts=np.ones(n), repeated=0, centered=z - mu)
 
 
 def _row_groups(ds: Dataset) -> RowGroups:
@@ -391,7 +383,7 @@ def _row_groups(ds: Dataset) -> RowGroups:
     return groups
 
 
-# syrk, potrf, potrs, posv, pocon and gelsy: from numpy's OpenBLAS, or scipy's
+# syrk, potrs, posv, pocon and gelsy: from numpy's OpenBLAS, or scipy's
 # wrappers where numpy's library does not export them
 _LAPACK = _lapack.ROUTINES
 
@@ -486,23 +478,6 @@ def _stacked_chunks(
         yield rows, xt
 
 
-class _WeightClass:
-    """The blocks of :func:`_gram` that share one row weight."""
-
-    def __init__(self, weight: Optional[np.ndarray]):
-        self.weight = weight
-        self.runs: list[range] = []  # the rows of F each block reads
-        self.columns: list[int] = []  # the first Gram column of each block
-        self.width = 0
-
-    def rows(self) -> Union[slice, np.ndarray]:
-        """The rows of F the class reads: a slice when its runs are contiguous."""
-        runs = self.runs
-        if all(a.stop == b.start for a, b in zip(runs, runs[1:])):
-            return slice(runs[0].start, runs[-1].stop)
-        return np.concatenate([np.arange(r.start, r.stop) for r in runs])
-
-
 def _gram(
     groups: RowGroups,
     blocks: Sequence[tuple[RowFunction, Optional[np.ndarray]]],
@@ -515,77 +490,74 @@ def _gram(
     but with any slice of W's columns, times the n-vector row weight v
     (None leaves it unweighted). Every x depends on the instrument row
     only, so the Gram block of blocks with weights v and w is the sum over
-    the groups u of x(u) x'(u)' times sum_{i in u} v_i w_i. Blocks that
-    share a weight form one class, and F holds each row function once.
+    the groups u of x(u) x'(u)' times sum_{i in u} v_i w_i.
 
-    A class is scaled in place in F when its rows there are contiguous and
-    no class before it, in block order, read them; every other class is
-    written, scaled, into the scratch rows below F, so the stack is no
-    wider than X, and it is X in block order when the blocks of each
-    class come in block order. On a run of single rows
-    every weight product factors, v_i w_i, so each class is scaled by its
-    weight and one syrk takes the whole stack, as it would over rows. On a
-    run of repeated rows each pair of classes first meets in one gemm over
-    F unscaled, the narrower side scaled by the pair's signed weight sums
-    in the scratch rows; then each class is scaled by the root of its
-    summed squared weight (of the group size when unweighted) and is one
-    syrk.
+    F holds the ones, each array and W up to the last column a slice
+    reads, in that order. Adjacent blocks that share a weight and read
+    adjacent rows of F form a class. The stack is X in block order: a
+    class is scaled in place when its rows of F are its columns of X, and
+    is written, scaled, into the scratch rows below F when an earlier
+    class holds them. Any other layout raises ValueError.
+
+    On a run of single rows every weight product factors, v_i w_i, so each
+    class is scaled by its weight and one syrk takes the whole stack, as it
+    would over rows. On a run of repeated rows each pair of classes first
+    meets in one gemm over F unscaled, the narrower side scaled by the
+    pair's signed weight sums in the scratch rows; then each class is
+    scaled by the root of its summed squared weight (of the group size
+    when unweighted) and is one syrk.
     """
-    # F: ones, each array once, then W up to the last column a slice reads
-    arrays = list({id(x): x for x, _ in blocks if isinstance(x, np.ndarray)}.values())
+    # F: the ones, each array, then W up to the last column a slice reads
+    arrays = [x for x, _ in blocks if isinstance(x, np.ndarray)]
     has_ones = any(x is None for x, _ in blocks)
     stop = max((x.stop for x, _ in blocks if isinstance(x, slice)), default=0)
     xs = [None] * has_ones + arrays + ([slice(0, stop)] if stop else [])
-    offset, w_at = {}, int(has_ones)
-    for a in arrays:
-        offset[id(a)] = w_at
-        w_at += a.shape[1]
+    w_at = int(has_ones) + sum(a.shape[1] for a in arrays)
+    rows_f = w_at + stop
 
-    by_weight: dict[int, _WeightClass] = {}
-    width = 0
+    weights, rows = [], []  # each class's weight and rows of F
+    at = int(has_ones)
     for x, v in blocks:
         if x is None:
-            run = range(0, 1)
+            run = slice(0, 1)
         elif isinstance(x, slice):
-            run = range(w_at + x.start, w_at + x.stop)
+            run = slice(w_at + x.start, w_at + x.stop)
         else:
-            run = range(offset[id(x)], offset[id(x)] + x.shape[1])
-        cls = by_weight.setdefault(id(v), _WeightClass(v))
-        cls.runs.append(run)
-        cls.columns.append(width)
-        cls.width += len(run)
-        width += len(run)
-    classes = list(by_weight.values())
-    rows = [cls.rows() for cls in classes]
+            run = slice(at, at + x.shape[1])
+            at = run.stop
+        if weights and weights[-1] is v and rows[-1].stop == run.start:
+            rows[-1] = slice(rows[-1].start, run.stop)
+        else:
+            weights.append(v)
+            rows.append(run)
+    widths = [run.stop - run.start for run in rows]
 
-    # the stack: F, then scratch rows holding the copied classes
-    rows_f = w_at + stop
-    owned = np.zeros(rows_f, dtype=bool)
-    place = {}
-    for g in range(len(classes)):  # in block order, the first class to claim F's rows
-        if isinstance(rows[g], slice) and not owned[rows[g]].any():
-            owned[rows[g]] = True
-            place[g] = rows[g]
-    copied = [g for g in range(len(classes)) if g not in place]
-    used = rows_f
-    for g in copied:
-        place[g] = slice(used, used + classes[g].width)
-        used += classes[g].width
-    pairs = [(g, h) for g in range(len(classes)) for h in range(g + 1, len(classes))]
-    spare = max([used - rows_f] + [min(classes[g].width, classes[h].width) for g, h in pairs])
-    in_place = [g for g in range(len(classes)) if g not in copied]
+    # the stack: each class at its columns of X, in F or in the scratch rows below it
+    place, used = [], 0
+    for run, width in zip(rows, widths):
+        if run.start != used and used < rows_f:
+            raise ValueError(
+                f"columns {used}:{used + width} of the stack would read rows "
+                f"{run.start}:{run.stop} of F: blocks must follow F's layout"
+            )
+        place.append(slice(used, used + width))
+        used += width
+    classes = range(len(rows))
+    copied = [g for g in classes if place[g] != rows[g]]
+    in_place = [g for g in classes if place[g] == rows[g]]
+    pairs = [(g, h) for g in classes for h in range(g + 1, len(rows))]
+    spare = max([used - rows_f] + [min(widths[g], widths[h]) for g, h in pairs])
 
-    scales = [None if cls.weight is None else groups.sums(cls.weight) for cls in classes]
+    def sums(v, w):  # per-group sums of the weight products v_i w_i; None weighs one
+        if v is None:
+            return groups.counts if w is None else groups.sums(w)
+        return groups.sums(v if w is None else v * w)
+
+    scales = [None if v is None else groups.sums(v) for v in weights]
     if groups.repeated:
-        roots = [
-            np.sqrt(groups.counts if cls.weight is None else groups.sums(cls.weight * cls.weight))
-            for cls in classes
-        ]
-        cross = {}
-        for g, h in pairs:
-            v, w = classes[g].weight, classes[h].weight
-            cross[g, h] = groups.sums(w if v is None else v if w is None else v * w)
-        grams = [np.zeros((cls.width, cls.width), order="F") for cls in classes]
+        roots = [np.sqrt(sums(v, v)) for v in weights]
+        cross = {(g, h): sums(weights[g], weights[h]) for g, h in pairs}
+        grams = [np.zeros((width, width), order="F") for width in widths]
 
     stacked = np.zeros((used, used), order="F")
     for chunk, xt in _stacked_chunks(groups, xs, zc, plan, spare):
@@ -602,9 +574,9 @@ def _gram(
             stacked = _syrk_add(stacked, xt[:used])
             continue
         for g, h in pairs:
-            narrow, other = (g, h) if classes[g].width <= classes[h].width else (h, g)
+            narrow, other = (g, h) if widths[g] <= widths[h] else (h, g)
             scaled = np.multiply(
-                f[rows[narrow]], cross[g, h][chunk], out=xt[rows_f:rows_f + classes[narrow].width]
+                f[rows[narrow]], cross[g, h][chunk], out=xt[rows_f:rows_f + widths[narrow]]
             )
             product = scaled @ f[rows[other]].T
             if place[narrow].start > place[other].start:
@@ -614,54 +586,39 @@ def _gram(
             np.multiply(f[rows[g]], roots[g][chunk], out=xt[place[g]])
         for g in in_place:
             f[rows[g]] *= roots[g][chunk]
-        for g in range(len(classes)):
+        for g in classes:
             grams[g] = _syrk_add(grams[g], xt[place[g]])
     if groups.repeated:
         for g, part in enumerate(grams):
             stacked[place[g], place[g]] += part
-
-    # the stacked Gram in block order, one block of columns at a time
-    stacked = _mirror(stacked)
-    spans = []  # (Gram columns, stack rows) of each block
-    for g, cls in enumerate(classes):
-        at = place[g].start
-        for run, col in zip(cls.runs, cls.columns):
-            spans.append((slice(col, col + len(run)), slice(at, at + len(run))))
-            at += len(run)
-    if width == used and all(cols == at for cols, at in spans):
-        return stacked
-    gram = np.empty((width, width), order="F")
-    for cols, at in spans:
-        for cols2, at2 in spans:
-            gram[cols, cols2] = stacked[at, at2]
-    return gram
+    return _mirror(stacked)
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``a``, as ``cho_factor(a, lower=True)`` gives it.
+def _cho_factor_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, x): the lower Cholesky factor of ``a`` and the solve of a x = b, in one posv call.
 
-    LAPACK potrf on a Fortran-ordered copy: the lower triangle holds the
-    factor, bit for bit ``np.linalg.cholesky(a)``'s on numpy's own library,
-    and the upper one keeps a's entries. Raises
-    :class:`numpy.linalg.LinAlgError`, naming the first leading minor that
-    is not positive definite, when ``a`` is not.
+    c's lower triangle is ``np.linalg.cholesky(a)`` to the bit on numpy's
+    own library, its upper one keeps a's entries, and x is :func:`_cho_solve`'s
+    on c. A LinAlgError names the first leading minor that is not positive definite.
     """
-    c, info = _LAPACK.potrf(a)
+    c, x, info = _LAPACK.posv(a, b)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor is not positive definite")
-    return c
+    return c, x
 
 
 def _unit_cholesky(
-    xtx: np.ndarray, min_rcond: float, what: str, column: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column scales s and the lower Cholesky factor of diag(s) xtx diag(s).
+    xtx: np.ndarray, rhs: np.ndarray, min_rcond: float, what: str, column: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column scales s, the lower Cholesky factor of diag(s) xtx diag(s), and its solve x.
 
     s = diag(xtx)^(-1/2) scales the Gram to unit diagonal, so the factor and
-    its condition estimate do not depend on the columns' units. Raises
-    :class:`NumericalError` naming the design ``what`` when a diagonal entry
-    is not positive (``column`` names that column), when the factorization
-    fails, or when the reciprocal condition estimate is below ``min_rcond``.
+    its condition estimate do not depend on the columns' units. The same
+    :func:`_cho_factor_solve` call gives x with xtx (s x) = rhs, for a
+    vector or a matrix ``rhs``. Raises :class:`NumericalError` naming the
+    design ``what`` when a diagonal entry is not positive (``column`` names
+    that column), when the factorization fails, or when the reciprocal
+    condition estimate is below ``min_rcond``.
     """
     m = xtx.shape[0]
     diag = np.diag(xtx)
@@ -670,7 +627,7 @@ def _unit_cholesky(
     s = 1.0 / np.sqrt(diag)
     scaled = xtx * s[:, None] * s
     try:
-        factor = _cholesky(scaled)
+        factor, x = _cho_factor_solve(scaled, (rhs.T * s).T)
     except LinAlgError as exc:
         raise NumericalError(f"{what} rank < {m}: X'X factorization failed ({exc})") from None
     rcond = _LAPACK.pocon(factor, float(np.max(np.sum(np.abs(scaled), axis=0))))
@@ -679,25 +636,12 @@ def _unit_cholesky(
             f"{what} is ill-conditioned: reciprocal condition "
             f"estimate of X'X {rcond:.3e} < {min_rcond:.0e}"
         )
-    return s, factor
+    return s, factor, x
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b from the lower Cholesky factor ``c`` of a."""
     return _LAPACK.potrs(c, b)
-
-
-def _cho_factor_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_cholesky` of ``a`` and the solve of a x = b, in one LAPACK posv call.
-
-    posv is potrf then potrs, so the factor and x are theirs to the bit.
-    Raises :class:`numpy.linalg.LinAlgError` when ``a`` is not positive
-    definite.
-    """
-    c, x, info = _LAPACK.posv(a, b)
-    if info > 0:
-        raise LinAlgError(f"{info}-th leading minor is not positive definite")
-    return c, x
 
 
 def _lstsq(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -765,7 +709,7 @@ def _exposure_explained(r_d: np.ndarray, d: np.ndarray) -> bool:
     return float(np.max(np.abs(r_d))) <= 1e-12 * max(float(np.max(np.abs(d))), 1.0)
 
 
-@_one_blas_thread
+@_blas_threads(1)
 def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     """Estimate means and all per-order projections for orders 2..q.
 
@@ -806,8 +750,9 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     for k in range(3, plan.q + 1):
         m = lead + slices[k - 1].stop
         try:
-            s, factor = _unit_cholesky(
-                gram[:m, :m], _NUISANCE_MIN_RCOND, f"order-{k} nuisance basis", "a basis column"
+            s, _, x = _unit_cholesky(
+                gram[:m, :m], gram[:m, -2:], _NUISANCE_MIN_RCOND,
+                f"order-{k} nuisance basis", "a basis column",
             )
         except NumericalError:
             # the C-ordered [1 | z - mu | products of orders 2..k-1], filled in place
@@ -817,7 +762,7 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
             interactions._products(design[:, 1:lead], plan, k - 1, design[:, lead:])
             theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
             continue
-        coefs[k] = s[:, None] * _cho_solve(factor, s[:, None] * gram[:m, -2:])
+        coefs[k] = s[:, None] * x
         theta[k - 1], xi[k - 1] = np.ascontiguousarray(coefs[k].T)
     if coefs:
         # fitted values per distinct row, gathered to the rows they stand for

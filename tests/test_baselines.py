@@ -185,13 +185,13 @@ def test_efficient_weighting_is_cue_weighting_at_first_step(monkeypatch):
     ds = make_sim_dataset(p=6, n=3000, seed=31)
     plan = build_plan(ds.p, 2)
     seen = []
-    ridge_factor = baselines._ridge_factor
+    ridge_ladder = baselines._ridge_ladder
 
-    def spy(om, base_ridge=0.0):
+    def spy(om, base_ridge, attempt):
         seen.append(om.copy())
-        return ridge_factor(om, base_ridge)
+        return ridge_ladder(om, base_ridge, attempt)
 
-    monkeypatch.setattr(baselines, "_ridge_factor", spy)
+    monkeypatch.setattr(baselines, "_ridge_ladder", spy)
     beta_init = tsls(ds).beta_hat
     efficient_fixed_r(ds, plan, beta_init)
     want = omega(build_components(ds, fit_nuisance(ds, plan), plan), beta_init)

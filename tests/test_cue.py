@@ -29,8 +29,9 @@ from magiciv import (
     variance,
 )
 from magiciv import cue
-from magiciv.cue import _eval_objective, _ridge_factor
+from magiciv.cue import _eval_objective, _ridge_ladder
 from magiciv.moments import MomentComponents, components_from_arrays
+from magiciv.nuisance import _cho_factor_solve
 
 from conftest import make_sim_dataset, pipeline_rows
 
@@ -121,17 +122,18 @@ def test_objective_reports_failure_with_condition_estimate():
     assert math.isfinite(value) and ridge > 0.0
     # and names the condition estimate when even its top rung fails
     with pytest.raises(NumericalError, match="condition estimate"):
-        _ridge_factor(np.diag([1.0, -1.0]))
+        _ridge_ladder(np.diag([1.0, -1.0]), 0.0, lambda a: _cho_factor_solve(a, np.ones(2)))
 
 
 def test_ridge_ladder_leaves_positive_definite_matrix_alone():
     rng = np.random.default_rng(25)
     x = rng.standard_normal((40, 5))
     om = x.T @ x / 40
-    factor, ridge = _ridge_factor(om)
-    assert ridge == 0.0
     rhs = rng.standard_normal(5)
-    assert np.allclose(cho_solve((factor, True), rhs), np.linalg.solve(om, rhs), atol=1e-12)
+    (factor, sol), ridge = _ridge_ladder(om, 0.0, lambda a: _cho_factor_solve(a, rhs))
+    assert ridge == 0.0
+    assert np.allclose(sol, np.linalg.solve(om, rhs), atol=1e-12)
+    assert np.allclose(cho_solve((factor, True), rhs), sol, atol=1e-12)
 
 
 def test_ridge_ladder_factors_singular_psd_matrix():
@@ -139,10 +141,9 @@ def test_ridge_ladder_factors_singular_psd_matrix():
     x = rng.standard_normal((40, 4))
     x = np.column_stack([x, x[:, 0]])  # duplicated column: exactly singular
     om = x.T @ x / 40
-    factor, ridge = _ridge_factor(om)
-    assert ridge > 0.0
     rhs = rng.standard_normal(5)
-    sol = cho_solve((factor, True), rhs)
+    (_, sol), ridge = _ridge_ladder(om, 0.0, lambda a: _cho_factor_solve(a, rhs))
+    assert ridge > 0.0
     assert np.all(np.isfinite(sol))
     assert np.allclose((om + ridge * np.eye(5)) @ sol, rhs, rtol=1e-6, atol=1e-6)
 
@@ -204,7 +205,6 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
         assert np.array_equal(np.tril(c), want_c)
         assert np.array_equal(u, want_u)
         assert value == 0.5 * float(g @ want_u)
-    monkeypatch.setattr(cue, "_ridge_factor", _reference_ridge_factor)
     monkeypatch.setattr(cue, "_cho_solve", _reference_cho_solve)
     monkeypatch.setattr(cue, "_cho_factor_solve", _reference_factor_solve)
     want_evals, want_fit, want_var = run()

@@ -111,17 +111,17 @@ def test_zero_interaction_column_raises_rank_error():
 def test_cholesky_failures_raise_numerical_error(monkeypatch, fail_on, message):
     # the first factorization is X'X's, made by the shared guard in
     # nuisance, the second the robust covariance's
-    cholesky = diagnostics._cholesky
+    factor_solve = diagnostics._cho_factor_solve
     calls = []
 
-    def failing(a):
+    def failing(a, b):
         calls.append(a.shape)
         if len(calls) == fail_on:
             raise LinAlgError("not positive definite")
-        return cholesky(a)
+        return factor_solve(a, b)
 
-    monkeypatch.setattr(diagnostics, "_cholesky", failing)
-    monkeypatch.setattr(nuisance, "_cholesky", failing)
+    monkeypatch.setattr(diagnostics, "_cho_factor_solve", failing)
+    monkeypatch.setattr(nuisance, "_cho_factor_solve", failing)
     with pytest.raises(NumericalError, match=message):
         f_stat(make_sim_dataset(p=5, n=400, seed=4), build_plan(5, 2))
     assert calls == [(11, 11), (10, 10)][:fail_on]

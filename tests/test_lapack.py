@@ -12,7 +12,7 @@ from scipy import linalg as sp_linalg
 import magiciv
 from magiciv import NumericalError, estimate_cue, write_csv
 from magiciv import _lapack, nuisance
-from magiciv.nuisance import _cho_factor_solve, _cho_solve, _cholesky, _lstsq, _syrk_add
+from magiciv.nuisance import _cho_factor_solve, _cho_solve, _lstsq, _syrk_add, _unit_cholesky
 
 from conftest import make_sim_dataset
 
@@ -41,21 +41,24 @@ def test_import_binds_numpys_own_library():
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_potrf_matches_numpy_cholesky_bit_for_bit(width):
-    # the same library as np.linalg.cholesky: the lower triangle is its
-    # factor to the bit, and the upper one keeps the matrix's entries
+    # every factor comes from posv, which factors with potrf in the same
+    # library as np.linalg.cholesky: the lower triangle is its factor to
+    # the bit, and the upper one keeps the matrix's entries
+    rng = np.random.default_rng(width + 5)
     for seed in range(3):
         a = _spd(width, 10 * width + seed)
-        c = _cholesky(a)
-        assert c.flags.f_contiguous
-        assert np.array_equal(np.tril(c), np.linalg.cholesky(a))
-        assert np.array_equal(np.triu(c, 1), np.triu(a, 1))
+        for b in (rng.standard_normal(width), rng.standard_normal((width, 2))):
+            c, _ = _cho_factor_solve(a, b)
+            assert c.flags.f_contiguous
+            assert np.array_equal(np.tril(c), np.linalg.cholesky(a))
+            assert np.array_equal(np.triu(c, 1), np.triu(a, 1))
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_potrs_matches_scipy_cho_solve_bit_for_bit(width):
     rng = np.random.default_rng(width)
     a = _spd(width, width)
-    c = _cholesky(a)
+    c, _ = _cho_factor_solve(a, np.ones(width))
     for b in (rng.standard_normal(width), rng.standard_normal((width, 3)), np.eye(width)):
         x = _cho_solve(c, b)
         assert x.shape == b.shape
@@ -63,19 +66,23 @@ def test_potrs_matches_scipy_cho_solve_bit_for_bit(width):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_posv_is_potrf_then_potrs_bit_for_bit(width):
-    # the CUE objective factors and solves in one call; it must give the
-    # factor and the solve of the two calls it replaces, to the bit
+def test_posv_is_potrf_then_potrs_bit_for_bit(width, monkeypatch):
+    # a unit-diagonal Gram is factored and solved in one posv call; its
+    # solve must be potrs's on that factor, to the bit, for the 1- and
+    # 2-column right-hand sides of F_q and the nuisance orders
     rng = np.random.default_rng(width + 3)
-    for lapack in (nuisance._LAPACK, _lapack.resolve(None)):  # numpy's library, scipy's
+    for lapack in (_lapack.ROUTINES, _lapack.resolve(None)):  # numpy's library, scipy's
+        monkeypatch.setattr(nuisance, "_LAPACK", lapack)
         for seed in range(3):
-            a = _spd(width, 10 * width + seed)
-            for b in (rng.standard_normal(width), rng.standard_normal((width, 3))):
-                c, x, info = lapack.posv(a, b)
-                want_c, want_info = lapack.potrf(a)
-                assert info == want_info == 0
-                assert np.array_equal(c, want_c)
-                assert np.array_equal(x, lapack.potrs(want_c, b))
+            units = rng.uniform(0.5, 2.0, width)  # columns in different units
+            xtx = _spd(width, 10 * width + seed) * units[:, None] * units
+            for rhs in (rng.standard_normal(width), rng.standard_normal((width, 2))):
+                s, c, x = _unit_cholesky(xtx, rhs, 1e-10, "design", "a column")
+                assert np.array_equal(s, 1.0 / np.sqrt(np.diag(xtx)))
+                assert np.array_equal(x, lapack.potrs(c, (rhs.T * s).T))
+                if lapack is _lapack.ROUTINES:
+                    scaled = xtx * s[:, None] * s
+                    assert np.array_equal(np.tril(c), np.linalg.cholesky(scaled))
 
 
 def test_factor_solve_of_an_indefinite_matrix_names_the_minor():
@@ -109,7 +116,7 @@ def test_syrk_matches_scipy_within_ulps(width, rows):
 def test_pocon_matches_scipy_within_ulps(width):
     (pocon,) = sp_linalg.get_lapack_funcs(("pocon",), (np.empty(0),))
     a = _spd(width, width + 1)
-    c = _cholesky(a)
+    c, _ = _cho_factor_solve(a, np.ones(width))
     anorm = float(np.max(np.sum(np.abs(a), axis=0)))
     want, info = pocon(c, anorm, uplo="L")
     assert info == 0
@@ -146,11 +153,6 @@ def test_gelsy_fits_a_duplicated_column_at_minimum_norm():
     assert rank == want_rank == 5
     assert np.allclose(coef[2], coef[5], rtol=0, atol=1e-12)
     assert np.allclose(coef, np.linalg.pinv(design) @ rhs, rtol=0, atol=1e-12)
-
-
-def test_cholesky_of_an_indefinite_matrix_names_the_minor():
-    with pytest.raises(LinAlgError, match="2-th leading minor is not positive definite"):
-        _cholesky(np.diag([1.0, -1.0, 1.0]))
 
 
 def test_lstsq_refuses_more_columns_than_rows():

@@ -20,13 +20,13 @@ from magiciv import (
     tsls,
 )
 from magiciv import nuisance
-from magiciv.cue import _ridge_factor
+from magiciv.cue import _ridge_ladder
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
 from magiciv.moments import _from_gram, components_from_arrays
 from magiciv.nuisance import (
     _blas_threads,
+    _cho_factor_solve,
     _cho_solve,
-    _cholesky,
     _first_stage,
     _gram,
     _row_groups,
@@ -219,8 +219,7 @@ def _dense_f_stat(ds, plan):
     w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
     gram = _gram(groups, [(None, None), (w, None), (None, d_bar)])
     s = 1.0 / np.sqrt(np.diag(gram)[:m])
-    factor = _cholesky(gram[:m, :m] * s[:, None] * s)
-    coef = _cho_solve(factor, gram[:m, m] * s)
+    factor, coef = _cho_factor_solve(gram[:m, :m] * s[:, None] * s, gram[:m, m] * s)
     # the fitted values as f_stat forms them, from W's rows held transposed
     fitted = np.asfortranarray(w) @ (s[1:] * coef[1:])
     resid = d_bar - s[0] * coef[0] - groups.gather(fitted)
@@ -228,7 +227,7 @@ def _dense_f_stat(ds, plan):
     bread = _cho_solve(factor, np.eye(m))
     vcov = bread @ meat @ bread
     gamma = coef[1:]
-    return float(gamma @ _cho_solve(_cholesky(vcov[1:, 1:]), gamma)) / r
+    return float(gamma @ _cho_factor_solve(vcov[1:, 1:], gamma)[1]) / r
 
 
 def _dense_efficient(ds, plan, beta_init):
@@ -238,8 +237,9 @@ def _dense_efficient(ds, plan, beta_init):
     groups = _row_groups(ds)
     w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
     resid0 = r_y - beta_init * r_d
-    theta = _cho_solve(
-        _ridge_factor(_gram(groups, [(w, resid0)]) / n)[0], -(w.T @ groups.sums(ds.d) / n)
+    m_vec = -(w.T @ groups.sums(ds.d) / n)
+    (_, theta), _ = _ridge_ladder(
+        _gram(groups, [(w, resid0)]) / n, 0.0, lambda a: _cho_factor_solve(a, m_vec)
     )
     a_vec = w.T @ groups.sums(resid0 + beta_init * ds.d) / n
     b_vec = w.T @ groups.sums(ds.d) / n

@@ -1,4 +1,6 @@
 import builtins
+import ctypes
+import io
 import math
 
 import numpy as np
@@ -326,13 +328,7 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             ([(slice(0, 1), None), (slice(1, s2.stop - 1), ds.y)], 2),
             ([(slice(0, s2.stop - 1), None), (slice(s2.stop - 1, s3.start + 1), ds.y)], 3),
             ([(slice(0, s3.stop), ds.d), (slice(s3.stop, s4.stop), ds.y)], 4),
-            ([(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)], 3),
             ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
-            # any slice of W's columns, in any order: the products are built once
-            ([(slice(1, 3), None)], 2),
-            ([(slice(0, 2), ds.d), (slice(s3.start, s3.start + 2), ds.y), (slice(2, 3), ds.d)], 3),
-            # one weight on columns apart: the class is gathered from F
-            ([(slice(0, 2), ds.d), (slice(3, 5), ds.y), (slice(5, 6), ds.d)], 2),
         ):
             del calls[:]
             gram = nuisance._gram(groups, [(None, None)] + slices, groups.centered, plan)
@@ -343,6 +339,17 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             )
             assert np.allclose(gram, x.T @ x, rtol=1e-12, atol=0.0)
             assert np.array_equal(gram, gram.T)
+        # the stack is X in block order, so a class cannot sit on rows of F
+        # it does not read: a row of F that only a copied class reads, W's
+        # columns out of order, and one weight on columns apart
+        for slices in (
+            [(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)],
+            [(slice(1, 3), None)],
+            [(slice(0, 2), ds.d), (slice(s3.start, s3.start + 2), ds.y), (slice(2, 3), ds.d)],
+            [(slice(0, 2), ds.d), (slice(3, 5), ds.y), (slice(5, 6), ds.d)],
+        ):
+            with pytest.raises(ValueError, match="blocks must follow F's layout"):
+                nuisance._gram(groups, [(None, None)] + slices, groups.centered, plan)
         # the stack of row functions reads W's leading columns only
         with pytest.raises(ValueError, match="must start at column 0"):
             next(nuisance._stacked_chunks(groups, [slice(1, 3)], groups.centered, plan))
@@ -448,6 +455,42 @@ def test_threadpoolctl_libraries_are_pinned_and_restored(monkeypatch):
             assert [lib.threads for lib in libs] == [1, 1]
             raise RuntimeError
     assert [lib.threads for lib in libs] == [4, 1]
+
+
+def test_openblas_scan_reads_paths_with_spaces(monkeypatch, tmp_path):
+    # the path is the sixth field of a maps line and may hold spaces; a
+    # deleted file is not opened, and a library that cannot be opened is
+    # skipped
+    try:
+        with open("/proc/self/maps") as fh:
+            real = next(line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line)
+    except (OSError, StopIteration):
+        pytest.skip("no OpenBLAS in /proc/self/maps")
+    spaced = tmp_path / "a dir" / "lib openblas.so"
+    spaced.parent.mkdir()
+    spaced.symlink_to(real)  # the loaded library under a path with spaces
+    missing = tmp_path / "missing openblas.so"
+    maps = "".join(
+        f"7f0000000000-7f0000001000 r-xp 00000000 08:01 {inode}    {path}\n"
+        for inode, path in enumerate([spaced, f"{real} (deleted)", missing], 1)
+    )
+    opened = []
+    real_cdll = ctypes.CDLL
+
+    def cdll(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(nuisance, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(nuisance, "ThreadpoolController", None)
+    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    controls = _blas_controls()
+    assert sorted(opened) == sorted([str(spaced), str(missing)])
+    assert len(controls) == 1
+    (get, _), = controls
+    with _blas_threads(1):
+        assert get() == 1
 
 
 def test_unrecognised_blas_stays_unpinned(monkeypatch):

@@ -9,13 +9,14 @@ from magiciv import (
     build_plan,
     efficient_fixed_r,
     estimate_cue,
+    estimate_means,
     f_stat,
     fit_nuisance,
     tsls,
 )
 from magiciv import baselines, diagnostics, moments, nuisance
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
-from magiciv.nuisance import _MIN_RCOND, _cho_solve, _first_stage, _row_groups, _unit_cholesky
+from magiciv.nuisance import _MIN_RCOND, _first_stage, _row_groups, _unit_cholesky
 
 from conftest import component_rows, make_sim_dataset
 
@@ -26,8 +27,10 @@ def _grouping(z):
     return counts, inverse
 
 
-def _assert_same_grouping(groups, z):
+def _assert_same_grouping(groups, ds):
+    z = ds.z
     counts, inverse = _grouping(z)
+    assert np.array_equal(groups.centered, groups.rows - estimate_means(ds))
     if groups.index is None:
         assert counts.size == z.shape[0] and groups.repeated == 0
         assert groups.rows is z or np.array_equal(groups.rows, z)
@@ -42,7 +45,6 @@ def _assert_same_grouping(groups, z):
     assert groups.repeated == np.count_nonzero(counts > 1)
     assert np.all(groups.counts[: groups.repeated] > 1)
     assert np.all(groups.counts[groups.repeated:] == 1)
-    assert np.array_equal(groups.centered, groups.rows - groups.mu)
 
 
 @pytest.mark.parametrize(
@@ -82,8 +84,9 @@ def test_grouping_partitions_rows_by_value(kind):
         z = np.column_stack([np.full(n, 2.5), rng.random(n) < 0.5])
     else:
         z = rng.random((1, 3))
-    groups = nuisance._group_rows(z, z.mean(axis=0))
-    _assert_same_grouping(groups, z)
+    ds = Dataset(y=np.zeros(len(z)), d=np.zeros(len(z)), z=z)
+    groups = _row_groups(ds)
+    _assert_same_grouping(groups, ds)
     assert (groups.index is None) == (kind in ("distinct", "one row"))
     assert not groups.counts.flags.writeable and not groups.centered.flags.writeable
 
@@ -166,7 +169,7 @@ def test_every_consumers_grams_match_row_formulas(monkeypatch, kind, size):
     _spy(monkeypatch, diagnostics, "_gram", logs["f_stat"])
     _spy(monkeypatch, diagnostics, "_mirror", logs["meat"])
     _spy(monkeypatch, baselines, "_mirror", logs["omega"])
-    _spy(monkeypatch, baselines, "_cho_solve", logs["relevance"])
+    _spy(monkeypatch, baselines, "_cho_factor_solve", logs["relevance"])
     nuis = fit_nuisance(ds, plan)
     build_components(ds, nuis, plan)
     f_stat(ds, plan)
@@ -188,8 +191,8 @@ def test_every_consumers_grams_match_row_formulas(monkeypatch, kind, size):
     (_, gram), = logs["f_stat"]
     x = np.column_stack([ones, w])
     _assert_gram(gram, np.column_stack([x, d_bar]))
-    s, factor = _unit_cholesky(gram[:m, :m], _MIN_RCOND, "design", "a column")
-    coef = s * _cho_solve(factor, gram[:m, m] * s)
+    s, _, coef = _unit_cholesky(gram[:m, :m], gram[:m, m], _MIN_RCOND, "design", "a column")
+    coef = s * coef
     e = d_bar - coef[0] - w @ coef[1:]
     ((meat,), _), = logs["meat"]
     _assert_gram(meat, x * e[:, None])
