@@ -92,6 +92,20 @@ def test_factor_solve_of_an_indefinite_matrix_names_the_minor():
     assert np.array_equal(np.tril(c), np.diag([2.0, 1.0])) and np.array_equal(x, [0.5, 3.0])
 
 
+def test_cholesky_of_an_indefinite_matrix_names_the_minor(monkeypatch):
+    # a unit-diagonal Gram whose second leading minor is 1 - 4 < 0: the
+    # design's error carries posv's minor, on numpy's library and scipy's
+    xtx = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for lapack in (_lapack.ROUTINES, _lapack.resolve(None)):
+        monkeypatch.setattr(nuisance, "_LAPACK", lapack)
+        with pytest.raises(
+            NumericalError,
+            match=r"design rank < 3: X'X factorization failed "
+            r"\(2-th leading minor is not positive definite\)",
+        ):
+            _unit_cholesky(xtx, np.ones(3), 1e-10, "design", "a column")
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("rows", [1, 7, 2048])
 def test_syrk_matches_scipy_within_ulps(width, rows):
