@@ -493,11 +493,11 @@ def _gram(
     the groups u of x(u) x'(u)' times sum_{i in u} v_i w_i.
 
     F holds the ones, each array and W up to the last column a slice
-    reads, in that order. Adjacent blocks that share a weight and read
-    adjacent rows of F form a class. The stack is X in block order: a
-    class is scaled in place when its rows of F are its columns of X, and
-    is written, scaled, into the scratch rows below F when an earlier
-    class holds them. Any other layout raises ValueError.
+    reads, in that order. The blocks of one weight array must be adjacent;
+    adjacent blocks of one weight, or none, must read adjacent rows of F,
+    and form a class; otherwise ValueError. The stack is X in block order:
+    the leading classes whose rows of F are their columns of X are scaled
+    in place, the others are written, scaled, into the scratch rows below F.
 
     On a run of single rows every weight product factors, v_i w_i, so each
     class is scaled by its weight and one syrk takes the whole stack, as it
@@ -527,19 +527,19 @@ def _gram(
             at = run.stop
         if weights and weights[-1] is v and rows[-1].stop == run.start:
             rows[-1] = slice(rows[-1].start, run.stop)
+        elif any(w is v for w in weights) and (v is not None or weights[-1] is None):
+            raise ValueError("the blocks of one weight must be adjacent, on adjacent rows of F")
         else:
             weights.append(v)
             rows.append(run)
     widths = [run.stop - run.start for run in rows]
 
-    # the stack: each class at its columns of X, in F or in the scratch rows below it
-    place, used = [], 0
+    # the stack: each class at its columns of X, in place in F up to row
+    # `end`, then in the scratch rows below F
+    place, used, end = [], 0, rows_f
     for run, width in zip(rows, widths):
         if run.start != used and used < rows_f:
-            raise ValueError(
-                f"columns {used}:{used + width} of the stack would read rows "
-                f"{run.start}:{run.stop} of F: blocks must follow F's layout"
-            )
+            end, used = used, rows_f
         place.append(slice(used, used + width))
         used += width
     classes = range(len(rows))
@@ -564,10 +564,8 @@ def _gram(
         f = xt[:rows_f]
         if chunk.start >= groups.repeated:  # single rows: the weight products factor
             for g in copied:
-                if scales[g] is None:
-                    xt[place[g]] = f[rows[g]]
-                else:
-                    np.multiply(f[rows[g]], scales[g][chunk], out=xt[place[g]])
+                scale = 1.0 if scales[g] is None else scales[g][chunk]
+                np.multiply(f[rows[g]], scale, out=xt[place[g]])
             for g in in_place:
                 if scales[g] is not None:
                     f[rows[g]] *= scales[g][chunk]
@@ -591,6 +589,8 @@ def _gram(
     if groups.repeated:
         for g, part in enumerate(grams):
             stacked[place[g], place[g]] += part
+    if end < rows_f:  # drop F's rows that only copied classes read
+        stacked = stacked[np.ix_(*[np.r_[0:end, rows_f:used]] * 2)]
     return _mirror(stacked)
 
 

@@ -328,6 +328,7 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             ([(slice(0, 1), None), (slice(1, s2.stop - 1), ds.y)], 2),
             ([(slice(0, s2.stop - 1), None), (slice(s2.stop - 1, s3.start + 1), ds.y)], 3),
             ([(slice(0, s3.stop), ds.d), (slice(s3.stop, s4.stop), ds.y)], 4),
+            ([(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)], 3),
             ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
         ):
             del calls[:]
@@ -339,16 +340,14 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             )
             assert np.allclose(gram, x.T @ x, rtol=1e-12, atol=0.0)
             assert np.array_equal(gram, gram.T)
-        # the stack is X in block order, so a class cannot sit on rows of F
-        # it does not read: a row of F that only a copied class reads, W's
-        # columns out of order, and one weight on columns apart
+        # the blocks of one weight must be adjacent, on adjacent rows of F:
+        # W's columns in any order, and one weight on columns apart, are refused
         for slices in (
-            [(slice(0, s2.stop), ds.d), (slice(0, s3.start + 1), ds.y)],
             [(slice(1, 3), None)],
             [(slice(0, 2), ds.d), (slice(s3.start, s3.start + 2), ds.y), (slice(2, 3), ds.d)],
             [(slice(0, 2), ds.d), (slice(3, 5), ds.y), (slice(5, 6), ds.d)],
         ):
-            with pytest.raises(ValueError, match="blocks must follow F's layout"):
+            with pytest.raises(ValueError, match="blocks of one weight must be adjacent"):
                 nuisance._gram(groups, [(None, None)] + slices, groups.centered, plan)
         # the stack of row functions reads W's leading columns only
         with pytest.raises(ValueError, match="must start at column 0"):
