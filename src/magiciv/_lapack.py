@@ -11,7 +11,8 @@ process, measured on 2 cores with scipy 1.17.1) nor a second OpenBLAS.
 Where numpy's library exports neither name (Accelerate, MKL or conda
 builds), it returns scipy's wrappers instead, with the same call
 signatures; the choice is made once, at import, by what numpy's library
-exports.
+exports. scipy is then needed: it is the optional extra
+``magiciv[scipy]``.
 
 The ctypes calls are made through :class:`ctypes.PyDLL`, so they hold the
 GIL like the scipy wrappers do. The integer arguments of the hot routines
@@ -182,9 +183,21 @@ def _bind(syrk, potrs, posv, pocon, gelsy) -> Routines:
 
 
 def _scipy_routines() -> Routines:
-    """:class:`Routines` over scipy's wrappers; imports ``scipy.linalg``."""
-    from scipy import linalg
-    from scipy.linalg import get_blas_funcs, get_lapack_funcs
+    """:class:`Routines` over scipy's wrappers; imports ``scipy.linalg``.
+
+    scipy is an optional dependency: without it, ImportError names the
+    symbols numpy's library lacks and the extra that installs scipy.
+    """
+    try:
+        from scipy import linalg
+        from scipy.linalg import get_blas_funcs, get_lapack_funcs
+    except ImportError as exc:
+        names = [", ".join(fmt.format(name) for name in _NAMES) for fmt in _SYMBOL_FORMATS]
+        raise ImportError(
+            f"numpy's LAPACK exports neither {names[0]} nor {names[1]}, and scipy, "
+            "whose wrappers stand in for them, is not installed: "
+            "pip install magiciv[scipy]"
+        ) from exc
 
     (syrk,) = get_blas_funcs(("syrk",), (np.empty(0),))
     potrs, posv, pocon = get_lapack_funcs(("potrs", "posv", "pocon"), (np.empty(0),))
@@ -209,7 +222,8 @@ def _scipy_routines() -> Routines:
 def resolve(lib: Optional[ctypes.CDLL]) -> Routines:
     """The routines from ``lib`` when it exports all five by one ILP64 name, else scipy's.
 
-    ``lib`` None, or a library without those names, gives scipy's wrappers.
+    ``lib`` None, or a library without those names, gives scipy's wrappers,
+    or ImportError when scipy is not installed.
     """
     for fmt in _SYMBOL_FORMATS:
         try:

@@ -17,13 +17,14 @@ steps of trace(Omega)/r only when that fails.
 
 The grid is certified rather than evaluated in full. Q is the conjugate of
 a quadratic form, Q(beta) = max_v v'g(beta) - 0.5 v'(Omega(beta) + rho I)v
-(Boyd & Vandenberghe 2004, sec. 3.3), so the solve u = (Omega + rho I)^{-1} g
-of any one evaluation gives a concave quadratic minorant of Q over the whole
-interval. Q is evaluated at every 16th grid point; a grid point is skipped
-only when one of those minorants proves it lies above the best value found,
-by a rounding margin, and every other point is evaluated as before. The
-grid minimum, its index and everything downstream are therefore those of
-the full grid, to the bit.
+(Boyd & Vandenberghe 2004, sec. 3.3), so restricting v to the span of the
+solves u = (Omega + rho I)^{-1} g already made gives a lower bound on Q at
+every grid point (a Galerkin, or Rayleigh-Ritz, bound). The two end points
+are evaluated first; then, best first, the point with the lowest bound is
+evaluated, and a grid point is dropped only when its bound proves it lies
+above the best value found, by a rounding margin. The grid minimum, its
+index and everything downstream are therefore those of the full grid, to
+the bit, typically from about five evaluations of Q.
 """
 
 from __future__ import annotations
@@ -68,17 +69,19 @@ DEFAULT_TOL = 1e-9
 # weighting matrix with the base ridge alone fails to factor.
 _RIDGE_MULTIPLIERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
-# Grid certificate: the stride of the first evaluated points, and the margin
-# a minorant must clear to skip a point. The absolute margin is a multiple of
-# r^2 * eps * max(1, beta^2) * (|u|'(|s0| + |s1| + |s2|)|u| + |u|'(|abar| + |bbar|)
-# + rho u'u), which bounds the rounding of the minorant's coefficients, of
-# forming Omega(beta) and of its Cholesky factor (backward error); the
-# relative margin covers the final dot product of Q. Both are generous: the
-# points skipped lie far above the minimum, so raising either margin 1e4-fold
-# adds almost no evaluations.
-_CERT_STRIDE = 16
+# Grid certificate: the margin a lower bound must clear to drop a point. The
+# absolute margin is a multiple of r^2 * eps * max(1, beta^2) *
+# (|v|'(|s0| + |s1| + |s2|)|v| + |v|'(|abar| + |bbar|) + rho v'v) for the
+# bound's vector v = V'c, with |V|'|c| standing in for |v|, which bounds the
+# rounding of the bound's coefficients, of forming Omega(beta) and of its
+# Cholesky factor (backward error); the relative margin covers the final dot
+# product of Q. Both are generous: the points dropped lie far above the
+# minimum, so raising either margin 1e4-fold adds few evaluations. A solve
+# joins the span of the earlier ones only when more than _SPAN_TOL of its
+# norm lies outside it.
 _CERT_ABS = 64.0
 _CERT_REL = 1e-8
+_SPAN_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +297,9 @@ class MinimizeResult:
 
     ``ridge_used`` is True when some evaluated point factored Omega with a
     positive ridge, the base ridge or the ladder's. A grid point that the
-    certificate skips is never factored, but the first evaluation that needs
+    certificate drops is never factored, but the first evaluation that needs
     the ladder makes the whole grid evaluated, so a weighting matrix that is
-    singular at every beta (a duplicated instrument) reports it as before.
+    singular at every beta (a duplicated instrument) reports it.
     """
 
     beta_hat: float
@@ -305,45 +308,84 @@ class MinimizeResult:
     ridge_used: bool
 
 
-def _minorant(mc: MomentComponents, betas: np.ndarray, us: np.ndarray, ridge: float):
-    """Certified lower bound on Q at each of ``betas``, from the solves in the rows of ``us``.
+class _Span:
+    """The span of the grid's solves, and the lower bound on Q it gives.
 
-    For any v, Q(beta) >= v'g(beta) - 0.5 v'(Omega(beta) + ridge I)v, a
-    quadratic in beta; each solve gives one, and the bound is their maximum
-    less the rounding margin.
+    For any v, Q(beta) >= v'g(beta) - 0.5 v'(Omega(beta) + rho I)v, so the
+    best v in the span of the solves made so far, v = V'c with
+    c = G^{-1} h, h = V g(beta) and G = V (Omega(beta) + rho I) V', bounds Q
+    from below (a Galerkin bound). The rows of V are kept orthonormal only to
+    keep G well conditioned: the bound holds for any basis and any c, so a
+    solve that fails, or is inexact, loses tightness and nothing else.
     """
-    us_s0, us_s1, us_s2 = us @ mc.s0, us @ mc.s1, us @ mc.s2
-    uu = np.sum(us * us, axis=1)
-    c0 = us @ mc.abar - 0.5 * np.sum(us_s0 * us, axis=1) - 0.5 * ridge * uu
-    c1 = 0.5 * np.sum(us_s1 * us, axis=1) - us @ mc.bbar
-    c2 = -0.5 * np.sum(us_s2 * us, axis=1)
-    abs_us = np.abs(us)
-    abs_s = np.abs(mc.s0) + np.abs(mc.s1) + np.abs(mc.s2)
-    size = (
-        np.sum((abs_us @ abs_s) * abs_us, axis=1)
-        + abs_us @ (np.abs(mc.abar) + np.abs(mc.bbar))
-        + ridge * uu
-    )
-    b = betas[:, None]
-    margin = _CERT_ABS * mc.r * mc.r * np.finfo(float).eps * np.maximum(1.0, b * b) * size
-    return np.max(c0 + b * (c1 + b * c2) - margin, axis=1)
+
+    def __init__(self, mc: MomentComponents, ridge: float):
+        self.mc, self.ridge = mc, ridge
+        self.abs_s = np.abs(mc.s0) + np.abs(mc.s1) + np.abs(mc.s2)
+        self.basis = np.empty((0, mc.r))
+        # per basis row v: v s0, v s1, v s2 and |v|(|s0| + |s1| + |s2|)
+        self.products = np.empty((4, 0, mc.r))
+
+    def add(self, u: np.ndarray) -> None:
+        """Extend the basis by the part of u outside it, unless that is rounding."""
+        v = u - (self.basis @ u) @ self.basis
+        if not float(v @ v) > _SPAN_TOL * _SPAN_TOL * float(u @ u):
+            return
+        v -= (self.basis @ v) @ self.basis  # Gram-Schmidt twice keeps V orthonormal
+        v /= math.sqrt(float(v @ v))
+        mc, basis = self.mc, np.vstack([self.basis, v])
+        row = np.stack([v @ mc.s0, v @ mc.s1, v @ mc.s2, np.abs(v) @ self.abs_s])
+        self.basis = basis
+        self.products = np.concatenate([self.products, row[:, None]], axis=1)
+        # the k x k matrices and k-vectors the bound reads, rho V V' in S_0
+        abs_basis = np.abs(basis)
+        self.s = self.products[:3] @ basis.T
+        self.s[0] += self.ridge * (basis @ basis.T)
+        self.va, self.vb = basis @ mc.abar, basis @ mc.bbar
+        # the margin's size for |v| <= |V|'|c|
+        self.size_s = self.products[3] @ abs_basis.T + self.ridge * (abs_basis @ abs_basis.T)
+        self.size_g = abs_basis @ (np.abs(mc.abar) + np.abs(mc.bbar))
+
+    def bound(self, betas: np.ndarray) -> np.ndarray:
+        """Certified lower bound on Q at each of ``betas``, from one batched k x k solve.
+
+        A solve that fails gives no bound (-inf) at any of them.
+        """
+        s0, s1, s2 = self.s
+        b = betas[:, None, None]
+        g_mat = s0 - b * s1 + b * b * s2
+        h = self.va - betas[:, None] * self.vb
+        try:
+            c = np.linalg.solve(g_mat, h[..., None])[..., 0]
+        except LinAlgError:
+            return np.full(betas.size, -np.inf)
+        value = np.sum(c * (h - 0.5 * (g_mat @ c[..., None])[..., 0]), axis=1)
+        ac = np.abs(c)
+        size = np.sum((ac @ self.size_s) * ac, axis=1) + ac @ self.size_g
+        margin = _CERT_ABS * self.mc.r ** 2 * np.finfo(float).eps * np.maximum(1.0, betas * betas)
+        return value - margin * size
 
 
 def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
-    """Q on the grid, skipping the points a minorant proves to lie above the minimum.
+    """Q on the grid, dropping the points the span of its solves proves to lie above the minimum.
 
-    Evaluates every ``_CERT_STRIDE``-th point and the last, then, in index
-    order, every point whose certified lower bound does not clear the best
-    of those values by the margin. Should any evaluation need the ridge
+    Evaluates the two end points, then best first: each round bounds Q at
+    the live points from the span of the solves made so far
+    (:class:`_Span`), drops for good every point whose bound clears the
+    best value by the margin, and evaluates the live point with the lowest
+    bound, the smallest index on ties. A round that drops nothing doubles
+    the points the next round evaluates, so a flat objective takes a
+    logarithmic number of rounds. Should any evaluation need the ridge
     ladder (or exhaust it), the rest of the grid is evaluated as well.
-    Returns (values, evaluated, ridge_used, best): values is inf at skipped
+    Returns (values, evaluated, ridge_used, best): values is inf at dropped
     points and wherever Q is non-finite or cannot be factored, and best is
     :func:`_eval_objective`'s result at the grid minimum, the first minimum
     in index order, or None when no value is finite.
     """
     values = np.full(grid.size, np.inf)
     evaluated = np.zeros(grid.size, dtype=bool)
-    solves = []
+    live = np.ones(grid.size, dtype=bool)
+    span = _Span(mc, ridge)
     ridge_used = ladder = False
     best, i_best = None, grid.size
 
@@ -351,6 +393,7 @@ def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
         nonlocal ridge_used, ladder, best, i_best
         for i in indices:
             evaluated[i] = True
+            live[i] = False
             try:
                 result = _eval_objective(mc, float(grid[i]), ridge)
             except NumericalError:
@@ -361,19 +404,24 @@ def _scan_grid(mc: MomentComponents, grid: np.ndarray, ridge: float):
             ladder |= used > ridge
             if np.isfinite(value):
                 values[i] = value
-                solves.append(u)
+                span.add(u)
                 if best is None or value < best[0] or (value == best[0] and i < i_best):
                     best, i_best = result, i
 
-    # every _CERT_STRIDE-th point and the last, in order and once each; not
-    # by np.unique, which imports numpy.ma on a process's first fit
-    scan(np.append(np.arange(0, grid.size - 1, _CERT_STRIDE), grid.size - 1))
-    rest = ~evaluated
-    if solves and not ladder:
-        q_best = float(values.min())
-        bound = _minorant(mc, grid[rest], np.array(solves), ridge)
-        rest[rest] = ~(bound > q_best + _CERT_REL * abs(q_best))
-    scan(np.flatnonzero(rest))
+    scan([0, grid.size - 1])
+    count = 1
+    while not ladder and live.any():
+        indices = np.flatnonzero(live)
+        before = indices.size
+        if best is not None and span.basis.size:
+            bound = span.bound(grid[indices])
+            above = bound > best[0] + _CERT_REL * abs(best[0])
+            live[indices[above]] = False
+            # lowest bound first; a stable sort keeps ties in index order
+            indices = indices[~above][np.argsort(bound[~above], kind="stable")]
+        scan(indices[:count])
+        if indices.size == before:  # nothing dropped
+            count *= 2
     if ladder:
         scan(np.flatnonzero(~evaluated))
     return values, evaluated, ridge_used, best
@@ -390,9 +438,10 @@ def minimize(
     """Certified global grid scan plus a safeguarded Newton search of the CUE objective.
 
     The grid stage finds the minimum over all ``grid_points`` points but
-    evaluates Q only where it must: every 16th point first, then each point
-    that no minorant built from those solves proves to lie above their best
-    value (see :func:`_scan_grid`), and the whole grid when the ridge ladder
+    evaluates Q only where it must: the two end points first, then best
+    first under the lower bound that the span of the solves made so far
+    gives, until that bound lifts every other point above the best value
+    (see :func:`_scan_grid`), and the whole grid when the ridge ladder
     engages. The grid minimum is the full grid's to the bit. Grid ties
     break toward the smallest beta; the boundary flag marks a minimizer
     within tol of either bound (an identification warning, not an error).

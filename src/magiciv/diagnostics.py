@@ -29,7 +29,6 @@ from .nuisance import (
     _MIN_RCOND,
     _blas_threads,
     _cho_factor_solve,
-    _cho_solve,
     _exposure_explained,
     _first_stage,
     _gram,
@@ -61,13 +60,15 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     Step (2) solves the normal equations: the kernel
     :func:`magiciv.nuisance._gram` forms X'X and X'd over the distinct
     instrument rows, and one Cholesky factor of X'X, with its columns
-    scaled to unit diagonal, gives the coefficients and the sandwich's
-    bread. A second pass over the chunks forms the fitted value of each
-    distinct row from W's rows, the residual e of each row from its
-    group's, and scales the rows in place by the root of each group's sum
-    of e^2 to accumulate the meat X' diag(e^2) X. The statistic does not
-    depend on the column scaling. A rank-deficient or badly conditioned
-    X'X raises :class:`NumericalError`.
+    scaled to unit diagonal, gives the coefficients. Step (3) partials the
+    intercept out (Frisch-Waugh-Lovell): the Wald statistic is t' M^{-1} t
+    for the centered interactions Wc = W - wbar, t = Wc'd and the meat
+    M = Wc' diag(e^2) Wc, so no inverse of X'X is formed. A second pass
+    over the chunks forms the fitted value of each distinct row from W's
+    rows, the residual e of each row from its group's, and centers and
+    scales the rows in place by the root of each group's sum of e^2 to
+    accumulate M. A rank-deficient or badly conditioned X'X, or a singular
+    M, raises :class:`NumericalError`.
     """
     n, r = ds.n, plan.r
     if n <= r + 1:
@@ -80,31 +81,29 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     zc = groups.centered
     m = r + 1
     gram = _gram(groups, [(None, None), (slice(0, r), None), (None, d_bar)], zc, plan)
-    s, factor, coef = _unit_cholesky(  # coef: the coefficients on the scaled columns
+    s, _, coef = _unit_cholesky(  # coef: the coefficients on the scaled columns
         gram[:m, :m], gram[:m, m], _MIN_RCOND,
         "interaction regression design", "an interaction column",
     )
-    # the meat is the Gram of [1 | W] with row weights e^2, e = d_bar - X coef,
-    # chunk by chunk: the fitted values of the chunk's distinct rows come
-    # from the W rows of the stack, which are then scaled by the root of
-    # each group's sum of e^2
+    # t = Wc' d_bar from X'd; M chunk by chunk, e = d_bar - X coef: the
+    # fitted values of the chunk's distinct rows come from its W rows, which
+    # are then centered and scaled by the root of each group's sum of e^2
     intercept, slopes = s[0] * coef[0], s[1:] * coef[1:]
-    meat = np.zeros((m, m), order="F")
-    for rows, xt in _stacked_chunks(groups, [None, slice(0, r)], zc, plan):
-        fitted = xt[1:].T @ slopes
+    wbar = gram[0, 1:m] / n
+    t = gram[1:m, m] - wbar * gram[0, m]
+    meat = np.zeros((r, r), order="F")
+    for rows, xt in _stacked_chunks(groups, [slice(0, r)], zc, plan):
+        fitted = xt.T @ slopes
 
         def squares(members, local):
             e = d_bar[members] - intercept - fitted[local]
             return e * e
 
+        xt -= wbar[:, None]
         xt *= np.sqrt(groups.chunk_sums(rows, squares))
         meat = _syrk_add(meat, xt)
-    meat = _mirror(meat) * s[:, None] * s
-    bread = _cho_solve(factor, np.eye(m))
-    vcov = bread @ meat @ bread
-    gamma = coef[1:]
     try:
-        wald = float(gamma @ _cho_factor_solve(vcov[1:, 1:], gamma)[1])
+        wald = float(t @ _cho_factor_solve(_mirror(meat), t)[1])
     except LinAlgError:
         raise NumericalError("robust covariance of interaction coefficients is singular") from None
     return FStatReport(f_value=wald / r, num_restrictions=r, n_effective=n)

@@ -445,6 +445,57 @@ def test_flat_objective_is_fully_scanned_and_has_no_variance(n, r, ridge, seed):
         variance(mc, fit.beta_hat, ridge=ridge)
 
 
+def _bound_components(kind, rng):
+    """Components for the span bound: two-basin, flat, or N(0, 1) rows."""
+    if kind == "two-basin":
+        return _two_basin_components(rng, 2, 80, 3.0, 0.5, 1.0)
+    a = rng.standard_normal((60, 7))
+    return components_from_arrays(a, 0.0 * a if kind == "flat" else rng.standard_normal(a.shape))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["two-basin", "flat", "normal"]),
+    ridge_scale=st.sampled_from([0.0, 1e-8, 1e-2, 1.0]),
+    at=st.lists(st.integers(0, _GRID.size - 1), min_size=1, max_size=6),
+    nearly=st.sampled_from([None, 1e-6, 1e-8, 1e-10, 1e-13]),
+    seed=st.integers(0, 2**16),
+)
+def test_span_bound_lies_below_the_full_sweep(kind, ridge_scale, at, nearly, seed):
+    # any basis gives a lower bound on Q, whatever the solves it came from:
+    # solves of a few grid points, and, with `nearly`, one more solve that
+    # differs from the first by that relative amount, about the tolerance
+    # below which the span drops it as dependent
+    rng = np.random.default_rng(seed)
+    mc = _bound_components(kind, rng)
+    ridge = ridge_scale * float(np.trace(mc.s0)) / mc.r
+    span = cue._Span(mc, ridge)
+    solves = [_eval_objective(mc, float(_GRID[i]), ridge)[1] for i in at]
+    if nearly is not None:
+        u = solves[0]
+        solves.append(u + nearly * np.linalg.norm(u) * rng.standard_normal(u.size))
+    for u in solves:
+        span.add(u)
+    assert 1 <= span.basis.shape[0] <= len(solves)
+    want = _full_sweep(mc, ridge)
+    bound = span.bound(_GRID)
+    assert not np.isnan(bound).any()
+    assert np.all(bound <= want)
+    # tight where a solve was made: the bound is Q there less the margin
+    i = at[0]
+    assert want[i] - bound[i] <= 1e-6 * max(1.0, abs(want[i]))
+
+
+@pytest.mark.parametrize("q, rep", [(2, 0), (2, 1), (2, 2), (3, 0)])
+def test_certified_grid_needs_few_evaluations_on_pipeline_fits(q, rep):
+    # on Scenario I fits the span of the first few solves bounds every other
+    # grid point above the minimum: about five evaluations, not 512
+    ds = make_sim_dataset(p=10, n=5000, c=3.75, seed=1, rep=rep)
+    mc = _pipeline_components(ds, q)
+    _, evaluated = _assert_certified(mc)
+    assert evaluated.sum() <= 8
+
+
 # ---------------------------------------------------------------------------
 # derivatives and variance
 # ---------------------------------------------------------------------------

@@ -190,6 +190,14 @@ def test_scipy_fallback_gives_the_same_estimate(monkeypatch):
             assert other == value, field
 
 
+def test_fallback_without_scipy_names_the_missing_symbols_and_the_extra(monkeypatch):
+    # scipy is an optional extra: a library without the routines and no
+    # scipy to stand in must say what is missing and how to install it
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ImportError, match=r"scipy_dposv_64_.*dgelsy_64_.*magiciv\[scipy\]"):
+        _lapack.resolve(None)
+
+
 _HYGIENE = """
 import json, sys
 import magiciv.cli as cli

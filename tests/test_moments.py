@@ -26,7 +26,6 @@ from magiciv.moments import _from_gram, components_from_arrays
 from magiciv.nuisance import (
     _blas_threads,
     _cho_factor_solve,
-    _cho_solve,
     _first_stage,
     _gram,
     _row_groups,
@@ -219,15 +218,15 @@ def _dense_f_stat(ds, plan):
     w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
     gram = _gram(groups, [(None, None), (w, None), (None, d_bar)])
     s = 1.0 / np.sqrt(np.diag(gram)[:m])
-    factor, coef = _cho_factor_solve(gram[:m, :m] * s[:, None] * s, gram[:m, m] * s)
+    _, coef = _cho_factor_solve(gram[:m, :m] * s[:, None] * s, gram[:m, m] * s)
     # the fitted values as f_stat forms them, from W's rows held transposed
     fitted = np.asfortranarray(w) @ (s[1:] * coef[1:])
     resid = d_bar - s[0] * coef[0] - groups.gather(fitted)
-    meat = _gram(groups, [(None, resid), (w, resid)]) * s[:, None] * s
-    bread = _cho_solve(factor, np.eye(m))
-    vcov = bread @ meat @ bread
-    gamma = coef[1:]
-    return float(gamma @ _cho_factor_solve(vcov[1:, 1:], gamma)[1]) / r
+    # the Wald statistic of the slopes with the intercept partialled out
+    wbar = gram[0, 1:m] / n
+    t = gram[1:m, m] - wbar * gram[0, m]
+    meat = _gram(groups, [(w - wbar, resid)])
+    return float(t @ _cho_factor_solve(meat, t)[1]) / r
 
 
 def _dense_efficient(ds, plan, beta_init):

@@ -186,7 +186,8 @@ def test_every_consumers_grams_match_row_formulas(monkeypatch, kind, size):
     # the moment Gram of [1 | a | b]
     (_, gram), = logs["moments"]
     _assert_gram(gram, np.column_stack([ones, *component_rows(ds, plan, nuis)]))
-    # F_q's X'X of [1 | W | d_bar], and its meat from the residual of that regression
+    # F_q's X'X of [1 | W | d_bar], and its meat of the centered W from the
+    # residual of that regression
     _, d_bar = _first_stage(ds)
     (_, gram), = logs["f_stat"]
     x = np.column_stack([ones, w])
@@ -195,7 +196,7 @@ def test_every_consumers_grams_match_row_formulas(monkeypatch, kind, size):
     coef = s * coef
     e = d_bar - coef[0] - w @ coef[1:]
     ((meat,), _), = logs["meat"]
-    _assert_gram(meat, x * e[:, None])
+    _assert_gram(meat, (w - gram[0, 1:m] / n) * e[:, None])
     # efficient GMM's Omega and relevance vector
     r_y, r_d = _first_stage(ds)
     resid0 = r_y - beta_init * r_d
