@@ -9,10 +9,13 @@ numpy 1.2x wheels as ``<name>_64_``, both with 64-bit integers.
 neither ``scipy.linalg`` (0.22-0.25 s of set-up and 22 MiB of peak RSS per
 process, measured on 2 cores with scipy 1.17.1) nor a second OpenBLAS.
 Where numpy's library exports neither name (Accelerate, MKL or conda
-builds), it returns scipy's wrappers instead, with the same call
-signatures; the choice is made once, at import, by what numpy's library
-exports. scipy is then needed: it is the optional extra
-``magiciv[scipy]``.
+builds), scipy's wrappers stand in, with the same call signatures; the
+choice is made once, at import, by what numpy's library exports. scipy is
+then needed: it is the optional extra ``magiciv[scipy]``.
+
+:data:`THREADS`, the OpenBLAS thread-count pairs that
+:func:`magiciv.nuisance._blas_threads` pins, is looked up on the same
+handles: numpy's, and scipy's BLAS extension where its wrappers stand in.
 
 The ctypes calls are made through :class:`ctypes.PyDLL`, so they hold the
 GIL like the scipy wrappers do. The integer arguments of the hot routines
@@ -26,17 +29,21 @@ copy them.
 from __future__ import annotations
 
 import ctypes
+import sys
 import threading
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import numpy.linalg
 
-__all__ = ["Routines", "resolve", "ROUTINES"]
+__all__ = ["Routines", "resolve", "ROUTINES", "THREADS"]
 
 _NAMES = ("dsyrk", "dpotrs", "dposv", "dpocon", "dgelsy")
 # numpy >= 2 wheels (scipy-openblas64) and numpy 1.2x wheels (openblas64_)
 _SYMBOL_FORMATS = ("scipy_{}_64_", "{}_64_")
+# OpenBLAS's thread count: ILP64 names (those wheels), then LP64 (scipy wheels, distros)
+_THREAD_FORMATS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
 
 
 class Routines(NamedTuple):
@@ -219,27 +226,48 @@ def _scipy_routines() -> Routines:
     )
 
 
-def resolve(lib: Optional[ctypes.CDLL]) -> Routines:
-    """The routines from ``lib`` when it exports all five by one ILP64 name, else scipy's.
-
-    ``lib`` None, or a library without those names, gives scipy's wrappers,
-    or ImportError when scipy is not installed.
-    """
+def resolve(lib: Optional[ctypes.CDLL]) -> Optional[Routines]:
+    """The routines bound on ``lib`` when it exports all five by one ILP64 name, else None."""
     for fmt in _SYMBOL_FORMATS:
         try:
             functions = [getattr(lib, fmt.format(name)) for name in _NAMES]
         except AttributeError:
             continue
         return _bind(*functions)
-    return _scipy_routines()
+    return None
 
 
-def _numpy_lapack() -> Optional[ctypes.CDLL]:
-    """The library numpy's linear-algebra extension loaded, or None if it cannot be opened."""
+def _library(module) -> Optional[ctypes.CDLL]:
+    """The library the extension ``module`` loaded, or None if it cannot be opened."""
     try:
-        return ctypes.PyDLL(numpy.linalg._umath_linalg.__file__)
+        return ctypes.PyDLL(module.__file__)
     except (AttributeError, OSError):
         return None
 
 
-ROUTINES = resolve(_numpy_lapack())
+def _thread_controls(libs) -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The OpenBLAS (get, set) thread-count pair on each handle of ``libs`` that has one.
+
+    Handles that reach one library, told by the address of its get, give one pair.
+    """
+    controls = {}
+    for lib in libs:
+        for fmt in _THREAD_FORMATS:
+            try:
+                get, set_ = [getattr(lib, fmt.format(verb)) for verb in ("get", "set")]
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.setdefault(ctypes.cast(get, ctypes.c_void_p).value, (get, set_))
+            break
+    return list(controls.values())
+
+
+_NUMPY_LAPACK = _library(getattr(numpy.linalg, "_umath_linalg", None))
+ROUTINES = resolve(_NUMPY_LAPACK)
+_CALLED = [_NUMPY_LAPACK]  # its library runs numpy's own @ and solve too
+if ROUTINES is None:  # scipy's wrappers stand in, on the BLAS scipy loaded
+    ROUTINES = _scipy_routines()
+    _CALLED.append(_library(sys.modules.get("scipy.linalg._fblas")))
+THREADS = _thread_controls(_CALLED)

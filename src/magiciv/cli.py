@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import efficient_fixed_r, tsls
 from .cue import estimate_cue
-from .data import load_csv, write_csv
+from .data import _utf8, load_csv, write_csv
 from .diagnostics import f_stat
 from .errors import (
     ConfigError,
@@ -152,7 +152,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     """Read a flat key = value config file; '#' starts a comment."""
     entries: dict[str, str] = {}
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh, _utf8(ConfigError, path):
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -203,8 +203,11 @@ def _config_echo(cfg: dict) -> dict:
 def _dump_json(payload: dict, output: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -291,7 +294,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = ScenarioConfig(sigma=sigma, **{name: cfg[name] for name in _SCENARIO_KEYS})
     if cfg["emit_data"]:
         ds, _ = gen_dataset(scenario, 0)
-        write_csv(ds, cfg["emit_data"])
+        try:
+            write_csv(ds, cfg["emit_data"])
+        except OSError as exc:
+            raise ConfigError(f"cannot write data: {exc}") from exc
     summary = run_monte_carlo(
         scenario, reps=cfg["reps"], methods=cfg["methods"], workers=cfg["workers"]
     )
@@ -302,13 +308,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "config": _config_echo(cfg),
         **summary_payload,
     }
-    table = format_table(summary)
-    if cfg["output"]:
-        _dump_json(payload, cfg["output"])
-        print(table)
-    else:
-        _dump_json(payload, None)
-        print(table, file=sys.stderr)
+    _dump_json(payload, cfg["output"])
+    # the table goes to stderr when the JSON takes stdout
+    print(format_table(summary), file=sys.stdout if cfg["output"] else sys.stderr)
     return 0
 
 
@@ -344,21 +346,17 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         f"|error| {beta_err:.3e}) -> {'PASS' if beta_ok else 'FAIL'}"
     )
     report = orthogonality_check(dgp, cfg["q"], beta_grid=cfg["beta_grid"], step=cfg["step"])
-    if cfg["dependent"]:
-        orth_ok = report.max_abs_derivative > 1e-3
-        lines.append(
-            f"max orthogonality derivative: {report.max_abs_derivative:.3e} "
-            f"(dependent instruments, expected-fail threshold 1e-3) -> "
-            f"{'PASS (fails as expected)' if orth_ok else 'FAIL (unexpectedly orthogonal)'}"
-        )
-        ok = orth_ok  # beta recovery is not guaranteed under dependence
+    if cfg["dependent"]:  # beta recovery is not guaranteed under dependence
+        ok = orth_ok = report.max_abs_derivative > 1e-3
+        rule = "dependent instruments, expected-fail threshold 1e-3"
+        verdict = "PASS (fails as expected)" if orth_ok else "FAIL (unexpectedly orthogonal)"
     else:
         orth_ok = report.max_abs_derivative <= 1e-6
-        lines.append(
-            f"max orthogonality derivative: {report.max_abs_derivative:.3e} "
-            f"(threshold 1e-6) -> {'PASS' if orth_ok else 'FAIL'}"
-        )
         ok = beta_ok and orth_ok
+        rule, verdict = "threshold 1e-6", "PASS" if orth_ok else "FAIL"
+    lines.append(
+        f"max orthogonality derivative: {report.max_abs_derivative:.3e} ({rule}) -> {verdict}"
+    )
     lines.append(f"oracle-check: {'PASS' if ok else 'FAIL'}")
     print("\n".join(lines))
     return 0 if ok else 2
@@ -374,13 +372,11 @@ def _add_common(sub: argparse.ArgumentParser, table: dict) -> None:
     for key, (tname, default) in table.items():
         flag = "--" + key.replace("_", "-")
         shown = "required" if default is REQUIRED else f"default {default!r}"
-        if tname == "bool":
-            sub.add_argument(
-                flag, type=_parse_bool, default=None, metavar="BOOL",
-                help=f"true/false ({shown})",
-            )
-        else:
-            sub.add_argument(flag, type=_PARSERS[tname], default=None, help=f"({shown})")
+        boolean = tname == "bool"
+        sub.add_argument(
+            flag, type=_PARSERS[tname], default=None, metavar="BOOL" if boolean else None,
+            help=f"true/false ({shown})" if boolean else f"({shown})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,8 +11,9 @@ import csv
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,6 +120,16 @@ def _require_finite(ds: Dataset) -> None:
         raise DataError(_nonfinite_values(ds)[0])
 
 
+@contextmanager
+def _utf8(error: type[Exception], path: str | os.PathLike) -> Iterator[None]:
+    """Turn a byte of the file at ``path`` that is not UTF-8 into ``error`` naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise error(f"{path} is not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
+
+
 def _load_rows(fh, width: int, columns: list[int]) -> Optional[np.ndarray]:
     """The data rows after the header as a float table, ``columns`` in order.
 
@@ -177,11 +188,11 @@ def load_csv(
 ) -> Dataset:
     """Load a dataset from a headered CSV file, binding columns by name.
 
-    The dialect is fixed: comma separator, first row header, '.' decimal
-    point, no quoting of numeric fields. Row order is preserved. Any
+    The dialect is fixed: UTF-8 text, a leading byte-order mark skipped,
+    comma separator, first row header, '.' decimal point, no quoting of
+    numeric fields. Row order is preserved. A byte that is not UTF-8, or any
     violation of the Dataset invariants (non-finite cell, constant
-    instrument, n < 2) raises :class:`DataError` naming the offending cell
-    or column.
+    instrument, n < 2), raises :class:`DataError` naming the file, cell or column.
     """
     instrument_cols = list(instrument_cols)
     if not instrument_cols:
@@ -193,10 +204,10 @@ def load_csv(
             "duplicate column selection: " + ", ".join(sorted(dupes))
         )
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open file: {exc}") from exc
-    with fh:
+    with fh, _utf8(DataError, path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -240,7 +251,7 @@ def write_csv(ds: Dataset, path: str | os.PathLike) -> None:
     the arrays exactly.
     """
     names = ds.names()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "d", *names])
         for i in range(ds.n):

@@ -56,33 +56,32 @@ fit are then the first stage's (1, z) design and the instrument matrix
 itself, about p + 1 columns each.
 
 BLAS threads: every public function of the package that calls BLAS or
-LAPACK holds each loaded BLAS at one thread while it runs, under the
-decorator ``@_blas_threads(1)``. Results then do not depend on the
-machine's thread count, and threads that only spin between the many small
-solves cost no CPU. The libraries are found on the first pin and kept for
-the life of the process: through threadpoolctl when it imports, which
-also covers MKL and BLIS, and otherwise each OpenBLAS in /proc/self/maps
-through ctypes. The thread count is
-process-global, so concurrent callers in one process can race on it.
+LAPACK holds its BLAS at one thread while it runs, under the decorator
+``@_blas_threads(1)``. Results then do not depend on the machine's thread
+count, and threads that only spin between the many small solves cost no
+CPU. The libraries are found on the first pin and kept for the life of
+the process: through threadpoolctl when it imports, which also covers MKL
+and BLIS, and otherwise the OpenBLAS thread-count functions that
+:mod:`magiciv._lapack` finds on the handles it binds the routines on, so
+each library the package calls is pinned and no other. The thread count
+is process-global, so concurrent callers in one process can race on it.
 
 BLAS and LAPACK: syrk, potrs, posv, pocon and gelsy come from the OpenBLAS
 that numpy's linear-algebra extension loads, bound through ctypes by
 :mod:`magiciv._lapack`, so no scipy is imported and numpy's is the only
 BLAS in the process. Where numpy's library does not export them
-(Accelerate, MKL or conda builds), scipy's wrappers stand in; they are
-chosen at import, before the first pin, so the scan above finds scipy's
-BLAS too. :func:`_syrk_add`, :func:`_cho_solve`, :func:`_cho_factor_solve`
-(every Cholesky factor, by posv) and :func:`_lstsq` are the only callers;
-the cross-class products of :func:`_gram` are numpy matrix products on the
-same library.
+(Accelerate, MKL or conda builds), scipy's wrappers stand in, and scipy's
+BLAS is pinned beside numpy's. :func:`_syrk_add`, :func:`_cho_solve`,
+:func:`_cho_factor_solve` (every Cholesky factor, by posv) and
+:func:`_lstsq` are the only callers; the cross-class products of
+:func:`_gram` are numpy matrix products on numpy's library.
 """
 
 from __future__ import annotations
 
-import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -96,7 +95,7 @@ from .interactions import ROW_BLOCK, InteractionPlan
 
 try:  # covers MKL and BLIS builds as well as OpenBLAS
     from threadpoolctl import ThreadpoolController
-except ImportError:  # the ctypes scan below handles OpenBLAS
+except ImportError:  # magiciv._lapack pins the OpenBLAS it binds
     ThreadpoolController = None
 
 __all__ = [
@@ -105,66 +104,32 @@ __all__ = [
     "fit_nuisance",
 ]
 
-# (get, set) thread-count functions of each loaded BLAS, found on first use
+# (get, set) thread-count functions of each BLAS to pin, found on first use
 _BLAS_CONTROLS: Optional[list[tuple[Callable[[], int], Callable[[int], None]]]] = None
 
 
-def _scan_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of each OpenBLAS in /proc/self/maps.
-
-    numpy bundles one, and so does scipy where its wrappers stand in for
-    numpy's LAPACK. The path is each line's sixth field, which may hold
-    spaces. A deleted file, a library that cannot be opened and one without
-    the functions are skipped, and where /proc is missing the list is empty.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh if "openblas" in line]
-    except OSError:
-        return []
-    paths = sorted({f[5] for f in fields if len(f) == 6 and not f[5].endswith(" (deleted)")})
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
 def _blas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) thread-count functions of every BLAS this process has loaded.
+    """(get, set) thread-count functions of the BLAS libraries to pin, found once and kept.
 
-    Found on the first call and kept: from one threadpoolctl controller
-    when threadpoolctl imports, otherwise by :func:`_scan_openblas`.
+    From threadpoolctl when it imports, which reaches every loaded BLAS, MKL and
+    BLIS too; otherwise :data:`magiciv._lapack.THREADS`, one per library the package calls.
     """
     global _BLAS_CONTROLS
     if _BLAS_CONTROLS is None:
-        if ThreadpoolController is not None:
-            _BLAS_CONTROLS = [
-                (lib.get_num_threads, lib.set_num_threads)
-                for lib in ThreadpoolController().lib_controllers
-            ]
-        else:
-            _BLAS_CONTROLS = _scan_openblas()
+        _BLAS_CONTROLS = _lapack.THREADS if ThreadpoolController is None else [
+            (lib.get_num_threads, lib.set_num_threads)
+            for lib in ThreadpoolController().lib_controllers
+        ]
     return _BLAS_CONTROLS
 
 
 @contextmanager
 def _blas_threads(count: int) -> Iterator[None]:
-    """Hold every loaded BLAS at ``count`` threads; restore the old counts on exit.
+    """Hold each BLAS to pin at ``count`` threads; restore the old counts on exit.
 
     A library already at ``count`` is only read, so a pin nested inside
-    another at the same count sets nothing. A BLAS that neither
-    threadpoolctl nor the OpenBLAS scan recognises stays as it is.
+    another at the same count sets nothing. A BLAS that
+    :func:`_blas_controls` does not list stays as it is.
     ``@_blas_threads(1)`` pins each call of the function it decorates.
     """
     changed = [(set_, old) for get, set_ in _blas_controls() if (old := get()) != count]

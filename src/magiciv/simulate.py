@@ -16,7 +16,7 @@ those uniforms rather than any library sampler, so streams are stable
 across platforms and replications are order-insensitive.
 
 BLAS threads: every estimator entry point, the CLI ``estimate`` included,
-runs with each loaded BLAS held at one thread (see :mod:`magiciv.nuisance`),
+runs with its BLAS held at one thread (see :mod:`magiciv.nuisance`),
 so results do not depend on the machine's thread count, at r = 45 or at
 r = 286 alike. :func:`run_monte_carlo` holds the same pin for its whole
 run, the in-process loop and the process pool's lifetime alike, and

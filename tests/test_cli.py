@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -145,9 +146,14 @@ def _fail_on_constant(name):
             ["--q", "3"], {2}, "need n >= 16",
         ),
         (lambda ds: ds, ["--bounds", "1"], {1}, "bounds needs exactly two numbers"),
+        # an output path under a file: the fit runs, its JSON cannot be written
+        (
+            lambda ds: ds, ["--output", os.path.join(os.devnull, "out.json")], {1},
+            "error: cannot write output: ",
+        ),
     ],
     ids=["duplicated_instrument", "exposure_linear_in_z", "n_is_r_plus_1",
-         "n_below_basis_width", "one_bound"],
+         "n_below_basis_width", "one_bound", "unwritable_output"],
 )
 def test_estimate_degenerate_inputs(tmp_path, capsys, edit, flags, codes, expect):
     ds, _ = gen_dataset(ScenarioConfig(p=5, n=400, scenario="I", seed=5), 0)
@@ -251,6 +257,14 @@ def test_simulate_excess_exclusions_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag, what", [("--output", "output"), ("--emit-data", "data")])
+def test_simulate_unwritable_path_is_config_error(capsys, flag, what):
+    code = main(["simulate", "--p", "4", "--n", "150", "--reps", "2", "--methods", "tsls",
+                 flag, os.path.join(os.devnull, "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {what}: ")
+
+
 def test_simulate_table_and_emit_data(tmp_path, capsys):
     out = tmp_path / "mc.json"
     emitted = tmp_path / "rep0.csv"
@@ -311,6 +325,29 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg_file)])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    # Excel and Notepad save UTF-8 text with a byte-order mark in front
+    cfg_file = tmp_path / "bom.cfg"
+    cfg_file.write_bytes("\ufeffp = 3\n".encode())
+    assert main(["oracle-check", "--config", str(cfg_file)]) == 0
+    assert '"p": 3' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["csv", "config"])
+def test_undecodable_input_file_is_an_error_naming_it(tmp_path, capsys, kind):
+    # a Latin-1 "cafe" with its accent, in a CSV header or a config comment
+    bad = tmp_path / "latin1.txt"
+    if kind == "csv":
+        bad.write_bytes(b"y,d,z1,z2,caf\xe9\n1,2,1,0,1\n2,3,0,1,0\n")
+        args = ["estimate", "--input", str(bad), "--instruments", "z1,z2"]
+    else:
+        bad.write_bytes(b"# caf\xe9\np = 3\n")
+        args = ["oracle-check", "--config", str(bad)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} is not UTF-8 text: byte 0xe9 (invalid continuation byte)\n"
 
 
 def test_oracle_check_default_passes(capsys):

@@ -58,6 +58,35 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv", "y", "d", ["z1"])
 
 
+@pytest.mark.parametrize("cell", ["2", "2_000"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, cell):
+    # Excel's "CSV UTF-8" starts with one; a cell np.loadtxt refuses sends
+    # the file back to its start for the row loop
+    path = tmp_path / "bom.csv"
+    path.write_bytes(f"\ufeffy,d,z1,z2\n1,{cell},1,0\n3,4,0,1\n".encode())
+    ds = load_csv(path, "y", "d", ["z1", "z2"])
+    assert ds.y.tolist() == [1.0, 3.0] and ds.d.tolist() == [float(cell), 4.0]
+
+
+def test_load_csv_with_byte_order_mark_names_a_bad_cell(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffy,d,z1,z2\n1,2,1,0\n3,NA,0,1\n".encode())
+    with pytest.raises(DataError, match=r"cannot parse cell \(row 2, column 'd'\)"):
+        load_csv(path, "y", "d", ["z1", "z2"])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"y,d,z1,z2,caf\xe9\n1,2,1,0,1\n", b"y,d,z1,z2\n1,2,1,0\n2,3,0,caf\xe9\n"],
+    ids=["header", "row"],
+)
+def test_load_csv_refuses_bytes_that_are_not_utf8(tmp_path, text):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=r"latin1.csv is not UTF-8 text: byte 0xe9"):
+        load_csv(path, "y", "d", ["z1", "z2"])
+
+
 def test_load_csv_ragged_rows(tmp_path):
     short = _write(tmp_path, "y,d,z1,z2\n1,2,1\n2,3,0,1\n", name="short.csv")
     with pytest.raises(DataError, match="row 1 has 3 fields"):

@@ -33,7 +33,7 @@ def _exports_routines(lib):
 def test_import_binds_numpys_own_library():
     # where numpy's library exports the routines, the package calls them
     # there; elsewhere scipy's wrappers stand in, which this cannot check
-    if not _exports_routines(_lapack._numpy_lapack()):
+    if not _exports_routines(_lapack._NUMPY_LAPACK):
         pytest.skip("numpy's library exports no ILP64 LAPACK; scipy's wrappers stand in")
     assert nuisance._LAPACK is _lapack.ROUTINES
     assert all(fn.__qualname__.startswith("_bind.") for fn in _lapack.ROUTINES)
@@ -71,7 +71,7 @@ def test_posv_is_potrf_then_potrs_bit_for_bit(width, monkeypatch):
     # solve must be potrs's on that factor, to the bit, for the 1- and
     # 2-column right-hand sides of F_q and the nuisance orders
     rng = np.random.default_rng(width + 3)
-    for lapack in (_lapack.ROUTINES, _lapack.resolve(None)):  # numpy's library, scipy's
+    for lapack in (_lapack.ROUTINES, _lapack._scipy_routines()):  # numpy's library, scipy's
         monkeypatch.setattr(nuisance, "_LAPACK", lapack)
         for seed in range(3):
             units = rng.uniform(0.5, 2.0, width)  # columns in different units
@@ -96,7 +96,7 @@ def test_cholesky_of_an_indefinite_matrix_names_the_minor(monkeypatch):
     # a unit-diagonal Gram whose second leading minor is 1 - 4 < 0: the
     # design's error carries posv's minor, on numpy's library and scipy's
     xtx = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    for lapack in (_lapack.ROUTINES, _lapack.resolve(None)):
+    for lapack in (_lapack.ROUTINES, _lapack._scipy_routines()):
         monkeypatch.setattr(nuisance, "_LAPACK", lapack)
         with pytest.raises(
             NumericalError,
@@ -175,9 +175,10 @@ def test_lstsq_refuses_more_columns_than_rows():
 
 
 def test_scipy_fallback_gives_the_same_estimate(monkeypatch):
-    # the resolver falls back to scipy's wrappers for a library that does
-    # not export the routines; a q = 3 fit runs every routine through them
-    fallback = _lapack.resolve(None)
+    # scipy's wrappers stand in for a library that does not export the
+    # routines; a q = 3 fit runs every routine through them
+    assert _lapack.resolve(None) is None
+    fallback = _lapack._scipy_routines()
     assert all(fn.__qualname__.startswith("_scipy_routines.") for fn in fallback)
     want = estimate_cue(make_sim_dataset(p=5, n=900, seed=31), q=3)
     monkeypatch.setattr(nuisance, "_LAPACK", fallback)
@@ -195,7 +196,7 @@ def test_fallback_without_scipy_names_the_missing_symbols_and_the_extra(monkeypa
     # scipy to stand in must say what is missing and how to install it
     monkeypatch.setitem(sys.modules, "scipy", None)
     with pytest.raises(ImportError, match=r"scipy_dposv_64_.*dgelsy_64_.*magiciv\[scipy\]"):
-        _lapack.resolve(None)
+        _lapack._scipy_routines()
 
 
 _HYGIENE = """

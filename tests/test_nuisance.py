@@ -1,6 +1,4 @@
 import builtins
-import ctypes
-import io
 import math
 
 import numpy as np
@@ -23,7 +21,7 @@ from magiciv import (
     run_monte_carlo,
     tsls,
 )
-from magiciv import interactions, nuisance
+from magiciv import _lapack, interactions, nuisance
 from magiciv.cli import main
 from magiciv.data import write_csv
 from magiciv.interactions import ROW_BLOCK
@@ -396,7 +394,7 @@ def test_reused_dataset_matches_fresh_ones():
 
 
 @pytest.mark.skipif(not _blas_controls(), reason="no BLAS with a settable thread count is loaded")
-def test_nested_pin_reads_no_maps_and_sets_no_count(monkeypatch):
+def test_nested_pin_sets_no_count(monkeypatch):
     ds = make_sim_dataset(p=4, n=300, seed=25)
     sets = []
 
@@ -409,15 +407,6 @@ def test_nested_pin_reads_no_maps_and_sets_no_count(monkeypatch):
     monkeypatch.setattr(
         nuisance, "_BLAS_CONTROLS", [(get, counting(set_)) for get, set_ in _blas_controls()]
     )
-    maps_reads = []
-    real_open = builtins.open
-
-    def counting_open(file, *args, **kwargs):
-        if str(file) == "/proc/self/maps":
-            maps_reads.append(file)
-        return real_open(file, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", counting_open)
     with _blas_threads(2):
         del sets[:]
         with _blas_threads(1):  # from two threads: each library is set, then restored
@@ -427,7 +416,53 @@ def test_nested_pin_reads_no_maps_and_sets_no_count(monkeypatch):
                 tsls(ds)  # a pinned entry point nests a third pin
             assert sets == []
         assert sets == [2] * len(_blas_controls())
+
+
+def test_pinning_reads_no_proc_maps(monkeypatch):
+    # the thread-count functions come from the handles _lapack binds the
+    # routines on, so finding them reads nothing, on a machine without /proc too
+    ds = make_sim_dataset(p=4, n=300, seed=26)
+    monkeypatch.setattr(nuisance, "ThreadpoolController", None)
+    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    maps_reads = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            maps_reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    estimate_cue(ds)
     assert maps_reads == []
+    assert nuisance._BLAS_CONTROLS is _lapack.THREADS
+
+
+def test_pin_holds_numpys_blas_and_leaves_scipys_alone(monkeypatch):
+    # scipy's BLAS, loaded but never called while numpy's library holds the
+    # routines, keeps the thread count set through its own handle; two
+    # handles on one library give one pair
+    from scipy.linalg import _fblas
+
+    if _lapack.resolve(_lapack._NUMPY_LAPACK) is None:
+        pytest.skip("numpy's library exports no ILP64 LAPACK; scipy's wrappers stand in")
+    again = _lapack._library(np.linalg._umath_linalg)  # a second handle, one library
+    assert len(_lapack._thread_controls([_lapack._NUMPY_LAPACK, again])) == 1
+    both = _lapack._thread_controls([_lapack._NUMPY_LAPACK, _lapack._library(_fblas)])
+    if len(both) != 2:
+        pytest.skip("scipy's BLAS is numpy's library, or either has no thread-count functions")
+    (numpy_get, _), (scipy_get, scipy_set) = both
+    monkeypatch.setattr(nuisance, "ThreadpoolController", None)
+    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    old = scipy_get()
+    scipy_set(2)
+    try:
+        with _blas_threads(1):
+            assert numpy_get() == 1
+            assert scipy_get() == 2
+            assert len(_blas_controls()) == 1
+    finally:
+        scipy_set(old)
 
 
 def test_threadpoolctl_libraries_are_pinned_and_restored(monkeypatch):
@@ -456,51 +491,15 @@ def test_threadpoolctl_libraries_are_pinned_and_restored(monkeypatch):
     assert [lib.threads for lib in libs] == [4, 1]
 
 
-def test_openblas_scan_reads_paths_with_spaces(monkeypatch, tmp_path):
-    # the path is the sixth field of a maps line and may hold spaces; a
-    # deleted file is not opened, and a library that cannot be opened is
-    # skipped
-    try:
-        with open("/proc/self/maps") as fh:
-            real = next(line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line)
-    except (OSError, StopIteration):
-        pytest.skip("no OpenBLAS in /proc/self/maps")
-    spaced = tmp_path / "a dir" / "lib openblas.so"
-    spaced.parent.mkdir()
-    spaced.symlink_to(real)  # the loaded library under a path with spaces
-    missing = tmp_path / "missing openblas.so"
-    maps = "".join(
-        f"7f0000000000-7f0000001000 r-xp 00000000 08:01 {inode}    {path}\n"
-        for inode, path in enumerate([spaced, f"{real} (deleted)", missing], 1)
-    )
-    opened = []
-    real_cdll = ctypes.CDLL
-
-    def cdll(path, *args, **kwargs):
-        opened.append(str(path))
-        return real_cdll(path, *args, **kwargs)
-
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    monkeypatch.setattr(nuisance, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
-    monkeypatch.setattr(nuisance, "ThreadpoolController", None)
-    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
-    controls = _blas_controls()
-    assert sorted(opened) == sorted([str(spaced), str(missing)])
-    assert len(controls) == 1
-    (get, _), = controls
-    with _blas_threads(1):
-        assert get() == 1
-
-
 def test_unrecognised_blas_stays_unpinned(monkeypatch):
-    # neither threadpoolctl nor the OpenBLAS scan finds a library to control
+    # neither threadpoolctl nor _lapack finds a library to control
     ds = make_sim_dataset(p=4, n=400, seed=41)
     pinned = estimate_cue(ds)
     real = _blas_controls()
     with _blas_threads(2):
         monkeypatch.setattr(nuisance, "ThreadpoolController", None)
         monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
-        monkeypatch.setattr(nuisance, "_scan_openblas", lambda: [])
+        monkeypatch.setattr(_lapack, "THREADS", [])
         with _blas_threads(1):
             assert nuisance._BLAS_CONTROLS == []
             assert [get() for get, _ in real] == [2] * len(real)
