@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import sys
 from typing import Callable, Optional
 
@@ -104,12 +105,13 @@ def _library_keys(func: Callable, *names: str) -> dict[str, tuple[str, object]]:
     }
 
 
+_FIT_KEYS = ("q", "bounds", "grid_points", "tol", "ci_level", "ridge")
 _ESTIMATE_KEYS: dict[str, tuple[str, object]] = {
     "input": ("str", REQUIRED),
     "outcome": ("str", "y"),
     "exposure": ("str", "d"),
     "instruments": ("strs", REQUIRED),
-    **_library_keys(estimate_cue, "q", "bounds", "grid_points", "tol", "ci_level", "ridge"),
+    **_library_keys(estimate_cue, *_FIT_KEYS),
     "output": ("str", None),
 }
 
@@ -169,7 +171,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _effective_config(verb: str, args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- explicit flags, with type checking."""
+    """Defaults <- config file <- explicit flags, with type and output-path checking."""
     table = _KEY_TABLES[verb]
     merged: dict = {}
     for key, (_, default) in table.items():
@@ -186,6 +188,8 @@ def _effective_config(verb: str, args: argparse.Namespace) -> dict:
     for key, (_, default) in table.items():
         if default is REQUIRED and merged[key] is None:
             raise ConfigError(f"missing required key {key!r} (flag --{key.replace('_', '-')})")
+    if merged.get("output"):
+        _check_output(merged["output"])
     return merged
 
 
@@ -198,6 +202,18 @@ _EXECUTION_KEYS = ("output", "workers", "emit_data")
 def _config_echo(cfg: dict) -> dict:
     """The effective configuration without execution-only keys (tuples dump as lists)."""
     return {key: value for key, value in cfg.items() if key not in _EXECUTION_KEYS}
+
+
+def _check_output(output: str) -> None:
+    """Refuse, before any work, an output path the JSON could not be written to."""
+    parent = os.path.dirname(output) or os.curdir
+    if os.path.isdir(output):
+        reason = "is a directory"
+    elif not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        reason = "is not in a writable directory"
+    else:
+        return
+    raise ConfigError(f"cannot write output: {output!r} {reason}")
 
 
 def _dump_json(payload: dict, output: Optional[str]) -> None:
@@ -219,20 +235,11 @@ def _dump_json(payload: dict, output: Optional[str]) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _effective_config("estimate", args)
-    bounds = cfg["bounds"]
-    if len(bounds) != 2:
-        raise ConfigError(f"bounds needs exactly two numbers (got {bounds})")
+    if len(cfg["bounds"]) != 2:
+        raise ConfigError(f"bounds needs exactly two numbers (got {cfg['bounds']})")
     ds = load_csv(cfg["input"], cfg["outcome"], cfg["exposure"], cfg["instruments"])
     plan = build_plan(ds.p, cfg["q"])
-    result = estimate_cue(
-        ds,
-        q=cfg["q"],
-        bounds=(bounds[0], bounds[1]),
-        grid_points=cfg["grid_points"],
-        tol=cfg["tol"],
-        ci_level=cfg["ci_level"],
-        ridge=cfg["ridge"],
-    )
+    result = estimate_cue(ds, **{key: cfg[key] for key in _FIT_KEYS})
     # the diagnostic can be rank-deficient (e.g. duplicated instruments)
     # even when the ridge-guarded estimator itself succeeds
     f_value: Optional[float] = None

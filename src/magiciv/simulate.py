@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -191,6 +190,14 @@ def _draw_effects(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[np.nda
     return theta, pi
 
 
+def _pair_products(x: np.ndarray, pairs: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Columns x_j * x_k for the index pairs (j, k), in order."""
+    out = np.empty((x.shape[0], len(pairs)))
+    for idx, (j, k) in enumerate(pairs):
+        out[:, idx] = x[:, j] * x[:, k]
+    return out
+
+
 def gen_dataset(cfg: ScenarioConfig, rep_index: int) -> tuple[Dataset, TruthRecord]:
     """Generate one replication's dataset plus its truth record.
 
@@ -201,7 +208,7 @@ def gen_dataset(cfg: ScenarioConfig, rep_index: int) -> tuple[Dataset, TruthReco
     if rep_index < 0:
         raise ConfigError("rep_index must be >= 0")
     rng = _rep_rng(cfg.seed, rep_index)
-    pairs = tuple(combinations(range(cfg.p), 2))
+    pairs = build_plan(cfg.p, 2).subsets_by_order[2]
     theta, pi = _draw_effects(cfg, rng)
     alpha = np.full(len(pairs), cfg.c / math.sqrt(cfg.n))
     phi = None
@@ -220,23 +227,11 @@ def gen_dataset(cfg: ScenarioConfig, rep_index: int) -> tuple[Dataset, TruthReco
     eps = l00 * g1
     nu = l10 * g1 + l11 * g2
 
-    # raw products feed only the uncentered exposure and the misspecified outcome
-    raw_products = None
-    if phi is not None or not cfg.center_interactions:
-        raw_products = np.empty((cfg.n, len(pairs)))
-        for idx, (j, k) in enumerate(pairs):
-            raw_products[:, idx] = z[:, j] * z[:, k]
-    if cfg.center_interactions:
-        zc = z - cfg.mu
-        exposure_inter = np.empty((cfg.n, len(pairs)))
-        for idx, (j, k) in enumerate(pairs):
-            exposure_inter[:, idx] = zc[:, j] * zc[:, k]
-    else:
-        exposure_inter = raw_products
-    d = z @ theta + exposure_inter @ alpha + nu
+    center = cfg.mu if cfg.center_interactions else 0.0
+    d = z @ theta + _pair_products(z - center, pairs) @ alpha + nu
     y = d * cfg.beta_true + z @ pi + eps
-    if phi is not None:
-        y = y + raw_products @ phi
+    if phi is not None:  # the misspecified outcome takes raw products
+        y = y + _pair_products(z, pairs) @ phi
 
     ds = Dataset(y=y, d=d, z=z, instrument_names=tuple(f"z{j+1}" for j in range(cfg.p)))
     truth = TruthRecord(

@@ -146,7 +146,7 @@ def _fail_on_constant(name):
             ["--q", "3"], {2}, "need n >= 16",
         ),
         (lambda ds: ds, ["--bounds", "1"], {1}, "bounds needs exactly two numbers"),
-        # an output path under a file: the fit runs, its JSON cannot be written
+        # an output path under a file: refused before the data are read
         (
             lambda ds: ds, ["--output", os.path.join(os.devnull, "out.json")], {1},
             "error: cannot write output: ",
@@ -263,6 +263,39 @@ def test_simulate_unwritable_path_is_config_error(capsys, flag, what):
                  flag, os.path.join(os.devnull, "out")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {what}: ")
+
+
+def _unwritable_outputs(tmp_path):
+    return [os.path.join(os.devnull, "out.json"), str(tmp_path)]
+
+
+def test_estimate_refuses_an_unwritable_output_before_the_fit(tmp_path, capsys, monkeypatch):
+    from magiciv import cli
+
+    def fit(*args, **kwargs):
+        pytest.fail("estimate_cue ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "estimate_cue", fit)
+    path, ds = _sim_csv(tmp_path, p=4, n=200)
+    for output in _unwritable_outputs(tmp_path):
+        code = main(["estimate", "--input", str(path), "--instruments", ",".join(ds.names()),
+                     "--output", output])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_simulate_refuses_an_unwritable_output_before_the_run(tmp_path, capsys, monkeypatch):
+    from magiciv import cli
+
+    def run(*args, **kwargs):
+        pytest.fail("run_monte_carlo ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", run)
+    for output in _unwritable_outputs(tmp_path):
+        code = main(["simulate", "--p", "4", "--n", "150", "--reps", "2", "--output", output])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_simulate_table_and_emit_data(tmp_path, capsys):

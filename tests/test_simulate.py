@@ -134,6 +134,48 @@ def test_raw_interaction_flag_changes_exposure_only_by_reparameterization():
     assert np.allclose(ds_r.d - ds_c.d, delta_expected, atol=1e-12)
 
 
+def _pair_loop_outcomes(cfg, rep_index):
+    """(d, y) drawn as gen_dataset draws them, with one product per pair in a loop."""
+    rng = simulate._rep_rng(cfg.seed, rep_index)
+    pairs = [(j, k) for j in range(cfg.p) for k in range(j + 1, cfg.p)]
+    theta, pi = simulate._draw_effects(cfg, rng)
+    alpha = np.full(len(pairs), cfg.c / np.sqrt(cfg.n))
+    phi = None
+    if cfg.misspecify_alice:
+        phi = (1.0 + simulate._normals(rng, len(pairs))) * cfg.c / np.sqrt(cfg.n)
+    z = (rng.random((cfg.n, cfg.p)) < cfg.mu).astype(float)
+    raw = simulate._normals(rng, 2 * cfg.n)
+    g1, g2 = raw[: cfg.n], raw[cfg.n :]
+    s = cfg.sigma
+    l00 = np.sqrt(s[0][0])
+    l10 = s[1][0] / l00
+    l11 = np.sqrt(s[1][1] - l10 * l10)
+    raw_products = np.empty((cfg.n, len(pairs)))
+    centered = np.empty((cfg.n, len(pairs)))
+    for idx, (j, k) in enumerate(pairs):
+        raw_products[:, idx] = z[:, j] * z[:, k]
+        centered[:, idx] = (z[:, j] - cfg.mu) * (z[:, k] - cfg.mu)
+    inter = centered if cfg.center_interactions else raw_products
+    d = z @ theta + inter @ alpha + (l10 * g1 + l11 * g2)
+    y = d * cfg.beta_true + z @ pi + l00 * g1
+    if phi is not None:
+        y = y + raw_products @ phi
+    return d, y
+
+
+@pytest.mark.parametrize("misspecify", [False, True])
+@pytest.mark.parametrize("center", [True, False])
+def test_products_match_the_pair_loop_bit_for_bit(center, misspecify):
+    # mu != 0.5 makes the centering matter
+    cfg = ScenarioConfig(p=5, n=600, mu=0.3, beta_true=0.7, scenario="III", seed=9,
+                         center_interactions=center, misspecify_alice=misspecify)
+    for rep_index in (0, 3):
+        ds, _ = gen_dataset(cfg, rep_index)
+        d, y = _pair_loop_outcomes(cfg, rep_index)
+        assert ds.d.tobytes() == d.tobytes()
+        assert ds.y.tobytes() == y.tobytes()
+
+
 def test_scale_as_sd_reinterprets_normal_parameters():
     # same seed, same standardized draws: only the scale factor changes
     var_cfg = ScenarioConfig(p=6, n=50, scenario="III", pi_mean=0.2, pi_var=0.2,
