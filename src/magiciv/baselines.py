@@ -30,7 +30,7 @@ import numpy as np
 from .cue import _ridge_ladder
 from .data import Dataset
 from .errors import IdentificationError, NumericalError
-from .interactions import InteractionPlan
+from .interactions import InteractionPlan, _check_width
 from .nuisance import (
     _blas_threads,
     _cho_factor_solve,
@@ -110,8 +110,10 @@ def efficient_fixed_r(
     An exposure that the (1, z) first stage explains, by the rule
     :func:`magiciv.diagnostics.f_stat` uses to report ``F_q = 0``, raises
     :class:`IdentificationError` before any first step is taken: the
-    interaction moments then carry no exposure signal.
+    interaction moments then carry no exposure signal. A plan built for
+    another p raises :class:`ConfigError`.
     """
+    _check_width(ds.z, plan)
     r_y, r_d = _first_stage(ds)
     if _exposure_explained(r_d, ds.d):
         raise IdentificationError(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import efficient_fixed_r, tsls
-from .cue import estimate_cue
+from .cue import _check_settings, estimate_cue
 from .data import _utf8, load_csv, write_csv
 from .diagnostics import f_stat
 from .errors import (
@@ -235,8 +235,7 @@ def _dump_json(payload: dict, output: Optional[str]) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _effective_config("estimate", args)
-    if len(cfg["bounds"]) != 2:
-        raise ConfigError(f"bounds needs exactly two numbers (got {cfg['bounds']})")
+    _check_settings(cfg["bounds"], cfg["grid_points"], cfg["tol"], cfg["ridge"])
     ds = load_csv(cfg["input"], cfg["outcome"], cfg["exposure"], cfg["instruments"])
     plan = build_plan(ds.p, cfg["q"])
     result = estimate_cue(ds, **{key: cfg[key] for key in _FIT_KEYS})

@@ -65,6 +65,31 @@ DEFAULT_BOUNDS = (-10.0, 10.0)
 DEFAULT_GRID_POINTS = 512
 DEFAULT_TOL = 1e-9
 
+
+def _check_settings(
+    bounds: tuple[float, float] = DEFAULT_BOUNDS,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    tol: float = DEFAULT_TOL,
+    ridge: float = 0.0,
+) -> tuple[float, float]:
+    """Raise ConfigError unless the CUE search settings keep :func:`minimize`'s rules.
+
+    Returns the bounds (lo, hi) as floats.
+    """
+    if len(bounds) != 2:
+        raise ConfigError(f"bounds needs exactly two numbers (got {bounds})")
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"invalid bounds [{lo}, {hi}]")
+    if grid_points < 3:
+        raise ConfigError(f"grid_points must be >= 3 (got {grid_points})")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be positive and finite (got {tol})")
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise ConfigError(f"ridge must be >= 0 and finite (got {ridge})")
+    return lo, hi
+
+
 # Ridge multipliers applied to trace(Omega)/r, escalating by 10x, once the
 # weighting matrix with the base ridge alone fails to factor.
 _RIDGE_MULTIPLIERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -282,7 +307,9 @@ def objective_derivatives(
         Q'' = w' Omega^{-1} w - u' s2 u,     w = -bbar - Omega' u
 
     where Omega' = -s1 + 2 beta s2. Returns (Q, Q', Q'', ridge_used).
+    ``base_ridge`` follows :func:`minimize`'s rule on ``ridge``.
     """
+    _check_settings(ridge=base_ridge)
     return _derivatives(mc, beta, base_ridge)[:4]
 
 
@@ -457,17 +484,12 @@ def minimize(
     exactly zero (only possible when the stacked means are proportional),
     that root is evaluated as an extra candidate, since no grid can be
     relied on to contain it.
-    """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ConfigError(f"invalid bounds [{lo}, {hi}]")
-    if grid_points < 3:
-        raise ConfigError(f"grid_points must be >= 3 (got {grid_points})")
-    if tol <= 0.0:
-        raise ConfigError("tol must be positive")
-    if ridge < 0.0:
-        raise ConfigError("ridge must be >= 0")
 
+    ``bounds`` must be two finite numbers with lo < hi, ``grid_points`` at
+    least 3, ``tol`` finite and positive and ``ridge`` finite and
+    nonnegative (:func:`_check_settings`); otherwise :class:`ConfigError`.
+    """
+    lo, hi = _check_settings(bounds, grid_points, tol, ridge)
     grid = np.linspace(lo, hi, grid_points)
     values, _, any_ridge, at_grid_min = _scan_grid(mc, grid, ridge)
     if not np.any(np.isfinite(values)):
@@ -541,8 +563,10 @@ def variance(
         D = E_n[G] - E_n[G g'] Omega^{-1} E_n[g],   G_i = -b_i.
 
     The standard error is sqrt(v_hat / n). A nonpositive curvature at the
-    reported minimum signals a non-convex pathology and raises.
+    reported minimum signals a non-convex pathology and raises. ``ridge``
+    follows :func:`minimize`'s rule.
     """
+    _check_settings(ridge=ridge)
     _, _, h, _, u, factor = _derivatives(mc, beta_hat, ridge)
     if not h > 0.0:
         raise NumericalError(

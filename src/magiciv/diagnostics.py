@@ -24,7 +24,7 @@ from numpy.linalg import LinAlgError
 
 from .data import Dataset
 from .errors import NumericalError
-from .interactions import InteractionPlan
+from .interactions import InteractionPlan, _check_width
 from .nuisance import (
     _MIN_RCOND,
     _blas_threads,
@@ -68,8 +68,10 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     rows, the residual e of each row from its group's, and centers and
     scales the rows in place by the root of each group's sum of e^2 to
     accumulate M. A rank-deficient or badly conditioned X'X, or a singular
-    M, raises :class:`NumericalError`.
+    M, raises :class:`NumericalError`; a plan built for another p raises
+    :class:`ConfigError`.
     """
+    _check_width(ds.z, plan)
     n, r = ds.n, plan.r
     if n <= r + 1:
         raise NumericalError(f"need n > r + 1 observations (n={n}, r={r})")

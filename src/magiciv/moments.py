@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, NumericalError
-from .interactions import InteractionPlan
+from .interactions import InteractionPlan, _check_width
 from .nuisance import (
     NuisanceEstimate,
     _blas_threads,
@@ -94,7 +94,8 @@ def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
         raise ConfigError("component matrices must share an (n, r) shape")
     n, r = a.shape
     blocks = [(None, None), (a, None), (b, None)]
-    return _from_gram(_gram(_identity_groups(n), blocks), n, r)
+    groups = _identity_groups(np.empty((n, 0)), np.empty(0))  # rows without instrument values
+    return _from_gram(_gram(groups, blocks), n, r)
 
 
 @_blas_threads(1)
@@ -109,6 +110,7 @@ def build_components(
     instrument row of the dataset's grouping, centered at ``nuis.mu_hat``,
     which need not be the sample means.
     """
+    _check_width(ds.z, plan)
     if nuis.mu_hat.shape != (plan.p,):
         raise ConfigError("nuisance means do not match the plan's p")
     slices = plan.order_slices()

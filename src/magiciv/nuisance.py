@@ -36,7 +36,7 @@ products summed within each group: sum_u x(u) x(u)' sum_{i in u} v_i w_i.
 :class:`RowGroups` record beside the (1, z) fit: the distinct rows, each
 row's group and the distinct rows centered at mu_hat, so no consumer forms
 an n x p centered copy. Rows that never repeat give the identity grouping,
-U = n, and the same arithmetic as over the rows.
+U = n, group i row i, and the same arithmetic as over the rows.
 
 The nuisance projections, the moment components, the diagnostic and
 efficient GMM pass the groups, the centered distinct rows and the plan to
@@ -89,7 +89,7 @@ from numpy.linalg import LinAlgError
 
 from . import _lapack
 from .data import Dataset, _require_finite
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from . import interactions
 from .interactions import ROW_BLOCK, InteractionPlan
 
@@ -174,20 +174,19 @@ class RowGroups:
     part in a fixed order set by the values. ``index`` is the group of
     each of the n rows, ``counts`` the group sizes and ``centered`` the
     distinct rows minus the sample means. When no row repeats, the
-    grouping is the identity: ``index`` is None, U = n, ``repeated`` is 0
-    and group i is row i, so ``rows`` is z itself. Arrays are read-only.
+    grouping is the identity: ``index`` is 0..n-1, U = n, ``repeated`` is
+    0 and group i is row i, so ``rows`` is z itself. Arrays are read-only.
     """
 
-    rows: Optional[np.ndarray]
-    index: Optional[np.ndarray]
+    rows: np.ndarray
+    index: np.ndarray
     counts: np.ndarray
     repeated: int
-    centered: Optional[np.ndarray]
+    centered: np.ndarray
 
     def __post_init__(self) -> None:
         for arr in (self.rows, self.index, self.counts, self.centered):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -195,14 +194,12 @@ class RowGroups:
         return self.counts.shape[0]
 
     def sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-group sums of the n-vector ``v``, in row order; ``v`` itself under the identity."""
-        if self.index is None:
-            return v
+        """Per-group sums of the n-vector ``v``, in row order."""
         return np.bincount(self.index, weights=v, minlength=self.size)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Each row's entry of the per-group ``values``."""
-        return values if self.index is None else values[self.index]
+        return values[self.index]
 
     def chunk_sums(self, groups: slice, values: Callable) -> np.ndarray:
         """Per-group sums, over the groups ``groups``, of a value for each member row.
@@ -211,20 +208,16 @@ class RowGroups:
         one's group as a position within ``groups``, and returns the rows'
         values; they are summed in row order.
         """
-        if self.index is None:
-            return values(groups, slice(None))
         count = groups.stop - groups.start
-        if count == self.size:
-            members, local = slice(None), self.index
-        else:
-            members = np.flatnonzero((self.index >= groups.start) & (self.index < groups.stop))
-            local = self.index[members] - groups.start
+        members = np.flatnonzero((self.index >= groups.start) & (self.index < groups.stop))
+        local = self.index[members] - groups.start
         return np.bincount(local, weights=values(members, local), minlength=count)
 
 
-def _identity_groups(n: int) -> RowGroups:
-    """The identity grouping of n rows with no instrument values: each row its own group."""
-    return RowGroups(rows=None, index=None, counts=np.ones(n), repeated=0, centered=None)
+def _identity_groups(z: np.ndarray, mu: np.ndarray) -> RowGroups:
+    """The identity grouping of the rows of ``z``, with means ``mu``: each row its own group."""
+    n = z.shape[0]
+    return RowGroups(rows=z, index=np.arange(n), counts=np.ones(n), repeated=0, centered=z - mu)
 
 
 def _distinct_ranks(values: np.ndarray) -> tuple[Optional[np.ndarray], int]:
@@ -248,19 +241,11 @@ def _dense_codes(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
 
     Every code is below ``radix``: up to 4n the ranks are counted, above it sorted.
     """
-    n = code.size
-    if radix <= 4 * n:
+    if radix <= 4 * code.size:
         rank = np.cumsum(np.bincount(code, minlength=radix) > 0) - 1
         return rank[code], int(rank[-1]) + 1
-    order = np.argsort(code)
-    ordered = code[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.cumsum(new) - 1
-    out = np.empty(n, dtype=np.intp)
-    out[order] = rank
-    return out, int(rank[-1]) + 1
+    distinct, rank = np.unique(code, return_inverse=True)
+    return rank, distinct.size
 
 
 # Largest mixed-radix row code: past it the code is renumbered densely first
@@ -336,7 +321,7 @@ def _group_rows(z: np.ndarray, mu: np.ndarray) -> RowGroups:
                 repeated=int(np.count_nonzero(counts > 1)),
                 centered=rows - mu,
             )
-    return RowGroups(rows=z, index=None, counts=np.ones(n), repeated=0, centered=z - mu)
+    return _identity_groups(z, mu)
 
 
 def _row_groups(ds: Dataset) -> RowGroups:
@@ -690,8 +675,7 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     condition estimate is below 1e-4, is fitted by :func:`_project` on the
     explicit basis instead, at its minimum norm.
     """
-    if ds.p != plan.p:
-        raise ConfigError(f"row width {ds.p} does not match plan built for p={plan.p}")
+    interactions._check_width(ds.z, plan)
     theta: dict[int, np.ndarray] = {}
     xi: dict[int, np.ndarray] = {}
     r_y: dict[int, np.ndarray] = {}

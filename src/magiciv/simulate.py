@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -81,6 +81,9 @@ class ScenarioConfig:
     c/sqrt(n) term into every main-effect coefficient and hence into the
     TSLS first stage; published Monte Carlo TSLS biases for these designs
     match the centered form.
+
+    Every float field and every entry of ``sigma`` must be finite; a NaN or
+    inf raises :class:`ConfigError` naming the fields.
     """
 
     p: int
@@ -102,6 +105,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        numbers += [("sigma", x) for row in self.sigma for x in row]
+        bad = dict.fromkeys(name for name, x in numbers if not math.isfinite(x))
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.p < 2:
             raise ConfigError(f"need p >= 2 instruments (got {self.p})")
         if self.n < 2:

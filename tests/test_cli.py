@@ -146,6 +146,12 @@ def _fail_on_constant(name):
             ["--q", "3"], {2}, "need n >= 16",
         ),
         (lambda ds: ds, ["--bounds", "1"], {1}, "bounds needs exactly two numbers"),
+        # search settings that are not finite: refused before the data are read
+        (lambda ds: ds, ["--bounds=-inf,10"], {1}, "invalid bounds [-inf, 10.0]"),
+        (lambda ds: ds, ["--tol", "inf"], {1}, "tol must be positive and finite"),
+        (lambda ds: ds, ["--tol", "nan"], {1}, "tol must be positive and finite"),
+        (lambda ds: ds, ["--ridge", "inf"], {1}, "ridge must be >= 0 and finite"),
+        (lambda ds: ds, ["--ridge", "nan"], {1}, "ridge must be >= 0 and finite"),
         # an output path under a file: refused before the data are read
         (
             lambda ds: ds, ["--output", os.path.join(os.devnull, "out.json")], {1},
@@ -153,7 +159,8 @@ def _fail_on_constant(name):
         ),
     ],
     ids=["duplicated_instrument", "exposure_linear_in_z", "n_is_r_plus_1",
-         "n_below_basis_width", "one_bound", "unwritable_output"],
+         "n_below_basis_width", "one_bound", "infinite_bound", "infinite_tol", "nan_tol",
+         "infinite_ridge", "nan_ridge", "unwritable_output"],
 )
 def test_estimate_degenerate_inputs(tmp_path, capsys, edit, flags, codes, expect):
     ds, _ = gen_dataset(ScenarioConfig(p=5, n=400, scenario="I", seed=5), 0)

@@ -283,12 +283,27 @@ def test_search_reuses_the_grid_minimums_factor(monkeypatch):
 def test_minimize_argument_guards():
     ds = make_sim_dataset(p=2, n=120, seed=27)
     mc = _pipeline_components(ds)
-    with pytest.raises(ConfigError, match="invalid bounds"):
-        minimize(mc, bounds=(3.0, -3.0))
-    with pytest.raises(ConfigError, match="grid_points"):
-        minimize(mc, grid_points=2)
-    with pytest.raises(ConfigError, match="tol"):
-        minimize(mc, tol=0.0)
+    for settings, match in [
+        ({"bounds": (3.0, -3.0)}, "invalid bounds"),
+        ({"bounds": (-math.inf, 10.0)}, "invalid bounds"),
+        ({"bounds": (-10.0, math.nan)}, "invalid bounds"),
+        ({"bounds": (-10.0, 10.0, 3.0)}, "bounds needs exactly two numbers"),
+        ({"grid_points": 2}, "grid_points"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": math.inf}, "tol must be positive and finite"),
+        ({"tol": math.nan}, "tol must be positive and finite"),
+        ({"ridge": -1.0}, "ridge must be >= 0"),
+        ({"ridge": math.inf}, "ridge must be >= 0 and finite"),
+        ({"ridge": math.nan}, "ridge must be >= 0 and finite"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            minimize(mc, **settings)
+    # the variance and the derivatives take the same ridge rule
+    for ridge in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="ridge must be >= 0"):
+            variance(mc, 0.0, ridge=ridge)
+        with pytest.raises(ConfigError, match="ridge must be >= 0"):
+            objective_derivatives(mc, 0.0, base_ridge=ridge)
 
 
 def test_minimize_nonfinite_everywhere_errors():

@@ -362,10 +362,26 @@ def test_first_stage_is_memoized_read_only():
     assert _first_stage(ds)[0] is r_y
 
 
-def test_nuisance_refuses_a_plan_of_another_width():
-    ds = make_sim_dataset(p=4, n=300, seed=24)
-    with pytest.raises(ConfigError, match="row width 4 does not match plan built for p=5"):
-        fit_nuisance(ds, build_plan(5, 2))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        fit_nuisance,
+        f_stat,
+        efficient_fixed_r,
+        # means of the plan's width, so only the dataset's width is wrong
+        lambda ds, plan: build_components(
+            ds, NuisanceEstimate(np.zeros(plan.p), {}, {}, {}, {}), plan
+        ),
+    ],
+    ids=["fit_nuisance", "f_stat", "efficient_fixed_r", "build_components"],
+)
+def test_nuisance_refuses_a_plan_of_another_width(entry):
+    # a narrower plan would read only the leading columns, and a wider one
+    # columns that are not there
+    ds = make_sim_dataset(p=5, n=300, seed=24)
+    for p in (4, 6):
+        with pytest.raises(ConfigError, match=f"row width 5 does not match plan built for p={p}"):
+            entry(ds, build_plan(p, 2))
 
 
 def _results(ds, plan, nuis):

@@ -31,10 +31,10 @@ def _assert_same_grouping(groups, ds):
     z = ds.z
     counts, inverse = _grouping(z)
     assert np.array_equal(groups.centered, groups.rows - estimate_means(ds))
-    if groups.index is None:
+    if groups.size == ds.n:  # the identity: group i is row i
         assert counts.size == z.shape[0] and groups.repeated == 0
         assert groups.rows is z or np.array_equal(groups.rows, z)
-        return
+        assert np.array_equal(groups.index, np.arange(ds.n))
     assert groups.size == counts.size
     assert np.array_equal(np.sort(groups.counts), np.sort(counts.astype(float)))
     # the same partition of the rows, each group's rows equal to its distinct row
@@ -87,8 +87,9 @@ def test_grouping_partitions_rows_by_value(kind):
     ds = Dataset(y=np.zeros(len(z)), d=np.zeros(len(z)), z=z)
     groups = _row_groups(ds)
     _assert_same_grouping(groups, ds)
-    assert (groups.index is None) == (kind in ("distinct", "one row"))
+    assert (groups.size == ds.n) == (kind in ("distinct", "one row"))
     assert not groups.counts.flags.writeable and not groups.centered.flags.writeable
+    assert not groups.index.flags.writeable
 
 
 def test_identical_rows_form_one_group():

@@ -204,6 +204,13 @@ def test_config_validation():
         ScenarioConfig(p=3, n=100, sigma=((1.0, 1.5), (1.5, 1.0)))
     with pytest.raises(ConfigError, match="c must be >= 0"):
         ScenarioConfig(p=3, n=100, c=-1.0)
+    # a NaN or inf is refused here, before any replication runs
+    nan, inf = float("nan"), float("inf")
+    for field, value in [("c", nan), ("beta_true", inf), ("theta_var", nan)]:
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ScenarioConfig(p=3, n=100, **{field: value})
+    with pytest.raises(ConfigError, match="sigma must be finite"):
+        ScenarioConfig(p=3, n=100, sigma=((1.0, 0.25), (0.25, nan)))
 
 
 def test_run_monte_carlo_single_rep_degenerates():
