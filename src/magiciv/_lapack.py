@@ -18,19 +18,17 @@ then needed: it is the optional extra ``magiciv[scipy]``.
 handles: numpy's, and scipy's BLAS extension where its wrappers stand in.
 
 The ctypes calls are made through :class:`ctypes.PyDLL`, so they hold the
-GIL like the scipy wrappers do. The integer arguments of the hot routines
-live in per-thread cells that each call sets, which costs less than
-making new ones. Shapes, dtypes and layouts are checked before a pointer
-is passed: every array goes as a Fortran-ordered float64 buffer, and
-inputs the routine overwrites are copied first, as the scipy wrappers
-copy them.
+GIL like the scipy wrappers do. Each call makes its own integer argument
+cells, so the binding keeps no state between calls. Shapes, dtypes and
+layouts are checked before a pointer is passed: every array goes as a
+Fortran-ordered float64 buffer, and inputs the routine overwrites are
+copied first, as the scipy wrappers copy them.
 """
 
 from __future__ import annotations
 
 import ctypes
 import sys
-import threading
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -49,9 +47,10 @@ _THREAD_FORMATS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads6
 class Routines(NamedTuple):
     """The five routines, with the same signatures whichever library holds them.
 
-    - ``syrk(gram, a, transpose)``: add A'A (``transpose`` true) or AA' into the
-      upper triangle of ``gram``, in place when ``gram`` is Fortran-ordered
-      float64; returns gram. ``a`` is Fortran-ordered.
+    - ``syrk(gram, xt)``: add X'X into the upper triangle of ``gram``, in
+      place when ``gram`` is Fortran-ordered float64; returns gram. ``xt``
+      is X' held C-ordered, so X is Fortran-ordered and is read in place
+      by a syrk with trans='T'.
     - ``potrs(c, b)``: x solving a x = b from the lower factor ``c`` of a, a
       fresh array shaped like ``b``.
     - ``posv(a, b)``: (c, x, info): c a Fortran-ordered copy of ``a`` whose
@@ -93,59 +92,49 @@ def _bind(syrk, potrs, posv, pocon, gelsy) -> Routines:
     gelsy.argtypes = [i64, i64, i64, f64, i64, f64, i64, i64, f64, i64, f64, i64, i64]
     for fn in (syrk, potrs, posv, pocon, gelsy):
         fn.restype = None
-    local = threading.local()
     one = ctypes.c_double(1.0)
     double = np.dtype(np.float64)
-
-    def cells():
-        """This thread's three integer cells, reused by every call on it."""
-        try:
-            return local.cells
-        except AttributeError:
-            local.cells = tuple(ctypes.c_int64() for _ in range(3))
-            return local.cells
 
     def fortran(a):
         """Pointer to the data of ``a``, a writable Fortran-ordered float64 array."""
         return ctypes.c_double.from_buffer(a.T)
 
-    def syrk_add(gram, a, transpose):
+    def syrk_add(gram, xt):
         f = gram.flags
         if gram.dtype != double or not (f.f_contiguous and f.writeable):
             gram = np.array(gram, dtype=double, order="F")
+        a = xt.T
         if a.dtype != double or not a.flags.f_contiguous:
             a = np.asfortranarray(a, dtype=double)
-        n, k, lda = cells()
-        lda.value = a.shape[0]
-        n.value, k.value = a.shape[::-1] if transpose else a.shape
-        if _square(gram, "gram") != n.value:
-            raise ValueError(f"gram of order {gram.shape[0]} for {n.value} columns")
-        syrk(
-            b"U", b"T" if transpose else b"N", n, k, one, fortran(a), lda,
-            one, fortran(gram), n, 1, 1,
-        )
+        rows, cols = a.shape
+        if _square(gram, "gram") != cols:
+            raise ValueError(f"gram of order {gram.shape[0]} for {cols} columns")
+        n, k = ctypes.c_int64(cols), ctypes.c_int64(rows)
+        syrk(b"U", b"T", n, k, one, fortran(a), k, one, fortran(gram), n, 1, 1)  # lda = k
         return gram
 
     def cho_solve(c, b):
         if c.dtype != double or not c.flags.f_contiguous:
             c = np.asfortranarray(c, dtype=double)
         x = np.array(b, dtype=double, order="F")
-        n, nrhs, info = cells()
-        n.value = _square(c, "c")
-        if x.ndim not in (1, 2) or x.shape[0] != n.value:
-            raise ValueError(f"b of shape {x.shape} for a factor of order {n.value}")
-        nrhs.value = 1 if x.ndim == 1 else x.shape[1]
+        order = _square(c, "c")
+        if x.ndim not in (1, 2) or x.shape[0] != order:
+            raise ValueError(f"b of shape {x.shape} for a factor of order {order}")
+        n, nrhs, info = (
+            ctypes.c_int64(v) for v in (order, 1 if x.ndim == 1 else x.shape[1], 0)
+        )
         potrs(b"L", n, nrhs, fortran(c), n, fortran(x), n, info, 1)
         return x
 
     def cho_factor_solve(a, b):
         c = np.array(a, dtype=double, order="F")
         x = np.array(b, dtype=double, order="F")
-        n, nrhs, info = cells()
-        n.value = _square(c, "a")
-        if x.ndim not in (1, 2) or x.shape[0] != n.value:
-            raise ValueError(f"b of shape {x.shape} for a matrix of order {n.value}")
-        nrhs.value = 1 if x.ndim == 1 else x.shape[1]
+        order = _square(c, "a")
+        if x.ndim not in (1, 2) or x.shape[0] != order:
+            raise ValueError(f"b of shape {x.shape} for a matrix of order {order}")
+        n, nrhs, info = (
+            ctypes.c_int64(v) for v in (order, 1 if x.ndim == 1 else x.shape[1], 0)
+        )
         posv(b"L", n, nrhs, fortran(c), n, fortran(x), n, info, 1)
         return c, x, info.value
 
@@ -155,8 +144,7 @@ def _bind(syrk, potrs, posv, pocon, gelsy) -> Routines:
         work = np.empty(3 * order)
         iwork = np.empty(order, dtype=np.int64)
         out = ctypes.c_double()
-        n, _, info = cells()
-        n.value = order
+        n, info = ctypes.c_int64(order), ctypes.c_int64()
         pocon(
             b"L", n, fortran(c), n, ctypes.c_double(anorm), out,
             fortran(work), ctypes.c_int64.from_buffer(iwork), info, 1,
@@ -216,9 +204,7 @@ def _scipy_routines() -> Routines:
         return coef, rank
 
     return Routines(
-        syrk=lambda gram, a, transpose: syrk(
-            1.0, a, beta=1.0, c=gram, trans=int(transpose), overwrite_c=1
-        ),
+        syrk=lambda gram, xt: syrk(1.0, xt.T, beta=1.0, c=gram, trans=1, overwrite_c=1),
         potrs=lambda c, b: potrs(c, b, lower=1)[0],
         posv=lambda a, b: posv(a, b, lower=1),
         pocon=lambda c, anorm: pocon(c, anorm, uplo="L")[0],

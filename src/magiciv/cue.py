@@ -636,9 +636,12 @@ def estimate_cue(
     An exposure whose residual is zero at every order, by the rule
     :func:`magiciv.diagnostics.f_stat` uses to report ``F_q = 0``, raises
     :class:`IdentificationError`: the objective is then flat up to rounding.
+    Search settings that break :func:`minimize`'s rules raise
+    :class:`ConfigError` before anything is fitted.
     """
     if not 0.0 < ci_level < 1.0:
         raise ConfigError(f"ci_level must lie in (0, 1) (got {ci_level})")
+    _check_settings(bounds, grid_points, tol, ridge)
     plan = build_plan(ds.p, q)
     nuis = fit_nuisance(ds, plan)
     if all(_exposure_explained(r_d, ds.d) for r_d in nuis.r_d.values()):

@@ -17,13 +17,12 @@ at most ``ROW_BLOCK`` rows held transposed, one instrument per row, and
 writes each product as one contiguous row, so every multiply runs along a
 block-length row instead of writing a few strided columns. The Gram kernel
 of :mod:`magiciv.nuisance` has it write straight into the rows of the
-transposed column stack that its syrk reads, and :func:`_products` copies
-the rows into a C-ordered n-row destination. Equal values in another
+transposed column stack that its syrk reads, and :func:`demeaned_matrix`
+copies the rows into its C-ordered n-row result: equal values in another
 memory layout can send later BLAS calls down other kernels and move
-downstream results in the last bits: a syrk gives the same bits on the
-transposed stack as on C-ordered rows, a matrix-vector product does not.
-All orders are written side by side, so :func:`demeaned_matrix` returns
-all orders and a caller slices order k out with ``plan.order_slices()[k]``.
+downstream results in the last bits. All orders are written side by side,
+so :func:`demeaned_matrix` returns all orders and a caller slices order k
+out with ``plan.order_slices()[k]``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -111,29 +110,17 @@ def _check_width(z: np.ndarray, plan: InteractionPlan) -> np.ndarray:
     return z
 
 
-def _transposed_blocks(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, xt) for each ``ROW_BLOCK``-row block of ``x``, in order.
-
-    ``xt`` is the block's rows transposed, C-ordered (p, m) for m rows, in
-    one reused buffer that the next block overwrites.
-    """
-    n, p = x.shape
-    buf = np.empty((p, min(n, ROW_BLOCK)))
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, min(start + ROW_BLOCK, n))
-        xt = buf[:, : rows.stop - start]
-        xt[...] = x[rows].T
-        yield rows, xt
-
-
 def _fill_products(xt: np.ndarray, plan: InteractionPlan, top: int, dst: np.ndarray) -> None:
     """Write the products of orders 2..top of the transposed block ``xt`` into ``dst``.
 
-    ``xt`` is a block from :func:`_transposed_blocks`; row c of ``dst``,
-    whose rows are each contiguous, gets product column c of
-    :func:`_products` for the block's rows, built by one multiply per
-    order-(k-1) row. ``dst`` holds at most the r_top products of orders
-    2..top and gets as many of the leading ones as it has rows.
+    ``xt`` holds a block of at most ``ROW_BLOCK`` rows transposed, one
+    instrument per row, C-ordered (p, m); row c of ``dst``, whose rows are
+    each contiguous, gets the block's product over the plan's c-th subset
+    of orders 2..top, built by one multiply per order-(k-1) row. ``dst``
+    holds at most the r_top products of orders 2..top and gets as many of
+    the leading ones as it has rows. Each order-k row is its order-(k-1)
+    prefix row times the subset's last factor, so a build to a lower
+    ``top`` gives the leading rows of a higher one bit for bit.
     """
     p = xt.shape[0]
     stop = dst.shape[0]
@@ -149,38 +136,33 @@ def _fill_products(xt: np.ndarray, plan: InteractionPlan, top: int, dst: np.ndar
         prev = dst[first:col]
 
 
-def _products(x: np.ndarray, plan: InteractionPlan, top: int, out: np.ndarray) -> None:
-    """Write the column products of ``x`` into the (n, r_top) array ``out``.
-
-    The columns hold the products over the plan's subsets of orders 2..top
-    in plan order; r_top counts those subsets. Each order-k column is its
-    order-(k-1) prefix column times the subset's last factor, so a build to
-    a lower ``top`` gives the leading columns of a higher one bit for bit.
-    ``out`` may be a strided view, such as some columns of a wider array.
-    """
-    rows = min(x.shape[0], ROW_BLOCK)
-    # The padding keeps the row stride off a multiple of 4 KiB: the copy
-    # into ``out`` reads down the columns of the product rows, and at a
-    # power-of-two stride every row of a column falls in the same cache
-    # set; unpadded, that copy ran three times slower at r = 286.
-    buf = np.empty((out.shape[1], rows + 8))
-    for block, xt in _transposed_blocks(x):
-        prod = buf[:, : xt.shape[1]]
-        _fill_products(xt, plan, top, prod)
-        out[block] = prod.T
-
-
 def demeaned_matrix(z: np.ndarray, mu: np.ndarray, plan: InteractionPlan) -> np.ndarray:
     """n x r matrix of demeaned interaction products, orders 2..q in plan order.
 
-    Column for subset x holds prod_{j in x} (z_j - mu_j).
+    Column for subset x holds prod_{j in x} (z_j - mu_j). Each block of at
+    most ``ROW_BLOCK`` rows is centered into one transposed buffer, its
+    products are written by :func:`_fill_products` and copied into the
+    block's rows of the C-ordered result.
     """
     z = _check_width(z, plan)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (plan.p,):
         raise ConfigError(f"mu must have length p={plan.p}")
-    out = np.empty((z.shape[0], plan.r))
-    _products(z - mu, plan, plan.q, out)
+    n = z.shape[0]
+    rows = min(n, ROW_BLOCK)
+    centered = np.empty((plan.p, rows))
+    # The padding keeps the row stride off a multiple of 4 KiB: the copy
+    # into ``out`` reads down the columns of the product rows, and at a
+    # power-of-two stride every row of a column falls in the same cache
+    # set; unpadded, that copy ran three times slower at r = 286.
+    buf = np.empty((plan.r, rows + 8))
+    out = np.empty((n, plan.r))
+    for start in range(0, n, ROW_BLOCK):
+        block = slice(start, min(start + ROW_BLOCK, n))
+        xt, prod = centered[:, : block.stop - start], buf[:, : block.stop - start]
+        np.subtract(z[block].T, mu[:, None], out=xt)
+        _fill_products(xt, plan, plan.q, prod)
+        out[block] = prod.T
     return out
 
 

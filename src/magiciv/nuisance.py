@@ -354,12 +354,10 @@ def _syrk_add(gram: np.ndarray, xt: np.ndarray) -> np.ndarray:
     """Add X'X into the upper triangle of the Fortran-ordered ``gram``; ``xt`` is X'.
 
     ``xt`` is C-ordered, so its transpose X is Fortran-ordered and BLAS
-    reads it in place. On OpenBLAS this syrk, trans='T' on X, gives the
-    same bits as trans='N' on X' held Fortran-ordered (C-ordered rows of
-    X), so a Gram does not depend on which of the two layouts holds its
-    rows; tests/test_moments.py checks it at widths 3-573.
+    reads it in place, by a syrk with trans='T' on X. Every Gram of the
+    package is formed this way, from a transposed stack.
     """
-    return _LAPACK.syrk(gram, xt.T, True)
+    return _LAPACK.syrk(gram, xt)
 
 
 def _mirror(gram: np.ndarray) -> np.ndarray:
@@ -672,8 +670,9 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     :func:`_unit_cholesky`, and one more pass over the chunks forms the
     fitted values of each distinct row, which the residuals gather by
     group. An order whose Gram fails to factor, or whose reciprocal
-    condition estimate is below 1e-4, is fitted by :func:`_project` on the
-    explicit basis instead, at its minimum norm.
+    condition estimate is below 1e-4, is fitted by :func:`_project` at its
+    minimum norm instead, on the explicit basis: the same chunks of its
+    row functions over the distinct rows, gathered to every row.
     """
     interactions._check_width(ds.z, plan)
     theta: dict[int, np.ndarray] = {}
@@ -687,7 +686,6 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
 
     groups = _row_groups(ds)
     zc = groups.centered
-    lead = 1 + ds.p
     slices = plan.order_slices()
 
     def basis(k):  # row functions (1, z - mu, products of orders 2..k-1)
@@ -697,18 +695,18 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     gram = _gram(groups, blocks, zc, plan)
     coefs = {}
     for k in range(3, plan.q + 1):
-        m = lead + slices[k - 1].stop
+        m = 1 + ds.p + slices[k - 1].stop
         try:
             s, _, x = _unit_cholesky(
                 gram[:m, :m], gram[:m, -2:], _NUISANCE_MIN_RCOND,
                 f"order-{k} nuisance basis", "a basis column",
             )
         except NumericalError:
-            # the C-ordered [1 | z - mu | products of orders 2..k-1], filled in place
-            design = np.empty((ds.n, m))
-            design[:, 0] = 1.0
-            np.subtract(ds.z, mu, out=design[:, 1:lead])
-            interactions._products(design[:, 1:lead], plan, k - 1, design[:, lead:])
+            # the basis at each distinct row, gathered to the rows it stands for
+            design = np.empty((groups.size, m))
+            for rows, xt in _stacked_chunks(groups, basis(k), zc, plan):
+                design[rows] = xt.T
+            design = groups.gather(design)
             theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
             continue
         coefs[k] = s[:, None] * x

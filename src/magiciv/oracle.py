@@ -19,6 +19,7 @@ flip) so the consequences of dependent instruments can be demonstrated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
@@ -242,23 +243,38 @@ def orthogonality_check(
     to every coordinate of (mu, theta_{k-1}, xi_{k-1}), with the projections
     computed exactly on the lattice. Mutually independent instruments make
     every derivative vanish for all beta; dependence breaks this.
+
+    A step that is not positive with 2 * step finite, or that leaves some
+    nuisance coordinate unchanged, and a ``beta_grid`` that is empty or
+    holds a value that is not finite raise :class:`ConfigError`; a
+    derivative that is not finite raises :class:`NumericalError`.
     """
-    if step <= 0.0:
-        raise ConfigError("step must be positive")
+    if not (math.isfinite(2.0 * step) and step > 0.0):  # 2 * step divides each difference
+        raise ConfigError(f"step must be positive, with 2 * step finite (got {step})")
+    grid = tuple(float(b) for b in beta_grid)
+    if not grid or not all(math.isfinite(b) for b in grid):
+        raise ConfigError(f"beta_grid needs one value or more, all finite (got {grid})")
     by_order: dict[int, float] = {}
     for k, (nu, moment) in enumerate(_order_moments(dgp, q), start=2):
+        if np.any(nu + step == nu) or np.any(nu - step == nu):
+            raise ConfigError(f"step {step} leaves an order-{k} nuisance coordinate unchanged")
         order_worst = 0.0
-        for beta in beta_grid:
+        for beta in grid:
             for j in range(nu.size):
                 plus, minus = nu.copy(), nu.copy()
                 plus[j] += step
                 minus[j] -= step
                 diff = moment(beta, plus) - moment(beta, minus)
-                order_worst = max(order_worst, float(np.max(np.abs(diff))) / (2.0 * step))
+                derivative = float(np.max(np.abs(diff))) / (2.0 * step)
+                if not math.isfinite(derivative):
+                    raise NumericalError(
+                        f"order-{k} orthogonality derivative is {derivative} at beta={beta}"
+                    )
+                order_worst = max(order_worst, derivative)
         by_order[k] = order_worst
     return OrthogonalityReport(
         max_abs_derivative=max(by_order.values()),
         by_order=by_order,
-        beta_grid=tuple(float(b) for b in beta_grid),
+        beta_grid=grid,
         step=step,
     )

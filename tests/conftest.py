@@ -52,6 +52,18 @@ def component_rows(ds, plan, nuis):
     return a, b
 
 
+def pipeline_components(ds, q=2):
+    """Moment components of a full fit at interaction order ``q``."""
+    plan = build_plan(ds.p, q)
+    return build_components(ds, fit_nuisance(ds, plan), plan)
+
+
+def assert_close_to_sum(got, want, abs_sum):
+    """``got`` is the sum ``want`` up to rounding, which scales with the sum
+    ``abs_sum`` of the terms' magnitudes."""
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(float(np.max(abs_sum)), 1e-300)
+
+
 def pipeline_rows(ds, q=2):
     """Moment components of a full fit, plus the rows a and b they aggregate."""
     plan = build_plan(ds.p, q)

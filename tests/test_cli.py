@@ -401,6 +401,38 @@ def test_oracle_check_dependent_expected_fail(capsys):
     assert "fails as expected" in capsys.readouterr().out
 
 
+_STEP_ERROR = "error: step must be positive, with 2 * step finite (got {})\n"
+_GRID_ERROR = "error: beta_grid needs one value or more, all finite (got {})\n"
+
+
+@pytest.mark.parametrize(
+    "flags, code, err",
+    [
+        (["--step", "nan"], 1, _STEP_ERROR.format("nan")),
+        (["--dependent", "true", "--step", "nan"], 1, _STEP_ERROR.format("nan")),
+        (["--step", "inf"], 1, _STEP_ERROR.format("inf")),
+        (["--step", "1e308"], 1, _STEP_ERROR.format("1e+308")),
+        (
+            ["--step", "1e-300"], 1,
+            "error: step 1e-300 leaves an order-2 nuisance coordinate unchanged\n",
+        ),
+        (["--beta-grid="], 1, _GRID_ERROR.format("()")),
+        (["--beta-grid", "nan"], 1, _GRID_ERROR.format("(nan,)")),
+        (
+            ["--p", "3", "--beta-grid", "1e200", "--step", "1e200"], 2,
+            "numerical failure: order-2 orthogonality derivative is nan at beta=1e+200\n",
+        ),
+    ],
+    ids=["nan_step", "nan_step_dependent", "infinite_step", "overflowing_step",
+         "vanishing_step", "empty_grid", "nan_grid", "nan_derivative"],
+)
+def test_oracle_check_reports_no_verdict_it_did_not_compute(capsys, flags, code, err):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["oracle-check", *flags]) == code
+    out, got = capsys.readouterr()
+    assert (out, got) == ("", err)
+
+
 def test_oracle_check_guard(capsys):
     assert main(["oracle-check", "--p", "13"]) == 1
     assert "oracle supports" in capsys.readouterr().err

@@ -14,13 +14,11 @@ from magiciv import (
     IdentificationError,
     NumericalError,
     ScenarioConfig,
-    build_components,
     build_plan,
     chisq_cdf,
     chisq_quantile,
     estimate_cue,
     f_stat,
-    fit_nuisance,
     gen_dataset,
     minimize,
     objective_derivatives,
@@ -33,12 +31,7 @@ from magiciv.cue import _eval_objective, _ridge_ladder
 from magiciv.moments import MomentComponents, components_from_arrays
 from magiciv.nuisance import _cho_factor_solve
 
-from conftest import make_sim_dataset, pipeline_rows
-
-
-def _pipeline_components(ds, q=2):
-    plan = build_plan(ds.p, q)
-    return build_components(ds, fit_nuisance(ds, plan), plan)
+from conftest import make_sim_dataset, pipeline_components, pipeline_rows
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +88,7 @@ def test_objective_zero_when_moments_balance():
 
 def test_objective_zero_at_ratio_when_exactly_identified():
     ds = make_sim_dataset(p=2, n=300, c=9.0, seed=22)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     assert mc.r == 1
     ratio = float(mc.abar[0] / mc.bbar[0])
     assert _eval_objective(mc, ratio)[0] <= 1e-18
@@ -185,7 +178,7 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
     if singular:
         mc = _duplicated_column_components()
     else:
-        mc = _pipeline_components(make_sim_dataset(p=5, n=600, seed=27))
+        mc = pipeline_components(make_sim_dataset(p=5, n=600, seed=27))
     grid = np.linspace(-3.0, 3.0, 41)
 
     def run():
@@ -240,7 +233,7 @@ def test_minimize_balanced_components_give_beta_one():
 
 def test_minimize_result_is_grid_optimal():
     ds = make_sim_dataset(p=4, n=300, seed=26)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     fit = minimize(mc)
     assert fit.q_min >= 0.0
     for beta in np.linspace(-10, 10, 41):
@@ -253,7 +246,7 @@ def test_search_stops_at_a_gradient_root():
     # a golden section followed by a Newton polish that cycled at rounding
     # level stopped here 7.7e-7 from the root of Q'
     ds, _ = gen_dataset(ScenarioConfig(p=10, q=2, n=5000, c=0.5, seed=3), 13)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     fit = minimize(mc, ridge=1e-3)
     _, dq, d2q, _ = objective_derivatives(mc, fit.beta_hat, 1e-3)
     assert not fit.boundary_flag and d2q > 0.0
@@ -261,7 +254,7 @@ def test_search_stops_at_a_gradient_root():
 
 
 def test_search_reuses_the_grid_minimums_factor(monkeypatch):
-    mc = _pipeline_components(make_sim_dataset(p=6, n=800, seed=30))
+    mc = pipeline_components(make_sim_dataset(p=6, n=800, seed=30))
     betas = []
     evaluate = cue._eval_objective
 
@@ -280,9 +273,28 @@ def test_search_reuses_the_grid_minimums_factor(monkeypatch):
     assert len(betas) == len(set(betas)) + 1
 
 
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        ({"tol": math.nan}, "tol must be positive and finite"),
+        ({"ridge": math.inf}, "ridge must be >= 0 and finite"),
+        ({"bounds": (-10.0, 10.0, 3.0)}, "bounds needs exactly two numbers"),
+        ({"grid_points": 2}, "grid_points must be >= 3"),
+    ],
+    ids=["nan_tol", "infinite_ridge", "three_bounds", "two_grid_points"],
+)
+def test_estimate_cue_checks_search_settings_before_fitting(monkeypatch, settings, match):
+    def fit_nuisance(*args):
+        raise AssertionError("fitted before the search settings were checked")
+
+    monkeypatch.setattr(cue, "fit_nuisance", fit_nuisance)
+    with pytest.raises(ConfigError, match=match):
+        estimate_cue(make_sim_dataset(p=4, n=300, seed=2), q=3, **settings)
+
+
 def test_minimize_argument_guards():
     ds = make_sim_dataset(p=2, n=120, seed=27)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     for settings, match in [
         ({"bounds": (3.0, -3.0)}, "invalid bounds"),
         ({"bounds": (-math.inf, 10.0)}, "invalid bounds"),
@@ -398,7 +410,7 @@ def test_certified_grid_resolves_a_rounding_level_tie(seed):
 
 
 def test_certified_grid_prunes_with_a_base_ridge():
-    mc = _pipeline_components(make_sim_dataset(p=6, n=800, seed=29))
+    mc = pipeline_components(make_sim_dataset(p=6, n=800, seed=29))
     for ridge in (1e-8, 1e-3, float(np.trace(mc.s0)) / mc.r):
         _, evaluated = _assert_certified(mc, ridge)
         assert evaluated.sum() < _GRID.size // 4
@@ -406,7 +418,7 @@ def test_certified_grid_prunes_with_a_base_ridge():
 
 def _duplicated_instrument_components():
     ds = make_sim_dataset(p=5, n=400, seed=5)
-    return _pipeline_components(Dataset(y=ds.y, d=ds.d, z=np.column_stack([ds.z, ds.z[:, 0]])))
+    return pipeline_components(Dataset(y=ds.y, d=ds.d, z=np.column_stack([ds.z, ds.z[:, 0]])))
 
 
 @pytest.mark.parametrize(
@@ -506,7 +518,7 @@ def test_certified_grid_needs_few_evaluations_on_pipeline_fits(q, rep):
     # on Scenario I fits the span of the first few solves bounds every other
     # grid point above the minimum: about five evaluations, not 512
     ds = make_sim_dataset(p=10, n=5000, c=3.75, seed=1, rep=rep)
-    mc = _pipeline_components(ds, q)
+    mc = pipeline_components(ds, q)
     _, evaluated = _assert_certified(mc)
     assert evaluated.sum() <= 8
 
@@ -518,7 +530,7 @@ def test_certified_grid_needs_few_evaluations_on_pipeline_fits(q, rep):
 
 def test_gradient_matches_finite_differences():
     ds = make_sim_dataset(p=4, n=400, seed=28)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     rng = np.random.default_rng(1)
     for beta in rng.uniform(-3, 3, size=10):
         h = 1e-5 * max(1.0, abs(beta))
@@ -529,7 +541,7 @@ def test_gradient_matches_finite_differences():
 
 def test_hessian_matches_finite_difference_of_gradient():
     ds = make_sim_dataset(p=3, n=350, seed=29)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     fit = minimize(mc)
     beta = fit.beta_hat
     h = 1e-5 * max(1.0, abs(beta))
@@ -544,7 +556,7 @@ def test_gradient_equals_weighted_moment_identity():
     # the objective gradient must equal D' Omega^{-1} gbar, the same D the
     # variance estimator assembles; the two are computed via different paths
     ds = make_sim_dataset(p=4, n=400, seed=50)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     for beta in (-2.0, -0.3, 0.0, 0.8, 2.5):
         _, dq, _, _ = objective_derivatives(mc, beta)
         _, u, _, _ = _eval_objective(mc, beta)
@@ -561,7 +573,7 @@ def test_variance_rejects_nonpositive_curvature():
 
 def test_variance_positive_on_regular_fixture():
     ds = make_sim_dataset(p=4, n=400, seed=30)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     fit = minimize(mc)
     v_hat, se = variance(mc, fit.beta_hat)
     assert v_hat > 0.0 and se > 0.0
@@ -596,7 +608,7 @@ def test_overid_pvalue_accurate_in_far_tail():
 
 def test_overid_requires_overidentification():
     ds = make_sim_dataset(p=2, n=200, seed=32)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     with pytest.raises(ConfigError, match="r = 1"):
         overid_test(mc, 0.0, 0.01)
 
@@ -674,7 +686,7 @@ def test_explicit_base_ridge_is_recorded_and_benign():
     assert not base.ridge_used and ridged.ridge_used
     assert abs(ridged.beta_hat - base.beta_hat) <= 1e-4
     with pytest.raises(ConfigError, match="ridge"):
-        minimize(_pipeline_components(ds), ridge=-1.0)
+        minimize(pipeline_components(ds), ridge=-1.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -691,7 +703,7 @@ def test_cue_objective_is_bounded(p, q, n, c, scenario, seed):
     # regressing 1 on g_i(beta), so 0 <= 2 q_min <= 1 and 0 <= J <= n; an
     # interior minimizer is a root of Q' with positive curvature
     ds, _ = gen_dataset(ScenarioConfig(p=p, n=n, q=q, c=c, scenario=scenario, seed=seed), 0)
-    mc = _pipeline_components(ds, q)
+    mc = pipeline_components(ds, q)
     fit = minimize(mc)
     assert 0.0 <= 2.0 * fit.q_min <= 1.0
     if not fit.boundary_flag:

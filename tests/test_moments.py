@@ -19,7 +19,6 @@ from magiciv import (
     omega,
     tsls,
 )
-from magiciv import nuisance
 from magiciv.cue import _ridge_ladder
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
 from magiciv.moments import _from_gram, components_from_arrays
@@ -29,17 +28,17 @@ from magiciv.nuisance import (
     _first_stage,
     _gram,
     _row_groups,
-    _syrk_add,
 )
 from magiciv.simulate import _normals, _rep_rng
 
-from conftest import component_rows, make_binary_dataset, make_sim_dataset, pipeline_rows
-
-
-def _pipeline_components(ds, q=2):
-    plan = build_plan(ds.p, q)
-    nuis = fit_nuisance(ds, plan)
-    return build_components(ds, nuis, plan)
+from conftest import (
+    assert_close_to_sum,
+    component_rows,
+    make_binary_dataset,
+    make_sim_dataset,
+    pipeline_components,
+    pipeline_rows,
+)
 
 
 def test_gbar_at_zero_is_column_means_of_a():
@@ -75,7 +74,7 @@ def test_omega_single_row_is_outer_product():
 
 
 def test_omega_exactly_symmetric():
-    mc = _pipeline_components(make_sim_dataset(seed=14))
+    mc = pipeline_components(make_sim_dataset(seed=14))
     for beta in (-2.0, 0.3, 1.7):
         om = omega(mc, beta)
         assert np.max(np.abs(om - om.T)) == 0.0
@@ -95,7 +94,7 @@ def test_omega_matches_direct_accumulation():
 
 
 def test_beta_quadratic_interpolation():
-    mc = _pipeline_components(make_sim_dataset(seed=16))
+    mc = pipeline_components(make_sim_dataset(seed=16))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(mc.r)
     pts = np.array([-1.0, 0.0, 1.0])
@@ -128,7 +127,7 @@ def test_outcome_shift_leaves_a_unchanged():
 
 
 def test_omega_positive_semidefinite():
-    mc = _pipeline_components(make_sim_dataset(seed=18))
+    mc = pipeline_components(make_sim_dataset(seed=18))
     for beta in (-3.0, 0.0, 2.2):
         eigs = np.linalg.eigvalsh(omega(mc, beta))
         assert eigs.min() >= -1e-10
@@ -146,15 +145,10 @@ def test_moment_mean_concentrates_at_true_beta():
     d = z[:, 0] * z[:, 1]
     y = beta_star * d + 0.3 * z[:, 0] + eps
     ds = Dataset(y=y, d=d, z=z)
-    mc = _pipeline_components(ds)
+    mc = pipeline_components(ds)
     g = gbar(mc, beta_star)
     bound = 3.0 * np.sqrt(np.trace(omega(mc, beta_star)) / mc.n)
     assert np.linalg.norm(g) <= bound
-
-
-def _assert_close_to_sum(got, want, abs_sum):
-    # rounding of a sum scales with the sum of the terms' magnitudes
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(float(np.max(abs_sum)), 1e-300)
 
 
 def _dense_components(ds, plan, nuis):
@@ -192,12 +186,12 @@ def test_chunked_grams_match_dense_products(n, q, binary, seed):
     mc = build_components(ds, nuis, plan)
     a, b = component_rows(ds, plan, nuis)
     aa, ab = np.abs(a), np.abs(b)
-    _assert_close_to_sum(mc.s0, a.T @ a / n, aa.T @ aa / n)
-    _assert_close_to_sum(mc.c_ab, a.T @ b / n, aa.T @ ab / n)
-    _assert_close_to_sum(mc.s1, (a.T @ b + b.T @ a) / n, 2.0 * aa.T @ ab / n)
-    _assert_close_to_sum(mc.s2, b.T @ b / n, ab.T @ ab / n)
-    _assert_close_to_sum(mc.abar, a.mean(axis=0), aa.mean(axis=0))
-    _assert_close_to_sum(mc.bbar, b.mean(axis=0), ab.mean(axis=0))
+    assert_close_to_sum(mc.s0, a.T @ a / n, aa.T @ aa / n)
+    assert_close_to_sum(mc.c_ab, a.T @ b / n, aa.T @ ab / n)
+    assert_close_to_sum(mc.s1, (a.T @ b + b.T @ a) / n, 2.0 * aa.T @ ab / n)
+    assert_close_to_sum(mc.s2, b.T @ b / n, ab.T @ ab / n)
+    assert_close_to_sum(mc.abar, a.mean(axis=0), aa.mean(axis=0))
+    assert_close_to_sum(mc.bbar, b.mean(axis=0), ab.mean(axis=0))
     # the dense W over the distinct rows goes through the same kernel: the
     # same chunks, the same bits; where no row repeats, that is the raw
     # rows' kernel too
@@ -332,21 +326,3 @@ def test_each_pass_holds_one_chunk_sized_buffer():
         finally:
             tracemalloc.stop()
         assert peak <= bound
-
-
-@pytest.mark.parametrize("width", [3, 47, 91, 288, 573])
-@pytest.mark.parametrize("rows", [1, 7, 1000, 2048])
-def test_transposed_stack_syrk_matches_row_layout(width, rows):
-    # every Gram is a syrk with trans='T' on the stack X' held C-ordered;
-    # it must give the bits of trans='N' on C-ordered rows of X, so that no
-    # Gram depends on which layout holds its chunk. OpenBLAS's packing gives
-    # that equality, no BLAS contract does, so it is checked at every thread
-    # count
-    rng = np.random.default_rng(10 * width + rows)
-    got = np.zeros((width, width), order="F")
-    want = np.zeros((width, width), order="F")
-    for _ in range(3):
-        x = rng.standard_normal((rows, width))
-        got = _syrk_add(got, np.ascontiguousarray(x.T))
-        want = nuisance._LAPACK.syrk(want, x.T, False)  # trans='N', same library
-    assert np.array_equal(got, want)

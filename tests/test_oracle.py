@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import numpy as np
@@ -165,6 +166,39 @@ def test_orthogonality_fails_under_dependence():
     dgp = _simple_dgp(p=3, dependent={1: (0, 0.1)})
     report = orthogonality_check(dgp, 2)
     assert report.max_abs_derivative > 1e-3
+
+
+_STEP_RULE = r"step must be positive, with 2 \* step finite"
+_GRID_RULE = "beta_grid needs one value or more, all finite"
+
+
+@pytest.mark.parametrize(
+    "dependent, settings, error, match",
+    [
+        (False, {"step": math.nan}, ConfigError, _STEP_RULE),
+        (True, {"step": math.nan}, ConfigError, _STEP_RULE),
+        (False, {"step": math.inf}, ConfigError, _STEP_RULE),
+        # 2 * step overflows, so every difference quotient would read 0
+        (False, {"step": 1e308}, ConfigError, _STEP_RULE),
+        # no coordinate moves, so every difference would be 0
+        (False, {"step": 1e-300}, ConfigError, "leaves an order-2 nuisance coordinate unchanged"),
+        (False, {"beta_grid": ()}, ConfigError, _GRID_RULE),
+        (False, {"beta_grid": (0.0, math.nan)}, ConfigError, _GRID_RULE),
+        (False, {"beta_grid": (math.inf,)}, ConfigError, _GRID_RULE),
+        (
+            False, {"beta_grid": (1e200,), "step": 1e200}, NumericalError,
+            r"order-2 orthogonality derivative is nan at beta=1e\+200",
+        ),
+    ],
+    ids=["nan_step", "nan_step_dependent", "infinite_step", "overflowing_step",
+         "vanishing_step", "empty_grid", "nan_in_grid", "infinite_grid",
+         "nan_derivative"],
+)
+def test_orthogonality_check_refuses_what_it_cannot_compute(dependent, settings, error, match):
+    # each of these once reported a derivative it never computed
+    dgp = _simple_dgp(p=3, dependent={1: (0, 0.1)} if dependent else None)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        orthogonality_check(dgp, 2, **settings)
 
 
 def test_exact_duplicate_makes_projection_singular():

@@ -18,7 +18,7 @@ from magiciv import baselines, diagnostics, moments, nuisance
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
 from magiciv.nuisance import _MIN_RCOND, _first_stage, _row_groups, _unit_cholesky
 
-from conftest import component_rows, make_sim_dataset
+from conftest import assert_close_to_sum, component_rows, make_sim_dataset
 
 
 def _grouping(z):
@@ -105,20 +105,15 @@ def test_identical_rows_form_one_group():
     )
     mc = build_components(ds, nuis, plan)
     a, b = component_rows(ds, plan, nuis)
-    _assert_close_to_sum(mc.s0, a.T @ a / n, np.abs(a).T @ np.abs(a) / n)
-    _assert_close_to_sum(mc.c_ab, a.T @ b / n, np.abs(a).T @ np.abs(b) / n)
-    _assert_close_to_sum(mc.abar, a.mean(axis=0), np.abs(a).mean(axis=0))
-
-
-def _assert_close_to_sum(got, want, abs_sum):
-    # rounding of a sum scales with the sum of the terms' magnitudes
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(float(np.max(abs_sum)), 1e-300)
+    assert_close_to_sum(mc.s0, a.T @ a / n, np.abs(a).T @ np.abs(a) / n)
+    assert_close_to_sum(mc.c_ab, a.T @ b / n, np.abs(a).T @ np.abs(b) / n)
+    assert_close_to_sum(mc.abar, a.mean(axis=0), np.abs(a).mean(axis=0))
 
 
 def _assert_gram(got, x):
     """``got`` is the Gram of the rows of ``x`` up to rounding, and exactly symmetric."""
     ax = np.abs(x)
-    _assert_close_to_sum(got, x.T @ x, ax.T @ ax)
+    assert_close_to_sum(got, x.T @ x, ax.T @ ax)
     assert np.array_equal(got, got.T)
 
 
@@ -204,7 +199,7 @@ def test_every_consumers_grams_match_row_formulas(monkeypatch, kind, size):
     ((om,), _), = logs["omega"]
     _assert_gram(om, w * resid0[:, None])
     ((_, m_vec), _), = logs["relevance"]
-    _assert_close_to_sum(m_vec, -(w.T @ ds.d) / n, np.abs(w).T @ np.abs(ds.d) / n)
+    assert_close_to_sum(m_vec, -(w.T @ ds.d) / n, np.abs(w).T @ np.abs(ds.d) / n)
     # and the estimate from those moments by its row formula
     om = om / n
     theta = np.linalg.solve(om, m_vec)
