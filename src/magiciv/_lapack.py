@@ -1,21 +1,30 @@
-"""The five BLAS and LAPACK routines of the estimator, bound to numpy's own OpenBLAS.
+"""The five BLAS and LAPACK routines, bound to numpy's own OpenBLAS, and the BLAS thread pin.
 
 The package calls dsyrk, dpotrs, dposv, dpocon and dgelsy, all in double
-precision and all through :mod:`magiciv.nuisance`; every Cholesky factor
-comes from dposv. numpy's linear-algebra extension already loads an
-OpenBLAS that exports them: numpy >= 2 wheels as ``scipy_<name>_64_``,
-numpy 1.2x wheels as ``<name>_64_``, both with 64-bit integers.
-:func:`resolve` binds them there through ctypes, so the package needs
-neither ``scipy.linalg`` (0.22-0.25 s of set-up and 22 MiB of peak RSS per
-process, measured on 2 cores with scipy 1.17.1) nor a second OpenBLAS.
-Where numpy's library exports neither name (Accelerate, MKL or conda
-builds), scipy's wrappers stand in, with the same call signatures; the
-choice is made once, at import, by what numpy's library exports. scipy is
-then needed: it is the optional extra ``magiciv[scipy]``.
+precision; every Cholesky factor comes from dposv. Each call site reads
+its routine from :data:`ROUTINES` when it calls, so replacing
+:data:`ROUTINES` reaches every call. numpy's linear-algebra extension
+already loads an OpenBLAS that exports them: numpy >= 2 wheels as
+``scipy_<name>_64_``, numpy 1.2x wheels as ``<name>_64_``, both with
+64-bit integers. :func:`resolve` binds them there through ctypes, so the
+package needs neither ``scipy.linalg`` (0.22-0.25 s of set-up and 22 MiB
+of peak RSS per process, measured on 2 cores with scipy 1.17.1) nor a
+second OpenBLAS. Where numpy's library exports neither name (Accelerate,
+MKL or conda builds), scipy's wrappers stand in, with the same call
+signatures; the choice is made once, at import, by what numpy's library
+exports. scipy is then needed: it is the optional extra ``magiciv[scipy]``.
 
-:data:`THREADS`, the OpenBLAS thread-count pairs that
-:func:`magiciv.nuisance._blas_threads` pins, is looked up on the same
-handles: numpy's, and scipy's BLAS extension where its wrappers stand in.
+BLAS threads: every public function of the package that calls BLAS or
+LAPACK holds its BLAS at one thread while it runs, under the decorator
+``@_blas_threads(1)``. Results then do not depend on the machine's thread
+count, and threads that only spin between the many small solves cost no
+CPU. The libraries are found on the first pin and kept for the life of
+the process: through threadpoolctl when it imports, which also covers MKL
+and BLIS, and otherwise :data:`THREADS`, the OpenBLAS thread-count pairs
+looked up on the handles the routines are bound on: numpy's, and scipy's
+BLAS extension where its wrappers stand in. So each library the package
+calls is pinned and no other. The thread count is process-global, so
+concurrent callers in one process can race on it.
 
 The ctypes calls are made through :class:`ctypes.PyDLL`, so they hold the
 GIL like the scipy wrappers do. Each call makes its own integer argument
@@ -29,10 +38,16 @@ from __future__ import annotations
 
 import ctypes
 import sys
-from typing import Callable, NamedTuple, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 import numpy.linalg
+
+try:  # covers MKL and BLIS builds as well as OpenBLAS
+    from threadpoolctl import ThreadpoolController
+except ImportError:  # THREADS pins the OpenBLAS the routines are bound on
+    ThreadpoolController = None
 
 __all__ = ["Routines", "resolve", "ROUTINES", "THREADS"]
 
@@ -257,3 +272,41 @@ if ROUTINES is None:  # scipy's wrappers stand in, on the BLAS scipy loaded
     ROUTINES = _scipy_routines()
     _CALLED.append(_library(sys.modules.get("scipy.linalg._fblas")))
 THREADS = _thread_controls(_CALLED)
+
+
+# (get, set) thread-count functions of each BLAS to pin, found on first use
+_BLAS_CONTROLS: Optional[list[tuple[Callable[[], int], Callable[[int], None]]]] = None
+
+
+def _blas_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of the BLAS libraries to pin, found once and kept.
+
+    From threadpoolctl when it imports, which reaches every loaded BLAS, MKL and
+    BLIS too; otherwise :data:`THREADS`, one per library the package calls.
+    """
+    global _BLAS_CONTROLS
+    if _BLAS_CONTROLS is None:
+        _BLAS_CONTROLS = THREADS if ThreadpoolController is None else [
+            (lib.get_num_threads, lib.set_num_threads)
+            for lib in ThreadpoolController().lib_controllers
+        ]
+    return _BLAS_CONTROLS
+
+
+@contextmanager
+def _blas_threads(count: int) -> Iterator[None]:
+    """Hold each BLAS to pin at ``count`` threads; restore the old counts on exit.
+
+    A library already at ``count`` is only read, so a pin nested inside
+    another at the same count sets nothing. A BLAS that
+    :func:`_blas_controls` does not list stays as it is.
+    ``@_blas_threads(1)`` pins each call of the function it decorates.
+    """
+    changed = [(set_, old) for get, set_ in _blas_controls() if (old := get()) != count]
+    try:
+        for set_, _ in changed:
+            set_(count)
+        yield
+    finally:
+        for set_, old in changed:
+            set_(old)

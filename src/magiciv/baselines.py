@@ -27,20 +27,14 @@ from typing import Optional
 
 import numpy as np
 
-from .cue import _ridge_ladder
+from . import _lapack
+from ._kernel import _cho_factor_solve, _mirror, _stacked_chunks
+from ._lapack import _blas_threads
+from .cue import _check_beta, _ridge_ladder
 from .data import Dataset
 from .errors import IdentificationError, NumericalError
 from .interactions import InteractionPlan, _check_width
-from .nuisance import (
-    _blas_threads,
-    _cho_factor_solve,
-    _exposure_explained,
-    _first_stage,
-    _mirror,
-    _row_groups,
-    _stacked_chunks,
-    _syrk_add,
-)
+from .nuisance import _exposure_explained, _first_stage, _row_groups
 
 __all__ = ["BaselineResult", "tsls", "efficient_fixed_r"]
 
@@ -111,9 +105,12 @@ def efficient_fixed_r(
     :func:`magiciv.diagnostics.f_stat` uses to report ``F_q = 0``, raises
     :class:`IdentificationError` before any first step is taken: the
     interaction moments then carry no exposure signal. A plan built for
-    another p raises :class:`ConfigError`.
+    another p, or a ``beta_init`` that is not finite, raises
+    :class:`ConfigError`.
     """
     _check_width(ds.z, plan)
+    if beta_init is not None:
+        _check_beta("beta_init", beta_init)
     r_y, r_d = _first_stage(ds)
     if _exposure_explained(r_d, ds.d):
         raise IdentificationError(
@@ -138,7 +135,7 @@ def efficient_fixed_r(
         a_sum += w @ level[rows]
         b_sum += w @ exposure[rows]
         w *= root[rows]
-        gram = _syrk_add(gram, w)
+        gram = _lapack.ROUTINES.syrk(gram, w)
     om = _mirror(gram) / n
     a_vec, b_vec = a_sum / n, b_sum / n
     m_vec = -b_vec

@@ -37,17 +37,14 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from . import _lapack
+from ._kernel import _cho_factor_solve
+from ._lapack import _blas_threads
 from .data import Dataset
 from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import build_plan
 from .moments import MomentComponents, build_components, gbar, omega
-from .nuisance import (
-    _blas_threads,
-    _cho_factor_solve,
-    _cho_solve,
-    _exposure_explained,
-    fit_nuisance,
-)
+from .nuisance import _exposure_explained, fit_nuisance
 
 __all__ = [
     "CueResult",
@@ -90,6 +87,12 @@ def _check_settings(
     return lo, hi
 
 
+def _check_beta(name: str, beta: float) -> None:
+    """Raise ConfigError naming the argument ``name`` unless ``beta`` is finite."""
+    if not math.isfinite(beta):
+        raise ConfigError(f"{name} must be finite (got {beta})")
+
+
 # Ridge multipliers applied to trace(Omega)/r, escalating by 10x, once the
 # weighting matrix with the base ridge alone fails to factor.
 _RIDGE_MULTIPLIERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -128,10 +131,12 @@ def _gammainc(a: float, x: float) -> tuple[float, float]:
     its own tail directly and the other as the complement, so a far-tail Q
     keeps its relative accuracy instead of cancelling in 1 - P.
     """
-    if x < 0.0 or a <= 0.0:
+    if not (x >= 0.0 and a > 0.0):
         raise ConfigError("incomplete gamma needs x >= 0 and a > 0")
     if x == 0.0:
         return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
     log_prefactor = -x + a * math.log(x) - math.lgamma(a)
     if x < a + 1.0:
         ap = a
@@ -172,7 +177,7 @@ def chisq_cdf(x: float, df: int) -> float:
     """Chi-square CDF via the regularized lower incomplete gamma."""
     if df < 1:
         raise ConfigError(f"degrees of freedom must be >= 1 (got {df})")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ConfigError(f"chi-square CDF needs x >= 0 (got {x})")
     return _gammainc(0.5 * df, 0.5 * x)[0]
 
@@ -238,7 +243,7 @@ def _ridge_ladder(om: np.ndarray, base_ridge: float, attempt):
     """``attempt`` of om + ridge I on the ridge ladder. Returns (its result, ridge).
 
     ``attempt`` factors its matrix and solves with it in one
-    :func:`magiciv.nuisance._cho_factor_solve` call, raising LinAlgError
+    :func:`magiciv._kernel._cho_factor_solve` call, raising LinAlgError
     when it is not positive definite. ``base_ridge`` is the user's ridge
     policy: it is always applied, and the ladder escalates on top of it, in
     steps of trace(om)/r, only when the attempt still fails. The first rung
@@ -290,7 +295,7 @@ def _derivatives(mc: MomentComponents, beta: float, base_ridge: float = 0.0, eva
     dom_u = dom @ u
     dq = float(-mc.bbar @ u) - 0.5 * float(u @ dom_u)
     w = -mc.bbar - dom_u
-    d2q = float(w @ _cho_solve(factor, w)) - float(u @ (mc.s2 @ u))
+    d2q = float(w @ _lapack.ROUTINES.potrs(factor, w)) - float(u @ (mc.s2 @ u))
     return q, dq, d2q, ridge, u, factor
 
 
@@ -307,8 +312,10 @@ def objective_derivatives(
         Q'' = w' Omega^{-1} w - u' s2 u,     w = -bbar - Omega' u
 
     where Omega' = -s1 + 2 beta s2. Returns (Q, Q', Q'', ridge_used).
-    ``base_ridge`` follows :func:`minimize`'s rule on ``ridge``.
+    ``base_ridge`` follows :func:`minimize`'s rule on ``ridge``; a ``beta``
+    that is not finite raises :class:`ConfigError`.
     """
+    _check_beta("beta", beta)
     _check_settings(ridge=base_ridge)
     return _derivatives(mc, beta, base_ridge)[:4]
 
@@ -564,8 +571,10 @@ def variance(
 
     The standard error is sqrt(v_hat / n). A nonpositive curvature at the
     reported minimum signals a non-convex pathology and raises. ``ridge``
-    follows :func:`minimize`'s rule.
+    follows :func:`minimize`'s rule; a ``beta_hat`` that is not finite
+    raises :class:`ConfigError`.
     """
+    _check_beta("beta_hat", beta_hat)
     _check_settings(ridge=ridge)
     _, _, h, _, u, factor = _derivatives(mc, beta_hat, ridge)
     if not h > 0.0:
@@ -575,7 +584,7 @@ def variance(
     c_ba = mc.c_ab.T
     # E_n[G g'] = -(c_ba - beta*s2); D = -bbar - E_n[G g'] u
     d_vec = -mc.bbar + (c_ba - beta_hat * mc.s2) @ u
-    v_hat = float(d_vec @ _cho_solve(factor, d_vec)) / (h * h)
+    v_hat = float(d_vec @ _lapack.ROUTINES.potrs(factor, d_vec)) / (h * h)
     return v_hat, math.sqrt(v_hat / mc.n)
 
 

@@ -34,8 +34,8 @@ class Dataset:
     The estimators memoize two derived results in one cache on the
     instance: the read-only (1, z) projection of
     ``nuisance._linear_projection`` and the grouping of the instrument rows
-    into distinct rows of ``nuisance._row_groups``; the data arrays never
-    change.
+    into distinct rows (``_groups.RowGroups``) of ``nuisance._row_groups``;
+    the data arrays never change.
     """
 
     y: np.ndarray

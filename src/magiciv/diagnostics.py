@@ -22,24 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from . import _lapack
+from ._kernel import _cho_factor_solve, _gram, _mirror, _stacked_chunks, _unit_cholesky
+from ._lapack import _blas_threads
 from .data import Dataset
 from .errors import NumericalError
 from .interactions import InteractionPlan, _check_width
-from .nuisance import (
-    _MIN_RCOND,
-    _blas_threads,
-    _cho_factor_solve,
-    _exposure_explained,
-    _first_stage,
-    _gram,
-    _mirror,
-    _row_groups,
-    _stacked_chunks,
-    _syrk_add,
-    _unit_cholesky,
-)
+from .nuisance import _exposure_explained, _first_stage, _row_groups
 
 __all__ = ["FStatReport", "f_stat"]
+
+# Smallest reciprocal condition estimate (LAPACK pocon, 1-norm) of X'X,
+# scaled to unit diagonal, that :func:`f_stat` accepts. Solving the normal
+# equations loses about log10(1 / rcond) of the sixteen digits; F_q is
+# descriptive, so below 1e-10, with fewer than six left, it is refused.
+_MIN_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     sandwich Wald statistic for the r interaction coefficients, divided by r.
 
     Step (2) solves the normal equations: the kernel
-    :func:`magiciv.nuisance._gram` forms X'X and X'd over the distinct
+    :func:`magiciv._kernel._gram` forms X'X and X'd over the distinct
     instrument rows, and one Cholesky factor of X'X, with its columns
     scaled to unit diagonal, gives the coefficients. Step (3) partials the
     intercept out (Frisch-Waugh-Lovell): the Wald statistic is t' M^{-1} t
@@ -103,7 +100,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
 
         xt -= wbar[:, None]
         xt *= np.sqrt(groups.chunk_sums(rows, squares))
-        meat = _syrk_add(meat, xt)
+        meat = _lapack.ROUTINES.syrk(meat, xt)
     try:
         wald = float(t @ _cho_factor_solve(_mirror(meat), t)[1])
     except LinAlgError:

@@ -16,7 +16,7 @@ bit-identical to it, without the (n, m, k) gather.
 at most ``ROW_BLOCK`` rows held transposed, one instrument per row, and
 writes each product as one contiguous row, so every multiply runs along a
 block-length row instead of writing a few strided columns. The Gram kernel
-of :mod:`magiciv.nuisance` has it write straight into the rows of the
+of :mod:`magiciv._kernel` has it write straight into the rows of the
 transposed column stack that its syrk reads, and :func:`demeaned_matrix`
 copies the rows into its C-ordered n-row result: equal values in another
 memory layout can send later BLAS calls down other kernels and move

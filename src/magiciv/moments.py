@@ -18,7 +18,7 @@ which is what the overidentification statistic is defined with.
 
 The rows a_i and b_i are never stored. All five aggregates are blocks of
 one Gram matrix, that of [1 | a | b], which the chunked kernel
-:func:`magiciv.nuisance._gram` forms over the distinct instrument rows,
+:func:`magiciv._kernel._gram` forms over the distinct instrument rows,
 from the centered distinct rows and per-group sums of the residual
 products: the ones column gives the means, a's and b's blocks are W's
 columns weighted by the outcome and exposure residuals. Each chunk of the
@@ -31,16 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._groups import _identity_groups
+from ._kernel import _gram
+from ._lapack import _blas_threads
 from .data import Dataset
 from .errors import ConfigError, NumericalError
 from .interactions import InteractionPlan, _check_width
-from .nuisance import (
-    NuisanceEstimate,
-    _blas_threads,
-    _gram,
-    _identity_groups,
-    _row_groups,
-)
+from .nuisance import NuisanceEstimate, _row_groups
 
 __all__ = [
     "MomentComponents",

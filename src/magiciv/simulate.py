@@ -16,7 +16,7 @@ those uniforms rather than any library sampler, so streams are stable
 across platforms and replications are order-insensitive.
 
 BLAS threads: every estimator entry point, the CLI ``estimate`` included,
-runs with its BLAS held at one thread (see :mod:`magiciv.nuisance`),
+runs with its BLAS held at one thread (see :mod:`magiciv._lapack`),
 so results do not depend on the machine's thread count, at r = 45 or at
 r = 286 alike. :func:`run_monte_carlo` holds the same pin for its whole
 run, the in-process loop and the process pool's lifetime alike, and
@@ -37,13 +37,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import numpy.random  # at import, so forked pool workers inherit it loaded
 
+from ._lapack import _blas_controls, _blas_threads
 from .baselines import efficient_fixed_r, tsls
 from .cue import chisq_quantile, estimate_cue
 from .data import Dataset
 from .diagnostics import f_stat
 from .errors import ConfigError, ExclusionError, MagicivError
 from .interactions import build_plan
-from .nuisance import _blas_controls, _blas_threads
 
 __all__ = [
     "ScenarioConfig",
@@ -329,8 +329,9 @@ def run_monte_carlo(
     """Replicate the design, estimate with each method, aggregate.
 
     Replications run independently with per-replication RNG streams, so the
-    summary is identical for any worker count. A replication that fails
-    numerically is recorded and excluded; more than 5% exclusions aborts.
+    summary is identical for any worker count; at most ``reps`` workers are
+    started. A replication that fails numerically is recorded and excluded;
+    more than 5% exclusions aborts.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1 (got {reps})")
@@ -345,6 +346,7 @@ def run_monte_carlo(
                 f"unsupported method {name!r}; choose from {SUPPORTED_METHODS}"
             )
     tasks = [(cfg, i, methods) for i in range(reps)]
+    workers = min(workers, reps)  # a forking pool starts every worker at the first submit
     with _blas_threads(1):
         if workers == 1:
             raw = [_replicate(t) for t in tasks]

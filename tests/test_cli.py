@@ -9,7 +9,7 @@ import pytest
 from magiciv import Dataset, ScenarioConfig, gen_dataset
 from magiciv.cli import main
 from magiciv.data import write_csv
-from magiciv.nuisance import _blas_controls, _blas_threads
+from magiciv._lapack import _blas_controls, _blas_threads
 
 
 def _sim_csv(tmp_path, p=10, n=300, seed=5, name="sim.csv"):

@@ -17,6 +17,7 @@ from magiciv import (
     build_plan,
     chisq_cdf,
     chisq_quantile,
+    efficient_fixed_r,
     estimate_cue,
     f_stat,
     gen_dataset,
@@ -26,10 +27,10 @@ from magiciv import (
     overid_test,
     variance,
 )
-from magiciv import cue
-from magiciv.cue import _eval_objective, _ridge_ladder
+from magiciv import _lapack, cue
+from magiciv._kernel import _cho_factor_solve
+from magiciv.cue import _eval_objective, _gammainc, _ridge_ladder
 from magiciv.moments import MomentComponents, components_from_arrays
-from magiciv.nuisance import _cho_factor_solve
 
 from conftest import make_sim_dataset, pipeline_components, pipeline_rows
 
@@ -72,6 +73,59 @@ def test_chisq_argument_guards():
         chisq_quantile(0.0, 3)
     with pytest.raises(ConfigError):
         chisq_quantile(1.5, 3)
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        # finite x: the parent's bits
+        (lambda: chisq_cdf(0.5, 1), 0.5204998778130464),
+        (lambda: chisq_cdf(3.0, 3), 0.6083748237289112),
+        (lambda: chisq_cdf(40.0, 10), 0.9999830552560699),
+        (lambda: chisq_cdf(1e-300, 2), 4.999999999999825e-301),
+        (lambda: _gammainc(22.0, 132.0), (1.0, 3.727036943793282e-33)),
+        (lambda: _gammainc(0.5, 1e-8), (0.00011283791633342464, 0.9998871620836666)),
+        (lambda: _gammainc(4.5, 5.0), (0.6495147876766377, 0.35048521232336227)),
+        # +inf: the whole mass lies below it
+        (lambda: chisq_cdf(math.inf, 3), 1.0),
+        (lambda: _gammainc(1.5, math.inf), (1.0, 0.0)),
+    ],
+)
+def test_chisq_values_at_finite_and_infinite_x(call, want):
+    assert call() == want
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: chisq_cdf(math.nan, 3), r"chi-square CDF needs x >= 0 \(got nan\)"),
+        (lambda: _gammainc(1.5, math.nan), "incomplete gamma needs x >= 0"),
+        (lambda: _gammainc(1.5, -math.inf), "incomplete gamma needs x >= 0"),
+        (lambda: overid_test(components_from_arrays(np.eye(4), np.eye(4)), 0.0, math.nan),
+         "incomplete gamma needs x >= 0"),
+    ],
+)
+def test_chisq_refuses_a_nan_argument(call, match):
+    # not left to the continued fraction, which never converges on it
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("beta_init", lambda ds, plan, mc, b: efficient_fixed_r(ds, plan, b)),
+        ("beta", lambda ds, plan, mc, b: objective_derivatives(mc, b)),
+        ("beta_hat", lambda ds, plan, mc, b: variance(mc, b)),
+    ],
+)
+def test_a_beta_that_is_not_finite_is_refused(name, call, value):
+    ds = make_sim_dataset(p=6, n=2000, seed=3)
+    plan = build_plan(ds.p, 2)
+    mc = pipeline_components(ds)
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        call(ds, plan, mc, value)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +252,7 @@ def test_lapack_calls_match_cho_factor_bit_for_bit(monkeypatch, singular):
         assert np.array_equal(np.tril(c), want_c)
         assert np.array_equal(u, want_u)
         assert value == 0.5 * float(g @ want_u)
-    monkeypatch.setattr(cue, "_cho_solve", _reference_cho_solve)
+    monkeypatch.setattr(_lapack, "ROUTINES", _lapack.ROUTINES._replace(potrs=_reference_cho_solve))
     monkeypatch.setattr(cue, "_cho_factor_solve", _reference_factor_solve)
     want_evals, want_fit, want_var = run()
     for (value, u, c, ridge), (w_value, w_u, w_c, w_ridge) in zip(evals, want_evals):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from magiciv import Dataset, NumericalError, build_plan, diagnostics, f_stat, nuisance
+from magiciv import Dataset, NumericalError, _kernel, build_plan, diagnostics, f_stat
 
 from conftest import make_binary_dataset, make_sim_dataset
 
@@ -110,8 +110,8 @@ def test_zero_interaction_column_raises_rank_error():
 )
 def test_cholesky_failures_raise_numerical_error(monkeypatch, fail_on, message):
     # the first factorization is X'X's, made by the shared guard in
-    # nuisance, the second the robust covariance's
-    factor_solve = diagnostics._cho_factor_solve
+    # _kernel, the second the robust covariance's
+    factor_solve = _kernel._cho_factor_solve
     calls = []
 
     def failing(a, b):
@@ -121,7 +121,7 @@ def test_cholesky_failures_raise_numerical_error(monkeypatch, fail_on, message):
         return factor_solve(a, b)
 
     monkeypatch.setattr(diagnostics, "_cho_factor_solve", failing)
-    monkeypatch.setattr(nuisance, "_cho_factor_solve", failing)
+    monkeypatch.setattr(_kernel, "_cho_factor_solve", failing)
     with pytest.raises(NumericalError, match=message):
         f_stat(make_sim_dataset(p=5, n=400, seed=4), build_plan(5, 2))
     assert calls == [(11, 11), (10, 10)][:fail_on]

@@ -11,8 +11,9 @@ from scipy import linalg as sp_linalg
 
 import magiciv
 from magiciv import NumericalError, estimate_cue, write_csv
-from magiciv import _lapack, nuisance
-from magiciv.nuisance import _cho_factor_solve, _cho_solve, _lstsq, _syrk_add, _unit_cholesky
+from magiciv import _lapack
+from magiciv._kernel import _cho_factor_solve, _unit_cholesky
+from magiciv.nuisance import _lstsq
 
 from conftest import make_sim_dataset
 
@@ -33,9 +34,13 @@ def _exports_routines(lib):
 def test_import_binds_numpys_own_library():
     # where numpy's library exports the routines, the package calls them
     # there; elsewhere scipy's wrappers stand in, which this cannot check
+    # every call site reads the routines from _lapack.ROUTINES when it calls:
+    # no other module holds them, so replacing ROUTINES reaches every call
+    modules = [m for name, m in sys.modules.items() if name.startswith("magiciv.")]
+    held = {id(_lapack.ROUTINES), *map(id, _lapack.ROUTINES)}
+    assert [m for m in modules if held & set(map(id, vars(m).values()))] == [_lapack]
     if not _exports_routines(_lapack._NUMPY_LAPACK):
         pytest.skip("numpy's library exports no ILP64 LAPACK; scipy's wrappers stand in")
-    assert nuisance._LAPACK is _lapack.ROUTINES
     assert all(fn.__qualname__.startswith("_bind.") for fn in _lapack.ROUTINES)
 
 
@@ -60,7 +65,7 @@ def test_potrs_matches_scipy_cho_solve_bit_for_bit(width):
     a = _spd(width, width)
     c, _ = _cho_factor_solve(a, np.ones(width))
     for b in (rng.standard_normal(width), rng.standard_normal((width, 3)), np.eye(width)):
-        x = _cho_solve(c, b)
+        x = _lapack.ROUTINES.potrs(c, b)
         assert x.shape == b.shape
         assert np.array_equal(x, sp_linalg.cho_solve((c, True), b, check_finite=False))
 
@@ -71,8 +76,9 @@ def test_posv_is_potrf_then_potrs_bit_for_bit(width, monkeypatch):
     # solve must be potrs's on that factor, to the bit, for the 1- and
     # 2-column right-hand sides of F_q and the nuisance orders
     rng = np.random.default_rng(width + 3)
-    for lapack in (_lapack.ROUTINES, _lapack._scipy_routines()):  # numpy's library, scipy's
-        monkeypatch.setattr(nuisance, "_LAPACK", lapack)
+    numpys = _lapack.ROUTINES
+    for lapack in (numpys, _lapack._scipy_routines()):  # numpy's library, scipy's
+        monkeypatch.setattr(_lapack, "ROUTINES", lapack)
         for seed in range(3):
             units = rng.uniform(0.5, 2.0, width)  # columns in different units
             xtx = _spd(width, 10 * width + seed) * units[:, None] * units
@@ -80,7 +86,7 @@ def test_posv_is_potrf_then_potrs_bit_for_bit(width, monkeypatch):
                 s, c, x = _unit_cholesky(xtx, rhs, 1e-10, "design", "a column")
                 assert np.array_equal(s, 1.0 / np.sqrt(np.diag(xtx)))
                 assert np.array_equal(x, lapack.potrs(c, (rhs.T * s).T))
-                if lapack is _lapack.ROUTINES:
+                if lapack is numpys:
                     scaled = xtx * s[:, None] * s
                     assert np.array_equal(np.tril(c), np.linalg.cholesky(scaled))
 
@@ -97,7 +103,7 @@ def test_cholesky_of_an_indefinite_matrix_names_the_minor(monkeypatch):
     # design's error carries posv's minor, on numpy's library and scipy's
     xtx = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for lapack in (_lapack.ROUTINES, _lapack._scipy_routines()):
-        monkeypatch.setattr(nuisance, "_LAPACK", lapack)
+        monkeypatch.setattr(_lapack, "ROUTINES", lapack)
         with pytest.raises(
             NumericalError,
             match=r"design rank < 3: X'X factorization failed "
@@ -119,7 +125,7 @@ def test_syrk_matches_scipy_within_ulps(width, rows):
     scale = np.zeros((width, width))
     for _ in range(3):
         x = rng.standard_normal((rows, width))
-        got = _syrk_add(got, np.ascontiguousarray(x.T))
+        got = _lapack.ROUTINES.syrk(got, np.ascontiguousarray(x.T))
         want = syrk(1.0, x.T, beta=1.0, c=want, overwrite_c=1)
         scale += np.abs(x).T @ np.abs(x)
     assert np.all(np.triu(np.abs(got - want)) <= 4 * EPS * scale)
@@ -134,7 +140,7 @@ def test_pocon_matches_scipy_within_ulps(width):
     anorm = float(np.max(np.sum(np.abs(a), axis=0)))
     want, info = pocon(c, anorm, uplo="L")
     assert info == 0
-    assert abs(nuisance._LAPACK.pocon(c, anorm) - want) <= 4 * EPS * want
+    assert abs(_lapack.ROUTINES.pocon(c, anorm) - want) <= 4 * EPS * want
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -180,9 +186,20 @@ def test_scipy_fallback_gives_the_same_estimate(monkeypatch):
     assert _lapack.resolve(None) is None
     fallback = _lapack._scipy_routines()
     assert all(fn.__qualname__.startswith("_scipy_routines.") for fn in fallback)
+    calls = dict.fromkeys(fallback._fields, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
     want = estimate_cue(make_sim_dataset(p=5, n=900, seed=31), q=3)
-    monkeypatch.setattr(nuisance, "_LAPACK", fallback)
+    monkeypatch.setattr(_lapack, "ROUTINES", _lapack.Routines(
+        *(counted(name, fn) for name, fn in zip(fallback._fields, fallback))
+    ))
     got = estimate_cue(make_sim_dataset(p=5, n=900, seed=31), q=3)
+    assert all(calls.values()), calls
     for field, value in vars(want).items():
         other = getattr(got, field)
         if isinstance(value, float):

@@ -19,16 +19,12 @@ from magiciv import (
     omega,
     tsls,
 )
+from magiciv._kernel import _cho_factor_solve, _gram
+from magiciv._lapack import _blas_threads
 from magiciv.cue import _ridge_ladder
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
 from magiciv.moments import _from_gram, components_from_arrays
-from magiciv.nuisance import (
-    _blas_threads,
-    _cho_factor_solve,
-    _first_stage,
-    _gram,
-    _row_groups,
-)
+from magiciv.nuisance import _first_stage, _row_groups
 from magiciv.simulate import _normals, _rep_rng
 
 from conftest import (

@@ -21,16 +21,12 @@ from magiciv import (
     run_monte_carlo,
     tsls,
 )
-from magiciv import _lapack, interactions, nuisance
+from magiciv import _kernel, _lapack, interactions, nuisance
+from magiciv._lapack import _blas_controls, _blas_threads
 from magiciv.cli import main
 from magiciv.data import write_csv
 from magiciv.interactions import ROW_BLOCK
-from magiciv.nuisance import (
-    NuisanceEstimate,
-    _blas_controls,
-    _blas_threads,
-    _first_stage,
-)
+from magiciv.nuisance import NuisanceEstimate, _first_stage
 from magiciv.oracle import _basis_matrix
 
 from conftest import component_rows, make_binary_dataset, make_sim_dataset
@@ -330,7 +326,7 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
         ):
             del calls[:]
-            gram = nuisance._gram(groups, [(None, None)] + slices, groups.centered, plan)
+            gram = _kernel._gram(groups, [(None, None)] + slices, groups.centered, plan)
             assert sorted(calls) == [(top, c) for c in chunks]
             x = np.column_stack(
                 [np.ones(ds.n)]
@@ -346,10 +342,10 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             [(slice(0, 2), ds.d), (slice(3, 5), ds.y), (slice(5, 6), ds.d)],
         ):
             with pytest.raises(ValueError, match="blocks of one weight must be adjacent"):
-                nuisance._gram(groups, [(None, None)] + slices, groups.centered, plan)
+                _kernel._gram(groups, [(None, None)] + slices, groups.centered, plan)
         # the stack of row functions reads W's leading columns only
         with pytest.raises(ValueError, match="must start at column 0"):
-            next(nuisance._stacked_chunks(groups, [slice(1, 3)], groups.centered, plan))
+            next(_kernel._stacked_chunks(groups, [slice(1, 3)], groups.centered, plan))
 
 
 def test_first_stage_is_memoized_read_only():
@@ -421,7 +417,7 @@ def test_nested_pin_sets_no_count(monkeypatch):
         return counted
 
     monkeypatch.setattr(
-        nuisance, "_BLAS_CONTROLS", [(get, counting(set_)) for get, set_ in _blas_controls()]
+        _lapack, "_BLAS_CONTROLS", [(get, counting(set_)) for get, set_ in _blas_controls()]
     )
     with _blas_threads(2):
         del sets[:]
@@ -438,8 +434,8 @@ def test_pinning_reads_no_proc_maps(monkeypatch):
     # the thread-count functions come from the handles _lapack binds the
     # routines on, so finding them reads nothing, on a machine without /proc too
     ds = make_sim_dataset(p=4, n=300, seed=26)
-    monkeypatch.setattr(nuisance, "ThreadpoolController", None)
-    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    monkeypatch.setattr(_lapack, "ThreadpoolController", None)
+    monkeypatch.setattr(_lapack, "_BLAS_CONTROLS", None)
     maps_reads = []
     real_open = builtins.open
 
@@ -451,7 +447,7 @@ def test_pinning_reads_no_proc_maps(monkeypatch):
     monkeypatch.setattr(builtins, "open", counting_open)
     estimate_cue(ds)
     assert maps_reads == []
-    assert nuisance._BLAS_CONTROLS is _lapack.THREADS
+    assert _lapack._BLAS_CONTROLS is _lapack.THREADS
 
 
 def test_pin_holds_numpys_blas_and_leaves_scipys_alone(monkeypatch):
@@ -468,8 +464,8 @@ def test_pin_holds_numpys_blas_and_leaves_scipys_alone(monkeypatch):
     if len(both) != 2:
         pytest.skip("scipy's BLAS is numpy's library, or either has no thread-count functions")
     (numpy_get, _), (scipy_get, scipy_set) = both
-    monkeypatch.setattr(nuisance, "ThreadpoolController", None)
-    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    monkeypatch.setattr(_lapack, "ThreadpoolController", None)
+    monkeypatch.setattr(_lapack, "_BLAS_CONTROLS", None)
     old = scipy_get()
     scipy_set(2)
     try:
@@ -498,8 +494,8 @@ def test_threadpoolctl_libraries_are_pinned_and_restored(monkeypatch):
     class Controller:
         lib_controllers = libs
 
-    monkeypatch.setattr(nuisance, "ThreadpoolController", Controller)
-    monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+    monkeypatch.setattr(_lapack, "ThreadpoolController", Controller)
+    monkeypatch.setattr(_lapack, "_BLAS_CONTROLS", None)
     with pytest.raises(RuntimeError):
         with _blas_threads(1):
             assert [lib.threads for lib in libs] == [1, 1]
@@ -513,11 +509,11 @@ def test_unrecognised_blas_stays_unpinned(monkeypatch):
     pinned = estimate_cue(ds)
     real = _blas_controls()
     with _blas_threads(2):
-        monkeypatch.setattr(nuisance, "ThreadpoolController", None)
-        monkeypatch.setattr(nuisance, "_BLAS_CONTROLS", None)
+        monkeypatch.setattr(_lapack, "ThreadpoolController", None)
+        monkeypatch.setattr(_lapack, "_BLAS_CONTROLS", None)
         monkeypatch.setattr(_lapack, "THREADS", [])
         with _blas_threads(1):
-            assert nuisance._BLAS_CONTROLS == []
+            assert _lapack._BLAS_CONTROLS == []
             assert [get() for get, _ in real] == [2] * len(real)
         assert [get() for get, _ in real] == [2] * len(real)
         assert estimate_cue(ds) == pinned

@@ -14,9 +14,11 @@ from magiciv import (
     fit_nuisance,
     tsls,
 )
-from magiciv import baselines, diagnostics, moments, nuisance
+from magiciv import _groups, baselines, diagnostics, moments, nuisance
+from magiciv._kernel import _unit_cholesky
+from magiciv.diagnostics import _MIN_RCOND
 from magiciv.interactions import ROW_BLOCK, demeaned_matrix
-from magiciv.nuisance import _MIN_RCOND, _first_stage, _row_groups, _unit_cholesky
+from magiciv.nuisance import _first_stage, _row_groups
 
 from conftest import assert_close_to_sum, component_rows, make_sim_dataset
 
@@ -254,7 +256,7 @@ def test_negative_zero_instruments_move_results_by_rounding_only():
 
 def test_one_grouping_per_dataset(monkeypatch):
     calls = []
-    group = nuisance._group_rows
+    group = _groups._group_rows
 
     def counting(z, mu):
         calls.append(z.shape)

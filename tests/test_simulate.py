@@ -9,7 +9,7 @@ import pytest
 
 from magiciv import ConfigError, ExclusionError, ScenarioConfig, gen_dataset, run_monte_carlo
 from magiciv import simulate
-from magiciv.nuisance import _blas_controls, _blas_threads
+from magiciv._lapack import _blas_controls, _blas_threads
 from magiciv.simulate import (
     _ceil_frac,
     _pin_worker,
@@ -229,6 +229,32 @@ def test_run_monte_carlo_worker_counts_agree():
     assert json.dumps(summary_to_jsonable(s1), sort_keys=True) == json.dumps(
         summary_to_jsonable(s2), sort_keys=True
     )
+
+
+def test_run_monte_carlo_starts_no_more_workers_than_replications(monkeypatch):
+    # a forking pool starts all max_workers processes at the first submit;
+    # this stand-in runs the tasks in-process and starts none
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    cfg = ScenarioConfig(p=4, n=200, c=8.0, seed=9)
+    wide = run_monte_carlo(cfg, reps=3, methods=("magic", "tsls"), workers=10**6)
+    one = run_monte_carlo(cfg, reps=3, methods=("magic", "tsls"), workers=1)
+    assert sizes == [3]
+    assert summary_to_jsonable(wide) == summary_to_jsonable(one)
 
 
 @needs_openblas
