@@ -7,7 +7,11 @@ over the distinct rows u instead, with the weight products summed within
 each group: sum_u x(u) x(u)' sum_{i in u} v_i w_i. :func:`_group_rows`
 finds the groups from an integer code of each row, without sorting the
 rows themselves. Rows that never repeat give the identity grouping, U = n,
-group i row i, and the same arithmetic as over the rows.
+group i row i, and the same arithmetic as over the rows. A grouping holds
+the index of one row of each group, not the distinct rows: the Gram
+kernel gathers each chunk's rows from the instrument matrix when it
+centers them, so the grouping costs two index vectors and the group sizes
+(at U = n = 400,000, p = 20, a U x p copy would be 61 MiB).
 """
 
 from __future__ import annotations
@@ -22,23 +26,23 @@ import numpy as np
 class RowGroups:
     """The distinct instrument rows of a dataset and the group of each row.
 
-    ``rows`` holds the U distinct rows of z: first the ``repeated`` ones
-    that stand for two rows or more, then those that stand for one, each
-    part in a fixed order set by the values. ``index`` is the group of
-    each of the n rows, ``counts`` the group sizes and ``centered`` the
-    distinct rows minus the sample means. When no row repeats, the
-    grouping is the identity: ``index`` is 0..n-1, U = n, ``repeated`` is
-    0 and group i is row i, so ``rows`` is z itself. Arrays are read-only.
+    The U groups are ordered first the ``repeated`` ones that stand for
+    two rows or more, then those that stand for one, each part in a fixed
+    order set by the values. ``first`` holds one row of each group, so
+    ``z[first]`` are the distinct rows; the grouping keeps no copy of
+    them. ``index`` is the group of each of the n rows and ``counts`` the
+    group sizes. When no row repeats, the grouping is the identity:
+    ``first`` and ``index`` are 0..n-1, U = n, ``repeated`` is 0 and group
+    i is row i. Arrays are read-only.
     """
 
-    rows: np.ndarray
+    first: np.ndarray
     index: np.ndarray
     counts: np.ndarray
     repeated: int
-    centered: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.rows, self.index, self.counts, self.centered):
+        for arr in (self.first, self.index, self.counts):
             arr.setflags(write=False)
 
     @property
@@ -67,10 +71,10 @@ class RowGroups:
         return np.bincount(local, weights=values(members, local), minlength=count)
 
 
-def _identity_groups(z: np.ndarray, mu: np.ndarray) -> RowGroups:
-    """The identity grouping of the rows of ``z``, with means ``mu``: each row its own group."""
-    n = z.shape[0]
-    return RowGroups(rows=z, index=np.arange(n), counts=np.ones(n), repeated=0, centered=z - mu)
+def _identity_groups(n: int) -> RowGroups:
+    """The identity grouping of ``n`` rows: each row its own group."""
+    rows = np.arange(n)  # group i is row i: one array serves as both
+    return RowGroups(first=rows, index=rows, counts=np.ones(n), repeated=0)
 
 
 def _distinct_ranks(values: np.ndarray) -> tuple[Optional[np.ndarray], int]:
@@ -147,8 +151,8 @@ def _row_codes(z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
     return code, radix
 
 
-def _group_rows(z: np.ndarray, mu: np.ndarray) -> RowGroups:
-    """Group the rows of the finite ``z`` by value, with sample means ``mu``.
+def _group_rows(z: np.ndarray) -> RowGroups:
+    """Group the rows of the finite ``z`` by value.
 
     The groups are the distinct codes of :func:`_row_codes`, repeated rows
     first, each part in increasing code order. A column with a distinct
@@ -164,14 +168,12 @@ def _group_rows(z: np.ndarray, mu: np.ndarray) -> RowGroups:
             rank = np.empty(size, dtype=np.intp)
             rank[order] = np.arange(size)
             index = rank[index]
-            member = np.empty(size, dtype=np.intp)
-            member[index] = np.arange(n)  # one row of each group
-            rows = z[member]
+            first = np.empty(size, dtype=np.intp)
+            first[index] = np.arange(n)  # one row of each group
             return RowGroups(
-                rows=rows,
+                first=first,
                 index=index,
                 counts=counts[order].astype(float),
                 repeated=int(np.count_nonzero(counts > 1)),
-                centered=rows - mu,
             )
-    return _identity_groups(z, mu)
+    return _identity_groups(n)

@@ -1,20 +1,23 @@
 """The Gram kernel over the distinct instrument rows, and the Cholesky guard.
 
 The nuisance projections, the moment components, the diagnostic and
-efficient GMM pass the groups of :mod:`magiciv._groups`, the centered
-distinct rows and the plan to :func:`_gram`, which forms every Gram they
-need from weighted W columns and other row functions. It holds
-``ROW_BLOCK`` distinct rows of the stack F of those functions transposed,
-F' C-ordered, in one buffer: the product kernel writes the chunk's rows of
-W, up to the highest order read, straight into it, and the other functions
-are written beside them. Blocks that share a weight form a class, scaled
-in place in F or copied, scaled, into scratch rows below it, so that a
-syrk reads X in block order; classes meet in gemms over the repeated rows
-(see :func:`_gram`). A consumer that needs W's rows for anything else, the
-nuisance residuals, the diagnostic's residual and efficient GMM's moment
-vectors, reads them from the same buffer in :func:`_stacked_chunks` before
-it scales them, and its per-row values come from per-group ones by the
-group index. The widest n-row arrays of a fit are then the first stage's
+efficient GMM pass the groups of :mod:`magiciv._groups`, the instrument
+matrix, the means to center it at and the plan to :func:`_gram`, which
+forms every Gram they need from weighted W columns and other row
+functions. It holds ``ROW_BLOCK`` distinct rows of the stack F of those
+functions transposed, F' C-ordered, in one buffer: each chunk's distinct
+rows are gathered from the instrument matrix by the groups' ``first``
+rows and centered into one small transposed buffer, so no centered copy
+of the distinct rows outlives a chunk; the product kernel writes the
+chunk's rows of W, up to the highest order read, from it straight into
+F, and the other functions are written beside them. Blocks that share a
+weight form a class, scaled in place in F or copied, scaled, into scratch
+rows below it, so that a syrk reads X in block order; classes meet in
+gemms over the repeated rows (see :func:`_gram`). A consumer that needs
+W's rows for anything else, the nuisance residuals, the diagnostic's
+residual and efficient GMM's moment vectors, reads them from the same
+buffer in :func:`_stacked_chunks` before it scales them, and its per-row
+values come from per-group ones by the group index. The widest n-row arrays of a fit are then the first stage's
 (1, z) design and the instrument matrix itself, about p + 1 columns each.
 """
 
@@ -55,7 +58,8 @@ def _chunk_ranges(groups: RowGroups) -> Iterator[slice]:
 def _stacked_chunks(
     groups: RowGroups,
     xs: Sequence[RowFunction],
-    zc: Optional[np.ndarray] = None,
+    z: Optional[np.ndarray] = None,
+    mu: Optional[np.ndarray] = None,
     plan: Optional[InteractionPlan] = None,
     spare: int = 0,
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -63,8 +67,10 @@ def _stacked_chunks(
 
     F has a row for each distinct instrument row of ``groups`` and the
     columns of each x in ``xs``, unweighted. A slice must start at column
-    0: it reads W's leading columns at the centered distinct rows ``zc``
-    under ``plan``, and the product kernel writes them straight into F.
+    0: it reads W's leading columns under ``plan`` at the distinct rows of
+    the instrument matrix ``z`` centered at ``mu``. Each run's rows
+    ``z[groups.first[run]]`` are centered into one transposed buffer, and
+    the product kernel writes W's columns from it straight into F.
     ``xt`` is F' for the run's groups above ``spare`` rows of scratch:
     C-ordered (width + spare, c), a view of one flat buffer that the next
     run overwrites, reshaped per run so that a short run is contiguous too.
@@ -81,13 +87,13 @@ def _stacked_chunks(
     stop = max((x.stop for x in xs if isinstance(x, slice)), default=0)
     if stop:
         top = next(k for k, cols in plan.order_slices().items() if cols.stop >= stop)
-        zt_flat = np.empty(zc.shape[1] * most)
+        zt_flat = np.empty(z.shape[1] * most)
     for rows in _chunk_ranges(groups):
         count = rows.stop - rows.start
         xt = flat[: width * count].reshape(width, count)
         if stop:
-            zt = zt_flat[: zc.shape[1] * count].reshape(-1, count)
-            zt[...] = zc[rows].T
+            zt = zt_flat[: z.shape[1] * count].reshape(-1, count)
+            np.subtract(np.take(z, groups.first[rows], axis=0).T, mu[:, None], out=zt)
         for x, off, wid in zip(xs, offsets, widths):
             if x is None:
                 xt[off] = 1.0
@@ -101,7 +107,8 @@ def _stacked_chunks(
 def _gram(
     groups: RowGroups,
     blocks: Sequence[tuple[RowFunction, Optional[np.ndarray]]],
-    zc: Optional[np.ndarray] = None,
+    z: Optional[np.ndarray] = None,
+    mu: Optional[np.ndarray] = None,
     plan: Optional[InteractionPlan] = None,
 ) -> np.ndarray:
     """Exactly symmetric Gram X'X of the n-row column stack X of ``blocks``, over distinct rows.
@@ -180,7 +187,7 @@ def _gram(
         grams = [np.zeros((width, width), order="F") for width in widths]
 
     stacked = np.zeros((used, used), order="F")
-    for chunk, xt in _stacked_chunks(groups, xs, zc, plan, spare):
+    for chunk, xt in _stacked_chunks(groups, xs, z, mu, plan, spare):
         f = xt[:rows_f]
         if chunk.start >= groups.repeated:  # single rows: the weight products factor
             for g in copied:

@@ -77,7 +77,8 @@ class Routines(NamedTuple):
     - ``gelsy(a, b, cond)``: (x, rank), the minimum-norm least-squares
       solution of a x = b by complete orthogonal factorization, for ``a``
       with at least as many rows as columns, and its numerical rank at
-      rank cutoff ``cond``.
+      rank cutoff ``cond``. x is Fortran-ordered and owns its data: it is
+      not a view of the n-row buffer the routine solves in.
     """
 
     syrk: Callable
@@ -187,7 +188,7 @@ def _bind(syrk, potrs, posv, pocon, gelsy) -> Routines:
         gelsy(*args, fortran(work), lwork, info)
         if info.value < 0:
             raise ValueError(f"illegal value in argument {-info.value} of gelsy")
-        return x[:cols], rank.value
+        return x[:cols].copy(order="F"), rank.value  # not a view that keeps x alive
 
     return Routines(syrk_add, cho_solve, cho_factor_solve, rcond, lstsq)
 
@@ -216,7 +217,7 @@ def _scipy_routines() -> Routines:
         coef, _, rank, _ = linalg.lstsq(
             a, b, cond=cond, lapack_driver="gelsy", check_finite=False
         )
-        return coef, rank
+        return coef.copy(order="F"), rank  # scipy's is a view of its n-row solution
 
     return Routines(
         syrk=lambda gram, xt: syrk(1.0, xt.T, beta=1.0, c=gram, trans=1, overwrite_c=1),

@@ -30,11 +30,12 @@ import numpy as np
 from . import _lapack
 from ._kernel import _cho_factor_solve, _mirror, _stacked_chunks
 from ._lapack import _blas_threads
-from .cue import _check_beta, _ridge_ladder
+from .cue import _ridge_ladder
 from .data import Dataset
 from .errors import IdentificationError, NumericalError
 from .interactions import InteractionPlan, _check_width
-from .nuisance import _exposure_explained, _first_stage, _row_groups
+from .moments import _check_beta
+from .nuisance import _exposure_explained, _first_stage, _row_groups, estimate_means
 
 __all__ = ["BaselineResult", "tsls", "efficient_fixed_r"]
 
@@ -120,7 +121,7 @@ def efficient_fixed_r(
     if beta_init is None:
         beta_init = tsls(ds).beta_hat
     n = ds.n
-    groups = _row_groups(ds)
+    groups, mu = _row_groups(ds), estimate_means(ds)
     resid0 = r_y - beta_init * r_d
     # one pass over W: the moment is affine in beta,
     # E_n[w (resid0 + beta_init d)] - beta E_n[w d], and both sums are taken
@@ -131,7 +132,7 @@ def efficient_fixed_r(
     root = np.sqrt(groups.sums(resid0 * resid0))
     a_sum, b_sum = np.zeros(plan.r), np.zeros(plan.r)
     gram = np.zeros((plan.r, plan.r), order="F")
-    for rows, w in _stacked_chunks(groups, [slice(0, plan.r)], groups.centered, plan):
+    for rows, w in _stacked_chunks(groups, [slice(0, plan.r)], ds.z, mu, plan):
         a_sum += w @ level[rows]
         b_sum += w @ exposure[rows]
         w *= root[rows]

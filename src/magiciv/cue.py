@@ -43,7 +43,7 @@ from ._lapack import _blas_threads
 from .data import Dataset
 from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import build_plan
-from .moments import MomentComponents, build_components, gbar, omega
+from .moments import MomentComponents, _check_beta, build_components, gbar, omega
 from .nuisance import _exposure_explained, fit_nuisance
 
 __all__ = [
@@ -85,12 +85,6 @@ def _check_settings(
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise ConfigError(f"ridge must be >= 0 and finite (got {ridge})")
     return lo, hi
-
-
-def _check_beta(name: str, beta: float) -> None:
-    """Raise ConfigError naming the argument ``name`` unless ``beta`` is finite."""
-    if not math.isfinite(beta):
-        raise ConfigError(f"{name} must be finite (got {beta})")
 
 
 # Ridge multipliers applied to trace(Omega)/r, escalating by 10x, once the
@@ -591,7 +585,15 @@ def variance(
 def overid_test(
     mc: MomentComponents, beta_hat: float, q_min: float
 ) -> tuple[float, int, float]:
-    """J statistic 2n*Q(beta_hat), its degrees of freedom r-1, and p-value."""
+    """J statistic 2n*Q(beta_hat), its degrees of freedom r-1, and p-value.
+
+    ``q_min`` is the objective's value at ``beta_hat``. A ``beta_hat`` that
+    is not finite, or a ``q_min`` that is negative or not finite, raises
+    :class:`ConfigError` naming it.
+    """
+    _check_beta("beta_hat", beta_hat)
+    if not (math.isfinite(q_min) and q_min >= 0.0):
+        raise ConfigError(f"q_min must be >= 0 and finite (got {q_min})")
     if mc.r < 2:
         raise ConfigError(
             "overidentification test undefined for r = 1 (no overidentifying restrictions)"

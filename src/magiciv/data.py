@@ -3,6 +3,9 @@
 Estimation runs on a fixed triple: outcome vector y, exposure vector d,
 and an n x p instrument matrix z. Instruments are stored as reals even
 when they are 0/1 coded, since nothing downstream requires binarity.
+:func:`load_csv` parses the rows into one table and copies y, d and z
+out of it, each into an array of its own, so no parsed table outlives the
+call and the dataset holds each value once.
 """
 
 from __future__ import annotations
@@ -130,8 +133,22 @@ def _utf8(error: type[Exception], path: str | os.PathLike) -> Iterator[None]:
         raise error(f"{path} is not UTF-8 text: byte 0x{byte:02x} ({exc.reason})") from None
 
 
-def _load_rows(fh, width: int, columns: list[int]) -> Optional[np.ndarray]:
-    """The data rows after the header as a float table, ``columns`` in order.
+# y, d and z of a dataset, each an array that owns its data
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _columns(table: np.ndarray, columns: list[int]) -> _Columns:
+    """(y, d, z): the ``columns`` of ``table`` in that order, each copied into its own array.
+
+    z is C-ordered, as :class:`Dataset` holds it, so the dataset copies
+    nothing and no array keeps the table alive.
+    """
+    y, d = (table[:, j].copy() for j in columns[:2])
+    return y, d, table.take(columns[2:], axis=1)
+
+
+def _load_rows(fh, width: int, columns: list[int]) -> Optional[_Columns]:
+    """:func:`_columns` of the data rows after the header, parsed as one float table.
 
     A fast path: None unless every row has ``width`` fields and every cell
     is a finite number. ``np.loadtxt`` accepts a subset of what ``float``
@@ -147,11 +164,14 @@ def _load_rows(fh, width: int, columns: list[int]) -> Optional[np.ndarray]:
             return None
     if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
         return None
-    return table[:, columns]
+    return _columns(table, columns)
 
 
-def _parse_rows(reader, header, selected, positions, path) -> np.ndarray:
-    """Parse the data rows cell by cell, raising :class:`DataError` at the first bad one."""
+def _parse_rows(reader, header, selected, positions, path) -> _Columns:
+    """:func:`_columns` of the data rows, parsed cell by cell.
+
+    Raises :class:`DataError` at the first bad row or cell.
+    """
     rows: list[list[float]] = []
     for row_idx, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and row[0].strip() == ""):
@@ -177,7 +197,7 @@ def _parse_rows(reader, header, selected, positions, path) -> np.ndarray:
         rows.append(parsed)
     if not rows:
         raise DataError(f"no data rows in {path}")
-    return np.asarray(rows, dtype=float)
+    return _columns(np.asarray(rows, dtype=float), list(range(len(selected))))
 
 
 def load_csv(
@@ -222,21 +242,17 @@ def load_csv(
             if len(hits) > 1:
                 raise DataError(f"ambiguous column: '{name}' appears twice in header")
             positions[name] = hits[0]
-        table = None
+        arrays = None
         if fh.seekable():  # a pipe cannot be reread, so it takes the row loop alone
-            table = _load_rows(fh, len(header), [positions[name] for name in selected])
-            if table is None:  # not a plain numeric table: the row loop names the fault
+            arrays = _load_rows(fh, len(header), [positions[name] for name in selected])
+            if arrays is None:  # not a plain numeric table: the row loop names the fault
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)
-        if table is None:
-            table = _parse_rows(reader, header, selected, positions, path)
-    ds = Dataset(
-        y=table[:, 0],
-        d=table[:, 1],
-        z=table[:, 2:],
-        instrument_names=tuple(instrument_cols),
-    )
+        if arrays is None:
+            arrays = _parse_rows(reader, header, selected, positions, path)
+    y, d, z = arrays
+    ds = Dataset(y=y, d=d, z=z, instrument_names=tuple(instrument_cols))
     violations = validate(ds)
     if violations:
         raise DataError("; ".join(violations))

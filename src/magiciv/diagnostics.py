@@ -10,9 +10,9 @@ step is the linear first stage that TSLS and the order-2 nuisance step share.
 
 The regression is solved from its normal equations, whose Grams are
 formed over the distinct instrument rows in chunks, each chunk of the
-demeaned interactions built from the centered distinct rows into the
-transposed stack its syrk reads, so no n x (r + 1) design is formed; see
-:func:`f_stat`.
+demeaned interactions built from its distinct rows, gathered from z and
+centered at the sample means, into the transposed stack its syrk reads,
+so no n x (r + 1) design is formed; see :func:`f_stat`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ._lapack import _blas_threads
 from .data import Dataset
 from .errors import NumericalError
 from .interactions import InteractionPlan, _check_width
-from .nuisance import _exposure_explained, _first_stage, _row_groups
+from .nuisance import _exposure_explained, _first_stage, _row_groups, estimate_means
 
 __all__ = ["FStatReport", "f_stat"]
 
@@ -76,10 +76,9 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     if _exposure_explained(d_bar, ds.d):  # exposure exactly linear in z
         return FStatReport(f_value=0.0, num_restrictions=r, n_effective=n)
 
-    groups = _row_groups(ds)
-    zc = groups.centered
+    groups, mu = _row_groups(ds), estimate_means(ds)
     m = r + 1
-    gram = _gram(groups, [(None, None), (slice(0, r), None), (None, d_bar)], zc, plan)
+    gram = _gram(groups, [(None, None), (slice(0, r), None), (None, d_bar)], ds.z, mu, plan)
     s, _, coef = _unit_cholesky(  # coef: the coefficients on the scaled columns
         gram[:m, :m], gram[:m, m], _MIN_RCOND,
         "interaction regression design", "an interaction column",
@@ -91,7 +90,7 @@ def f_stat(ds: Dataset, plan: InteractionPlan) -> FStatReport:
     wbar = gram[0, 1:m] / n
     t = gram[1:m, m] - wbar * gram[0, m]
     meat = np.zeros((r, r), order="F")
-    for rows, xt in _stacked_chunks(groups, [slice(0, r)], zc, plan):
+    for rows, xt in _stacked_chunks(groups, [slice(0, r)], ds.z, mu, plan):
         fitted = xt.T @ slopes
 
         def squares(members, local):

@@ -19,14 +19,17 @@ which is what the overidentification statistic is defined with.
 The rows a_i and b_i are never stored. All five aggregates are blocks of
 one Gram matrix, that of [1 | a | b], which the chunked kernel
 :func:`magiciv._kernel._gram` forms over the distinct instrument rows,
-from the centered distinct rows and per-group sums of the residual
-products: the ones column gives the means, a's and b's blocks are W's
-columns weighted by the outcome and exposure residuals. Each chunk of the
-demeaned interaction matrix is built once, for its distinct rows.
+from the instrument matrix and per-group sums of the residual products:
+the ones column gives the means, a's and b's blocks are W's columns
+weighted by the outcome and exposure residuals. Each chunk of the demeaned
+interaction matrix is built once, for its distinct rows, which are
+gathered from z and centered at the nuisance means one chunk at a time,
+so no centered copy of the distinct rows is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +94,7 @@ def components_from_arrays(a: np.ndarray, b: np.ndarray) -> MomentComponents:
         raise ConfigError("component matrices must share an (n, r) shape")
     n, r = a.shape
     blocks = [(None, None), (a, None), (b, None)]
-    groups = _identity_groups(np.empty((n, 0)), np.empty(0))  # rows without instrument values
-    return _from_gram(_gram(groups, blocks), n, r)
+    return _from_gram(_gram(_identity_groups(n), blocks), n, r)
 
 
 @_blas_threads(1)
@@ -104,8 +106,9 @@ def build_components(
     Column block k of a (of b) is the order-k block of the demeaned
     interaction matrix, at the nuisance means, times the order-k outcome
     (exposure) residual. The interactions are built once per distinct
-    instrument row of the dataset's grouping, centered at ``nuis.mu_hat``,
-    which need not be the sample means.
+    instrument row of the dataset's grouping, each chunk's rows gathered
+    from ``ds.z`` and centered at ``nuis.mu_hat``, which need not be the
+    sample means.
     """
     _check_width(ds.z, plan)
     if nuis.mu_hat.shape != (plan.p,):
@@ -117,16 +120,26 @@ def build_components(
     blocks = [(None, None)]
     blocks += [(cols, nuis.r_y[k - 1]) for k, cols in slices.items()]
     blocks += [(cols, nuis.r_d[k - 1]) for k, cols in slices.items()]
-    groups = _row_groups(ds)
-    gram = _gram(groups, blocks, groups.rows - nuis.mu_hat, plan)
+    gram = _gram(_row_groups(ds), blocks, ds.z, nuis.mu_hat, plan)
     return _from_gram(gram, ds.n, plan.r)
 
 
+def _check_beta(name: str, beta: float) -> None:
+    """Raise ConfigError naming the argument ``name`` unless ``beta`` is finite."""
+    if not math.isfinite(beta):
+        raise ConfigError(f"{name} must be finite (got {beta})")
+
+
 def gbar(mc: MomentComponents, beta: float) -> np.ndarray:
-    """Empirical mean of the moment vector at beta."""
+    """Empirical mean of the moment vector at beta; a beta that is not finite raises ConfigError."""
+    _check_beta("beta", beta)
     return mc.abar - beta * mc.bbar
 
 
 def omega(mc: MomentComponents, beta: float) -> np.ndarray:
-    """Uncentered second-moment matrix E_n[g_i(beta) g_i(beta)']."""
+    """Uncentered second-moment matrix E_n[g_i(beta) g_i(beta)'].
+
+    A beta that is not finite raises ConfigError.
+    """
+    _check_beta("beta", beta)
     return mc.s0 - beta * mc.s1 + beta * beta * mc.s2

@@ -26,7 +26,9 @@ gelsy fit on its explicit basis instead, so the main estimator still fits
 duplicated instruments, at their minimum norm.
 
 :func:`_row_groups` memoizes the grouping of :mod:`magiciv._groups` beside
-the (1, z) fit, so no consumer forms an n x p centered copy. The orders
+the (1, z) fit. It holds one row index per group, not the distinct rows,
+and the kernel centers the distinct rows a chunk at a time, so no
+consumer forms an n x p centered copy. The orders
 k >= 3 form their Gram and residuals from the distinct rows by the kernel of
 :mod:`magiciv._kernel`: no fit holds the n x r demeaned interaction matrix
 W, and outside the gelsy fallback no basis of order k >= 3 either.
@@ -90,7 +92,7 @@ def _row_groups(ds: Dataset) -> RowGroups:
     groups = ds._memo.get("groups")
     if groups is None:
         _require_finite(ds)
-        groups = ds._memo["groups"] = _group_rows(ds.z, estimate_means(ds))
+        groups = ds._memo["groups"] = _group_rows(ds.z)
     return groups
 
 
@@ -187,14 +189,14 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
         return NuisanceEstimate(mu_hat=mu, theta=theta, xi=xi, r_y=r_y, r_d=r_d)
 
     groups = _row_groups(ds)
-    zc = groups.centered
+    zc = ds.z[groups.first] - mu  # the centered distinct rows
     slices = plan.order_slices()
 
     def basis(k):  # row functions (1, z - mu, products of orders 2..k-1)
         return [None, zc, slice(0, slices[k - 1].stop)]
 
     blocks = [(x, None) for x in basis(plan.q)] + [(None, ds.y), (None, ds.d)]
-    gram = _gram(groups, blocks, zc, plan)
+    gram = _gram(groups, blocks, ds.z, mu, plan)
     coefs = {}
     for k in range(3, plan.q + 1):
         m = 1 + ds.p + slices[k - 1].stop
@@ -206,7 +208,7 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
         except NumericalError:
             # the basis at each distinct row, gathered to the rows it stands for
             design = np.empty((groups.size, m))
-            for rows, xt in _stacked_chunks(groups, basis(k), zc, plan):
+            for rows, xt in _stacked_chunks(groups, basis(k), ds.z, mu, plan):
                 design[rows] = xt.T
             design = groups.gather(design)
             theta[k - 1], xi[k - 1], r_y[k - 1], r_d[k - 1], _ = _project(ds, design)
@@ -216,7 +218,7 @@ def fit_nuisance(ds: Dataset, plan: InteractionPlan) -> NuisanceEstimate:
     if coefs:
         # fitted values per distinct row, gathered to the rows they stand for
         fitted = {k: np.empty((groups.size, 2)) for k in coefs}
-        for rows, xt in _stacked_chunks(groups, basis(max(coefs)), zc, plan):
+        for rows, xt in _stacked_chunks(groups, basis(max(coefs)), ds.z, mu, plan):
             for k, coef in coefs.items():
                 fitted[k][rows] = xt[: coef.shape[0]].T @ coef
         for k, fit in fitted.items():

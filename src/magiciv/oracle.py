@@ -15,6 +15,10 @@ linear outcome model) with two oracle-only extensions: third-order exposure
 interactions so the q = 3 identification path is exercisable, and "noisy
 copy" dependence (a child instrument equal to a parent XOR a Bernoulli
 flip) so the consequences of dependent instruments can be demonstrated.
+
+Each public function holds its BLAS at one thread while it runs, as the
+estimators do (see :mod:`magiciv._lapack`), so its bits do not depend on
+the machine's thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._lapack import _blas_threads
 from .errors import ConfigError, IdentificationError, NumericalError
 from .interactions import InteractionPlan, build_plan, demeaned_matrix
 
@@ -153,18 +158,21 @@ def _on_lattice(dgp: PopulationDgp, q: int):
     return w, probs, ey, ed
 
 
+@_blas_threads(1)
 def population_moment(dgp: PopulationDgp, beta: float, q: int) -> np.ndarray:
     """Exact E[ demeaned interactions * (Y - beta D) ], stacked orders 2..q."""
     w, probs, ey, ed = _on_lattice(dgp, q)
     return w.T @ (probs * (ey - beta * ed))
 
 
+@_blas_threads(1)
 def population_relevance(dgp: PopulationDgp, q: int) -> np.ndarray:
     """The moment derivative in beta: -E[ demeaned interactions * D ]."""
     w, probs, _, ed = _on_lattice(dgp, q)
     return -(w.T @ (probs * ed))
 
 
+@_blas_threads(1)
 def population_beta(dgp: PopulationDgp, q: int) -> float:
     """Unique root of the relevance-projected scalar moment (affine in beta)."""
     w, probs, ey, ed = _on_lattice(dgp, q)
@@ -231,6 +239,7 @@ class OrthogonalityReport:
     step: float
 
 
+@_blas_threads(1)
 def orthogonality_check(
     dgp: PopulationDgp,
     q: int,

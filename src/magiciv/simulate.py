@@ -16,13 +16,14 @@ those uniforms rather than any library sampler, so streams are stable
 across platforms and replications are order-insensitive.
 
 BLAS threads: every estimator entry point, the CLI ``estimate`` included,
-runs with its BLAS held at one thread (see :mod:`magiciv._lapack`),
-so results do not depend on the machine's thread count, at r = 45 or at
-r = 286 alike. :func:`run_monte_carlo` holds the same pin for its whole
-run, the in-process loop and the process pool's lifetime alike, and
-restores the caller's counts when it returns or raises: forked workers
-inherit the pin, spawned ones pin themselves in the pool initializer, and
-the entry points' own pins then only read the counts. The count is
+and :func:`gen_dataset` run with their BLAS held at one thread (see
+:mod:`magiciv._lapack`), so results and generated data do not depend on
+the machine's thread count, at r = 45 or at r = 286 alike.
+:func:`run_monte_carlo` holds the same pin for its whole run, the
+in-process loop and the process pool's lifetime alike, and restores the
+caller's counts when it returns or raises: forked workers inherit the
+pin, spawned ones pin themselves in the pool initializer, and the entry
+points' own pins then only read the counts. The count is
 process-global, so callers running in threads of one process can race on
 it.
 """
@@ -206,12 +207,15 @@ def _pair_products(x: np.ndarray, pairs: Sequence[tuple[int, ...]]) -> np.ndarra
     return out
 
 
+@_blas_threads(1)
 def gen_dataset(cfg: ScenarioConfig, rep_index: int) -> tuple[Dataset, TruthRecord]:
     """Generate one replication's dataset plus its truth record.
 
     The draw order within a replication is fixed (effect vectors, outcome
     interaction multipliers, instruments, errors), so identical
-    (config, rep_index) pairs produce bitwise-identical datasets.
+    (config, rep_index) pairs produce bitwise-identical datasets. Its
+    matrix-vector products run on one BLAS thread, so the bits do not
+    depend on the machine's thread count either.
     """
     if rep_index < 0:
         raise ConfigError("rep_index must be >= 0")

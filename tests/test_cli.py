@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from magiciv import Dataset, ScenarioConfig, gen_dataset
+from magiciv import Dataset, ScenarioConfig, gen_dataset, load_csv
 from magiciv.cli import main
 from magiciv.data import write_csv
 from magiciv._lapack import _blas_controls, _blas_threads
@@ -318,6 +318,23 @@ def test_simulate_table_and_emit_data(tmp_path, capsys):
 
     back = load_csv(emitted, "y", "d", ["z1", "z2", "z3", "z4"])
     assert validate(back) == []
+
+
+@pytest.mark.skipif(not _blas_controls(), reason="no BLAS with a settable thread count is loaded")
+def test_emitted_data_is_replication_zero_at_any_blas_threads(tmp_path, capsys):
+    # the CSV is the dataset replication 0 is fit on, which run_monte_carlo
+    # generates on one BLAS thread; at n = 10003 with the misspecified
+    # outcome an unpinned gen_dataset rounded differently at two threads
+    emitted = tmp_path / "rep0.csv"
+    with _blas_threads(2):  # the caller's thread count
+        code = main(["simulate", "--p", "12", "--n", "10003", "--misspecify-alice", "true",
+                     "--reps", "1", "--methods", "tsls", "--emit-data", str(emitted)])
+    assert code == 0
+    with _blas_threads(1):
+        want, _ = gen_dataset(ScenarioConfig(p=12, n=10003, misspecify_alice=True), 0)
+    back = load_csv(emitted, "y", "d", list(want.names()))
+    for got, expected in ((back.y, want.y), (back.d, want.d), (back.z, want.z)):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):

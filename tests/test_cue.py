@@ -101,14 +101,31 @@ def test_chisq_values_at_finite_and_infinite_x(call, want):
         (lambda: chisq_cdf(math.nan, 3), r"chi-square CDF needs x >= 0 \(got nan\)"),
         (lambda: _gammainc(1.5, math.nan), "incomplete gamma needs x >= 0"),
         (lambda: _gammainc(1.5, -math.inf), "incomplete gamma needs x >= 0"),
-        (lambda: overid_test(components_from_arrays(np.eye(4), np.eye(4)), 0.0, math.nan),
-         "incomplete gamma needs x >= 0"),
     ],
 )
 def test_chisq_refuses_a_nan_argument(call, match):
     # not left to the continued fraction, which never converges on it
     with pytest.raises(ConfigError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "beta_hat, q_min, match",
+    [
+        (0.0, math.nan, r"^q_min must be >= 0 and finite \(got nan\)"),
+        (0.0, math.inf, r"^q_min must be >= 0 and finite \(got inf\)"),
+        (0.0, -1e-300, r"^q_min must be >= 0 and finite \(got -1e-300\)"),
+        (math.nan, 0.01, r"^beta_hat must be finite \(got nan\)"),
+        (-math.inf, 0.01, r"^beta_hat must be finite \(got -inf\)"),
+    ],
+    ids=["q_min nan", "q_min inf", "q_min negative", "beta_hat nan", "beta_hat -inf"],
+)
+def test_overid_test_refuses_inputs_it_cannot_test(beta_hat, q_min, match):
+    mc = components_from_arrays(np.eye(4), np.eye(4))
+    with pytest.raises(ConfigError, match=match):
+        overid_test(mc, beta_hat, q_min)
+    # at valid inputs the same components give J = 2 n q_min on r - 1 df
+    assert overid_test(mc, 0.0, 0.01)[:2] == (0.08, 3)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

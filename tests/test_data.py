@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magiciv import DataError, Dataset, ScenarioConfig, gen_dataset, load_csv, validate
+from magiciv import data
 from magiciv.data import _load_rows, _parse_rows, write_csv
 
 
@@ -207,7 +209,8 @@ def test_fast_path_parses_the_same_doubles_as_the_row_loop(case):
     next(reader)
     slow = _parse_rows(reader, header, selected, positions, "case.csv")
     assert fast is not None
-    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()  # -0.0 too
+    for got, want in zip(fast, slow, strict=True):  # y, d and z
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 too
 
 
 @pytest.mark.parametrize(
@@ -252,3 +255,38 @@ def test_load_csv_reads_a_pipe(cell):
             assert load_csv(path, "y", "d", ["z1", "z2"]).d.tolist() == [0.5, 3.0]
     finally:
         os.close(read_end)
+
+
+@pytest.mark.parametrize("row_loop", [False, True], ids=["fast path", "row loop"])
+def test_loaded_arrays_hold_no_parsed_table(tmp_path, monkeypatch, row_loop):
+    # each of y, d and z is its own array: none is a view that keeps the
+    # parsed n x (p + 3) table alive beside the dataset
+    rng = np.random.default_rng(4)
+    table = np.column_stack([rng.standard_normal((40, 3)), rng.random((40, 3)) < 0.5])
+    lines = ["w,z2,y,z1,d,z3"] + [",".join(repr(float(v)) for v in row) for row in table]
+    if row_loop:  # an underscore in an unselected cell: float() parses it, loadtxt does not
+        lines[1] = "1_0" + lines[1][lines[1].index(","):]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    loops = []
+    monkeypatch.setattr(data, "_parse_rows", lambda *args: loops.append(1) or _parse_rows(*args))
+    ds = load_csv(path, "y", "d", ["z1", "z2", "z3"])
+    assert len(loops) == int(row_loop)
+    assert np.array_equal(ds.z, table[:, [3, 1, 5]]) and np.array_equal(ds.d, table[:, 4])
+    for arr in (ds.y, ds.d, ds.z):
+        assert arr.flags.c_contiguous
+        assert arr.base is None or arr.base.nbytes <= arr.nbytes
+
+
+def test_load_csv_retains_only_the_dataset_arrays(tmp_path):
+    ds, _ = gen_dataset(ScenarioConfig(p=12, n=5000, seed=3), 0)
+    path = tmp_path / "rep0.csv"
+    write_csv(ds, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_csv(path, "y", "d", list(ds.names()))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    own = loaded.y.nbytes + loaded.d.nbytes + loaded.z.nbytes  # 547 KiB
+    assert held <= own + 64 * 1024  # the dataset object and caches the parser fills once

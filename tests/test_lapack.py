@@ -175,6 +175,21 @@ def test_gelsy_fits_a_duplicated_column_at_minimum_norm():
     assert np.allclose(coef, np.linalg.pinv(design) @ rhs, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("binding", ["numpy", "scipy"])
+def test_gelsy_coefficients_hold_no_n_row_buffer(binding):
+    # gelsy solves in an n-row buffer; a view of its leading rows would
+    # keep it alive for as long as the coefficients (the memoized (1, z) fit)
+    routines = _lapack.ROUTINES if binding == "numpy" else _lapack._scipy_routines()
+    rng = np.random.default_rng(8)
+    design = np.column_stack([np.ones(500), rng.standard_normal((500, 3))])
+    rhs = rng.standard_normal((500, 2))
+    for b in (rhs, rhs[:, 0]):
+        coef, rank = routines.gelsy(design, b, EPS * 500)
+        assert rank == 4 and coef.shape == (4,) + b.shape[1:]
+        assert coef.base is None or coef.base.nbytes <= coef.nbytes
+        assert np.allclose(coef, np.linalg.lstsq(design, b, rcond=None)[0], rtol=0, atol=1e-12)
+
+
 def test_lstsq_refuses_more_columns_than_rows():
     with pytest.raises(NumericalError, match="need n >= 4"):
         _lstsq(np.ones((3, 4)), np.ones((3, 2)))

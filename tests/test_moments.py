@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magiciv import (
+    ConfigError,
     Dataset,
     NuisanceEstimate,
     build_components,
@@ -89,6 +91,16 @@ def test_omega_matches_direct_accumulation():
     assert np.max(np.abs(om - direct)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("moment", [gbar, omega])
+def test_gbar_and_omega_refuse_a_beta_that_is_not_finite(moment, value):
+    # refused before the arithmetic, which gave NaN rows and, for omega, a
+    # RuntimeWarning
+    mc = components_from_arrays(np.eye(4), np.eye(4))
+    with pytest.raises(ConfigError, match=r"^beta must be finite"):
+        moment(mc, value)
+
+
 def test_beta_quadratic_interpolation():
     mc = pipeline_components(make_sim_dataset(seed=16))
     rng = np.random.default_rng(0)
@@ -150,7 +162,7 @@ def test_moment_mean_concentrates_at_true_beta():
 def _dense_components(ds, plan, nuis):
     """build_components' aggregates by the same kernel, from the dense W over the distinct rows."""
     groups = _row_groups(ds)
-    w = demeaned_matrix(groups.rows, nuis.mu_hat, plan)
+    w = demeaned_matrix(ds.z[groups.first], nuis.mu_hat, plan)
     slices = plan.order_slices().items()
     blocks = [(None, None)]
     blocks += [(w[:, cols], nuis.r_y[k - 1]) for k, cols in slices]
@@ -205,7 +217,7 @@ def _dense_f_stat(ds, plan):
     n, r, m = ds.n, plan.r, plan.r + 1
     _, d_bar = _first_stage(ds)
     groups = _row_groups(ds)
-    w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
+    w = demeaned_matrix(ds.z[groups.first], estimate_means(ds), plan)
     gram = _gram(groups, [(None, None), (w, None), (None, d_bar)])
     s = 1.0 / np.sqrt(np.diag(gram)[:m])
     _, coef = _cho_factor_solve(gram[:m, :m] * s[:, None] * s, gram[:m, m] * s)
@@ -224,7 +236,7 @@ def _dense_efficient(ds, plan, beta_init):
     n = ds.n
     r_y, r_d = _first_stage(ds)
     groups = _row_groups(ds)
-    w = demeaned_matrix(groups.rows, estimate_means(ds), plan)
+    w = demeaned_matrix(ds.z[groups.first], estimate_means(ds), plan)
     resid0 = r_y - beta_init * r_d
     m_vec = -(w.T @ groups.sums(ds.d) / n)
     (_, theta), _ = _ridge_ladder(

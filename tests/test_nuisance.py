@@ -326,7 +326,7 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             ([(slice(0, s4.stop), ds.d), (slice(0, 2), ds.y), (slice(2, 3), None)], 4),
         ):
             del calls[:]
-            gram = _kernel._gram(groups, [(None, None)] + slices, groups.centered, plan)
+            gram = _kernel._gram(groups, [(None, None)] + slices, ds.z, estimate_means(ds), plan)
             assert sorted(calls) == [(top, c) for c in chunks]
             x = np.column_stack(
                 [np.ones(ds.n)]
@@ -342,10 +342,10 @@ def test_gram_builds_products_up_to_the_order_its_slices_read(monkeypatch):
             [(slice(0, 2), ds.d), (slice(3, 5), ds.y), (slice(5, 6), ds.d)],
         ):
             with pytest.raises(ValueError, match="blocks of one weight must be adjacent"):
-                _kernel._gram(groups, [(None, None)] + slices, groups.centered, plan)
+                _kernel._gram(groups, [(None, None)] + slices, ds.z, estimate_means(ds), plan)
         # the stack of row functions reads W's leading columns only
         with pytest.raises(ValueError, match="must start at column 0"):
-            next(_kernel._stacked_chunks(groups, [slice(1, 3)], groups.centered, plan))
+            next(_kernel._stacked_chunks(groups, [slice(1, 3)], ds.z, estimate_means(ds), plan))
 
 
 def test_first_stage_is_memoized_read_only():

@@ -15,6 +15,7 @@ from magiciv import (
     population_relevance,
 )
 from magiciv import oracle
+from magiciv._lapack import _blas_controls, _blas_threads
 from magiciv.oracle import _lattice, _order_moments
 
 
@@ -259,3 +260,23 @@ def test_guards():
         PopulationDgp(p=3, mu=np.full(3, 0.5), beta_true=0.0,
                       pi=np.zeros(3), theta=np.ones(3), alpha={(0, 1): 1.0},
                       dependent={1: (0, 0.1), 2: (1, 0.1)})
+
+
+@pytest.mark.skipif(not _blas_controls(), reason="no BLAS with a settable thread count is loaded")
+def test_oracle_entry_points_pin_one_blas_thread(monkeypatch):
+    counts = []
+    conditional_means = oracle._conditional_means
+
+    def recording(dgp, z):  # every entry point's products start here
+        counts.append({get() for get, _ in _blas_controls()})
+        return conditional_means(dgp, z)
+
+    monkeypatch.setattr(oracle, "_conditional_means", recording)
+    dgp = _simple_dgp(p=3)
+    with _blas_threads(2):  # the caller's thread count
+        population_moment(dgp, 0.5, 2)
+        population_relevance(dgp, 2)
+        population_beta(dgp, 2)
+        orthogonality_check(dgp, 2, beta_grid=(0.0,))
+        assert {get() for get, _ in _blas_controls()} == {2}
+    assert counts == [{1}] * 4

@@ -9,7 +9,6 @@ from magiciv import (
     build_plan,
     efficient_fixed_r,
     estimate_cue,
-    estimate_means,
     f_stat,
     fit_nuisance,
     tsls,
@@ -32,15 +31,15 @@ def _grouping(z):
 def _assert_same_grouping(groups, ds):
     z = ds.z
     counts, inverse = _grouping(z)
-    assert np.array_equal(groups.centered, groups.rows - estimate_means(ds))
+    assert np.array_equal(groups.index[groups.first], np.arange(groups.size))
     if groups.size == ds.n:  # the identity: group i is row i
         assert counts.size == z.shape[0] and groups.repeated == 0
-        assert groups.rows is z or np.array_equal(groups.rows, z)
+        assert np.array_equal(z[groups.first], z)
         assert np.array_equal(groups.index, np.arange(ds.n))
     assert groups.size == counts.size
     assert np.array_equal(np.sort(groups.counts), np.sort(counts.astype(float)))
     # the same partition of the rows, each group's rows equal to its distinct row
-    assert np.array_equal(groups.rows[groups.index], z)
+    assert np.array_equal(z[groups.first][groups.index], z)
     pairs = set(zip(groups.index.tolist(), inverse.ravel().tolist()))
     assert len(pairs) == groups.size
     # repeated groups first
@@ -90,7 +89,7 @@ def test_grouping_partitions_rows_by_value(kind):
     groups = _row_groups(ds)
     _assert_same_grouping(groups, ds)
     assert (groups.size == ds.n) == (kind in ("distinct", "one row"))
-    assert not groups.counts.flags.writeable and not groups.centered.flags.writeable
+    assert not groups.counts.flags.writeable and not groups.first.flags.writeable
     assert not groups.index.flags.writeable
 
 
@@ -258,9 +257,9 @@ def test_one_grouping_per_dataset(monkeypatch):
     calls = []
     group = _groups._group_rows
 
-    def counting(z, mu):
+    def counting(z):
         calls.append(z.shape)
-        return group(z, mu)
+        return group(z)
 
     monkeypatch.setattr(nuisance, "_group_rows", counting)
     ds = make_sim_dataset(p=5, n=600, seed=9)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -269,6 +270,36 @@ def test_replication_records_do_not_depend_on_blas_threads(seed):
             assert set(_blas_counts()) == {count}
             records[count] = repr([_replicate((cfg, i, methods)) for i in range(2)])
     assert records[1] == records[2]
+
+
+@needs_openblas
+def test_gen_dataset_pins_one_blas_thread(monkeypatch):
+    counts = []
+    pair_products = simulate._pair_products
+
+    def products(x, pairs):  # the products feed gen_dataset's matrix-vector products
+        counts.append(set(_blas_counts()))
+        return pair_products(x, pairs)
+
+    monkeypatch.setattr(simulate, "_pair_products", products)
+    with _blas_threads(2):  # the caller's thread count
+        gen_dataset(ScenarioConfig(p=4, n=100, misspecify_alice=True), 0)
+        assert set(_blas_counts()) == {2}
+    assert counts == [{1}, {1}]
+
+
+@needs_openblas
+def test_gen_dataset_bytes_do_not_depend_on_blas_threads():
+    # with the misspecified outcome at n = 10003, the unpinned products
+    # z @ theta, products @ alpha and z @ pi rounded differently at one and
+    # at two threads on a 2-core machine
+    cfg = ScenarioConfig(p=12, n=10003, misspecify_alice=True)
+    digests = set()
+    for count in (2, 1):
+        with _blas_threads(count):
+            ds, _ = gen_dataset(cfg, 0)
+        digests.add(hashlib.sha256(ds.y.tobytes() + ds.d.tobytes() + ds.z.tobytes()).digest())
+    assert len(digests) == 1
 
 
 def _raise_with_blas_counts(cfg, rep_index):
