@@ -109,6 +109,8 @@ def _dense_codes(code: np.ndarray, radix: int) -> tuple[np.ndarray, int]:
 _MAX_CODE = 2**62
 # Most two-valued columns per word of bits, summed exactly in a double
 _WORD_BITS = 52
+# Most cells of z read at once: a block of whole columns, 8 MiB of doubles
+_BLOCK_CELLS = 2**20
 
 
 def _row_codes(z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
@@ -122,32 +124,48 @@ def _row_codes(z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
     n or 2**(62 - n.bit_length()), so the next digit then fits (for n <
     2**31). Every code is below ``radix``. None when a column has a
     distinct value in every row.
+
+    The columns are read in blocks of at most ``_BLOCK_CELLS`` cells, and
+    each column's ranks are folded into the code as they are made, so
+    beside the block the code holds a few n-vectors whatever the width
+    of ``z``; the words of bits are summed block by block and folded last.
     """
-    n = z.shape[0]
+    n, p = z.shape
     word_bits = min(_WORD_BITS, _MAX_CODE.bit_length() - 1 - n.bit_length())
-    zt = z.T.copy()  # one contiguous row per column
-    lo = zt.min(axis=1, keepdims=True)
-    hi = zt.max(axis=1, keepdims=True)
-    top = zt == hi
-    varies = lo[:, 0] != hi[:, 0]
-    two = varies & (top | (zt == lo)).all(axis=1)
-    digits = []
-    for j in np.flatnonzero(varies & ~two):
-        ranks, k = _distinct_ranks(zt[j])
-        if ranks is None:
-            return None
-        digits.append((ranks, k))
-    bits = top[two]
-    for start in range(0, bits.shape[0], word_bits):
-        word = bits[start:start + word_bits]
-        value = (2.0 ** np.arange(word.shape[0])) @ word  # exact below 2**53
-        digits.append((value.astype(np.int64), 2 ** word.shape[0]))
-    code, radix = np.zeros(n, dtype=np.int64), 1
-    for digit, k in digits:
+    code, radix = 0, 1  # a number until the first digit, which it saves a pass over
+
+    def fold(digit, k):
+        nonlocal code, radix
         if radix > _MAX_CODE // k:
             code, radix = _dense_codes(code, radix)
         code = code * k + digit
         radix *= k
+
+    words = []  # (value, bits) of each word of bits, in column order
+    width = max(1, _BLOCK_CELLS // n)
+    for start in range(0, p, width):
+        zt = z[:, start:start + width].T.copy()  # one contiguous row per column
+        lo = zt.min(axis=1, keepdims=True)
+        hi = zt.max(axis=1, keepdims=True)
+        top = zt == hi
+        varies = lo[:, 0] != hi[:, 0]
+        two = varies & (top | (zt == lo)).all(axis=1)
+        for j in np.flatnonzero(varies & ~two):
+            ranks, k = _distinct_ranks(zt[j])
+            if ranks is None:
+                return None
+            fold(ranks, k)
+        bits = top[two]
+        while bits.shape[0]:
+            value, used = words.pop() if words and words[-1][1] < word_bits else (0, 0)
+            take = min(word_bits - used, bits.shape[0])
+            value += (2.0 ** np.arange(used, used + take)) @ bits[:take]  # exact below 2**53
+            words.append((value, used + take))
+            bits = bits[take:]
+    for value, bits in words:
+        fold(value.astype(np.int64), 2**bits)
+    if radix == 1:  # no column varies: every row is equal
+        code = np.zeros(n, dtype=np.int64)
     return code, radix
 
 

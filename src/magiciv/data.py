@@ -34,10 +34,11 @@ class Dataset:
     non-constant instruments) are reported by :func:`validate` so that
     questionable data can still be inspected rather than refused outright;
     the estimators refuse a non-finite cell with :class:`DataError`.
-    The estimators memoize two derived results in one cache on the
+    The estimators memoize three derived results in one cache on the
     instance: the read-only (1, z) projection of
-    ``nuisance._linear_projection`` and the grouping of the instrument rows
-    into distinct rows (``_groups.RowGroups``) of ``nuisance._row_groups``;
+    ``nuisance._linear_projection``, the grouping of the instrument rows
+    into distinct rows (``_groups.RowGroups``) of ``nuisance._row_groups``
+    and the read-only instrument means of ``nuisance.estimate_means``;
     the data arrays never change.
     """
 

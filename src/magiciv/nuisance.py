@@ -26,9 +26,10 @@ gelsy fit on its explicit basis instead, so the main estimator still fits
 duplicated instruments, at their minimum norm.
 
 :func:`_row_groups` memoizes the grouping of :mod:`magiciv._groups` beside
-the (1, z) fit. It holds one row index per group, not the distinct rows,
-and the kernel centers the distinct rows a chunk at a time, so no
-consumer forms an n x p centered copy. The orders
+the (1, z) fit, and :func:`estimate_means` the instrument means. The
+grouping holds one row index per group, not the distinct rows, and the
+kernel centers the distinct rows a chunk at a time, so no consumer forms
+an n x p centered copy. The orders
 k >= 3 form their Gram and residuals from the distinct rows by the kernel of
 :mod:`magiciv._kernel`: no fit holds the n x r demeaned interaction matrix
 W, and outside the gelsy fallback no basis of order k >= 3 either.
@@ -83,8 +84,12 @@ class NuisanceEstimate:
 
 
 def estimate_means(ds: Dataset) -> np.ndarray:
-    """Columnwise sample means of the instrument matrix."""
-    return ds.z.mean(axis=0)
+    """Columnwise sample means of the instrument matrix, memoized on ``ds``; read-only."""
+    mu = ds._memo.get("means")
+    if mu is None:
+        mu = ds._memo["means"] = ds.z.mean(axis=0)
+        mu.setflags(write=False)
+    return mu
 
 
 def _row_groups(ds: Dataset) -> RowGroups:

@@ -15,14 +15,24 @@ uniforms keyed by (seed, rep_index); normals are produced by Box-Muller on
 those uniforms rather than any library sampler, so streams are stable
 across platforms and replications are order-insensitive.
 
+Workers: :func:`run_monte_carlo` with ``workers`` = w > 1 starts
+min(w, reps) one-shot processes from :mod:`multiprocessing`'s default
+context. Worker k runs the fixed share of replications k, k + w, k + 2w,
+... and sends its records back through one pipe; the caller stays idle
+until the shares arrive, then joins the workers and orders the records by
+replication. An exception in a worker is raised again in the caller with
+the same type and message; a worker that dies before sending raises
+RuntimeError naming its exit code. Whether the run returns or raises, no
+worker outlives it.
+
 BLAS threads: every estimator entry point, the CLI ``estimate`` included,
 and :func:`gen_dataset` run with their BLAS held at one thread (see
 :mod:`magiciv._lapack`), so results and generated data do not depend on
 the machine's thread count, at r = 45 or at r = 286 alike.
 :func:`run_monte_carlo` holds the same pin for its whole run, the
-in-process loop and the process pool's lifetime alike, and restores the
+in-process loop and the workers' lifetime alike, and restores the
 caller's counts when it returns or raises: forked workers inherit the
-pin, spawned ones pin themselves in the pool initializer, and the entry
+pin, spawned and forkserver ones pin themselves on entry, and the entry
 points' own pins then only read the counts. The count is
 process-global, so callers running in threads of one process can race on
 it.
@@ -31,12 +41,12 @@ it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import numpy.random  # at import, so forked pool workers inherit it loaded
+import numpy.random  # at import, so forked workers inherit it loaded
 
 from ._lapack import _blas_controls, _blas_threads
 from .baselines import efficient_fixed_r, tsls
@@ -277,7 +287,7 @@ class McSummary:
 
 
 def _pin_worker() -> None:
-    """Pool initializer: one BLAS thread for a worker that starts with more.
+    """One BLAS thread for a worker that starts with more.
 
     A forked worker inherits the pin that :func:`run_monte_carlo` holds in
     the parent and is left alone: setting the count again there restarts
@@ -324,6 +334,58 @@ def _replicate(args: tuple[ScenarioConfig, int, tuple[str, ...]]):
         return rep_index, None, f"{type(exc).__name__}: {exc}"
 
 
+def _run_share(share: list, conn) -> None:
+    """A worker's entry: pin, replicate ``share``, send the results or the exception."""
+    _pin_worker()
+    try:
+        result = [_replicate(task) for task in share]
+    except Exception as exc:  # the caller raises it again
+        result = exc
+    with conn:
+        conn.send(result)
+
+
+def _run_workers(tasks: list, workers: int) -> list:
+    """:func:`_replicate` over ``tasks`` in ``workers`` processes, in task order.
+
+    Worker k replicates the share ``tasks[k::workers]`` and sends the
+    results, or the exception that stopped it, through its own pipe.
+    """
+    procs, conns = [], []
+    try:
+        for k in range(workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            conns.append(recv)
+            with send:  # the worker's end: closed here, EOF reaches recv when the worker exits
+                proc = multiprocessing.Process(target=_run_share, args=(tasks[k::workers], send))
+                proc.start()
+            procs.append(proc)
+        raw = []
+        for proc, recv in zip(procs, conns):
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a Monte Carlo worker exited with code {proc.exitcode} "
+                    "before sending its replications"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            raw += result
+        for proc in procs:
+            proc.join()
+    finally:
+        for recv in conns:
+            recv.close()
+        for proc in procs:  # still alive only when the caller raises
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    raw.sort(key=lambda rec: rec[0])
+    return raw
+
+
 def run_monte_carlo(
     cfg: ScenarioConfig,
     reps: int,
@@ -333,9 +395,14 @@ def run_monte_carlo(
     """Replicate the design, estimate with each method, aggregate.
 
     Replications run independently with per-replication RNG streams, so the
-    summary is identical for any worker count; at most ``reps`` workers are
-    started. A replication that fails numerically is recorded and excluded;
-    more than 5% exclusions aborts.
+    summary is identical for any worker count. ``workers`` = 1 runs them in
+    this process. A larger count w starts min(w, reps) one-shot processes,
+    and worker k runs replications k, k + w, k + 2w, ... while this process
+    waits. An exception in a worker is raised here with the same type and
+    message, and a worker that dies before sending its share raises
+    RuntimeError naming its exit code; no worker outlives the call. A
+    replication that fails numerically is recorded and excluded; more than
+    5% exclusions aborts.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1 (got {reps})")
@@ -350,14 +417,12 @@ def run_monte_carlo(
                 f"unsupported method {name!r}; choose from {SUPPORTED_METHODS}"
             )
     tasks = [(cfg, i, methods) for i in range(reps)]
-    workers = min(workers, reps)  # a forking pool starts every worker at the first submit
+    workers = min(workers, reps)  # a worker past reps would have an empty share
     with _blas_threads(1):
         if workers == 1:
             raw = [_replicate(t) for t in tasks]
         else:
-            chunk = max(1, reps // (workers * 4))
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker) as pool:
-                raw = list(pool.map(_replicate, tasks, chunksize=chunk))
+            raw = _run_workers(tasks, workers)
 
     records: list[dict] = []
     exclusions: list[tuple[int, str]] = []

@@ -252,7 +252,7 @@ print(json.dumps({"added": added, "scipy": scipy}))
 
 def test_import_loads_no_scipy_and_repeat_calls_load_nothing(tmp_path):
     # a second estimate or Monte Carlo call that imports a module means a
-    # forked pool worker imports it on every call; scipy costs about 0.2 s
+    # forked Monte Carlo worker imports it on every call; scipy costs about 0.2 s
     # and 22 MiB per process
     ds = make_sim_dataset(p=4, n=300, seed=2)
     csv = tmp_path / "small.csv"

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from multiprocessing import get_context
 
 import numpy as np
@@ -233,29 +235,91 @@ def test_run_monte_carlo_worker_counts_agree():
 
 
 def test_run_monte_carlo_starts_no_more_workers_than_replications(monkeypatch):
-    # a forking pool starts all max_workers processes at the first submit;
-    # this stand-in runs the tasks in-process and starts none
-    sizes = []
+    # worker k takes replications k, k + w, ...: a worker past reps would idle
+    starts = []
+    start = multiprocessing.Process.start
 
-    class InProcessPool:
-        def __init__(self, max_workers, initializer):
-            sizes.append(max_workers)
+    def counting(proc):
+        starts.append(proc)
+        start(proc)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(multiprocessing.Process, "start", counting)
     cfg = ScenarioConfig(p=4, n=200, c=8.0, seed=9)
-    wide = run_monte_carlo(cfg, reps=3, methods=("magic", "tsls"), workers=10**6)
-    one = run_monte_carlo(cfg, reps=3, methods=("magic", "tsls"), workers=1)
-    assert sizes == [3]
-    assert summary_to_jsonable(wide) == summary_to_jsonable(one)
+    summaries, started = set(), []
+    for workers in (1, 2, 3, 7, 10**6):
+        starts.clear()
+        summary = run_monte_carlo(cfg, reps=7, methods=("magic", "tsls"), workers=workers)
+        summaries.add(json.dumps(summary_to_jsonable(summary), sort_keys=True))
+        started.append(len(starts))
+        assert multiprocessing.active_children() == []
+    assert len(summaries) == 1
+    assert started == [0, 2, 3, 7, 7]
+
+
+def _replicate_or_exit(task):
+    if task[1] == 2:
+        os._exit(3)
+    return _replicate(task)
+
+
+def _replicate_or_raise(task):
+    if task[1] == 0:  # worker 0's first replication: the caller reads it first
+        raise ValueError("replication 0 refused")
+    time.sleep(60)  # the other workers are still busy when the caller raises
+
+
+@pytest.mark.parametrize(
+    "replicate, error, match",
+    [
+        (_replicate, None, None),
+        (_replicate_or_raise, ValueError, "^replication 0 refused$"),
+        (_replicate_or_exit, RuntimeError, "exited with code 3 "),
+    ],
+    ids=["returns", "worker raises", "worker dies"],
+)
+def test_run_monte_carlo_leaves_no_worker_running(monkeypatch, replicate, error, match):
+    # forked workers see the patched replication
+    monkeypatch.setattr(simulate, "_replicate", replicate)
+    cfg = ScenarioConfig(p=4, n=200, c=8.0, seed=9)
+    begun = time.monotonic()
+    if error is None:
+        run_monte_carlo(cfg, reps=6, methods=("magic",), workers=3)
+    else:
+        with pytest.raises(error, match=match):
+            run_monte_carlo(cfg, reps=6, methods=("magic",), workers=3)
+    assert time.monotonic() - begun < 30  # busy workers were stopped, not waited for
+    assert multiprocessing.active_children() == []
+
+
+def test_a_replication_computes_the_instrument_means_once(monkeypatch):
+    means = []
+
+    class CountingMeans(np.ndarray):
+        def mean(self, *args, **kwargs):
+            means.append(self.shape)
+            return np.asarray(self).mean(*args, **kwargs)
+
+    generate = simulate.gen_dataset
+
+    def spied(cfg, rep_index):
+        ds, truth = generate(cfg, rep_index)
+        object.__setattr__(ds, "z", ds.z.view(CountingMeans))
+        return ds, truth
+
+    task = (ScenarioConfig(p=5, n=300, q=3, c=8.0, seed=4), 0, simulate.SUPPORTED_METHODS)
+    want = repr(_replicate(task))
+    monkeypatch.setattr(simulate, "gen_dataset", spied)
+    assert repr(_replicate(task)) == want
+    assert means == [(300, 5)]
+
+
+def test_importing_the_package_leaves_out_concurrent_futures():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, magiciv; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @needs_openblas
@@ -309,20 +373,20 @@ def _raise_with_blas_counts(cfg, rep_index):
 @needs_openblas
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_monte_carlo_pins_one_thread_and_restores_the_callers(monkeypatch, workers):
-    pools = []
+    starts = []
+    start = multiprocessing.Process.start
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(set(_blas_counts()))  # what forked workers inherit
-            super().__init__(*args, **kwargs)
+    def recording(proc):
+        starts.append(set(_blas_counts()))  # what a forked worker inherits
+        start(proc)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.Process, "start", recording)
     cfg = ScenarioConfig(p=4, n=200, c=8.0, seed=9)
     with _blas_threads(2):
         run_monte_carlo(cfg, reps=4, methods=("magic",), workers=workers)
         assert set(_blas_counts()) == {2}
-        assert pools == ([{1}] if workers == 2 else [])
-        # an error that escapes the loop or the pool: the replication saw one
+        assert starts == [{1}] * (workers if workers > 1 else 0)
+        # an error that escapes the loop or a worker: the replication saw one
         # thread, and the caller's count is back afterwards
         monkeypatch.setattr(simulate, "gen_dataset", _raise_with_blas_counts)
         with pytest.raises(RuntimeError, match=r"BLAS threads \[1(, 1)*\]"):
@@ -331,22 +395,34 @@ def test_run_monte_carlo_pins_one_thread_and_restores_the_callers(monkeypatch, w
 
 
 @needs_openblas
-def test_pool_initializer_pins_a_worker_that_starts_with_more_threads():
+def test_pin_worker_pins_a_worker_that_starts_with_more_threads():
     # the case of a spawned worker, which inherits no pin
     with _blas_threads(2):
         _pin_worker()
         assert set(_blas_counts()) == {1}
 
 
+def _run_share_reporting_blas_counts(share, conn):
+    # in the fresh worker: each replication reports the counts it runs at
+    simulate._replicate = lambda task: _blas_counts()
+    simulate._run_share(share, conn)
+
+
 @needs_openblas
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_pool_initializer_pins_workers_of_each_start_method(method):
+def test_worker_entry_pins_workers_of_each_start_method(method):
     # these workers do not fork from the pinned parent: each starts at the
-    # library default thread count and only the initializer pins it
-    with ProcessPoolExecutor(
-        max_workers=1, mp_context=get_context(method), initializer=_pin_worker
-    ) as pool:
-        assert set(pool.submit(_blas_counts).result()) == {1}
+    # library default thread count and only the worker entry pins it
+    ctx = get_context(method)
+    recv, send = ctx.Pipe(duplex=False)
+    with recv:
+        with send:
+            proc = ctx.Process(target=_run_share_reporting_blas_counts, args=([None, None], send))
+            proc.start()
+        counts = recv.recv()
+    proc.join(timeout=60)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert [set(c) for c in counts] == [{1}, {1}]
 
 
 _START_METHOD_RUN = """
